@@ -309,6 +309,13 @@ def build_report(
         raise ValueError("pipeline input must be a polynomial over Q")
     n = F.nvars - 1
     d = F.degree
+    if n < 1:
+        raise ValueError(
+            f"a hypersurface needs a projective space P^n with n >= 1; "
+            f"got {F.nvars} variable(s)"
+        )
+    if d < 1:
+        raise ValueError(f"a hypersurface needs degree >= 1; got degree {d}")
     s_y, pd, scheme = segre_singular_scheme(F, policy)
     inp = HypersurfaceInput(n, d, s_y)
 

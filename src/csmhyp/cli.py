@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (full pipeline report for one polynomial),
 ``nc`` (closed-form normal-crossings classes), ``verify`` (fixture
 suite), ``oracle`` (closed-form baselines).  Exit codes: 0 success,
-2 parse/input error, 3 verification failure, 4 randomness exhaustion.
+2 parse/input error, 3 verification failure or broken internal
+identity, 4 randomness exhaustion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import sys
 
 from . import charclasses, oracles
 from .chow import ChowClass
-from .errors import PolynomialParseError, RandomnessError, VerificationError
+from .errors import (
+    CsmhypError,
+    PolynomialParseError,
+    RandomnessError,
+    VerificationError,
+)
 from .poly import parse_poly
 from .segre import DEFAULT_PRIMES, DEFAULT_SEEDS, TrialPolicy
 
@@ -272,6 +278,10 @@ def main(argv=None) -> int:
         if exc.trials:
             print(json.dumps(exc.trials), file=sys.stderr)
         return 4
+    except CsmhypError as exc:
+        # a broken internal identity: the result cannot be trusted
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

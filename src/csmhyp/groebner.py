@@ -2,9 +2,9 @@
 
 Buchberger's algorithm with the normal selection strategy and the two
 classical pair-elimination criteria; full multivariate division for normal
-forms; ideal saturation by the extra-variable elimination method; and
-Hilbert-series extraction of projective dimension and degree from a
-monomial ideal of leading terms.
+forms; saturation by one element via the extra-variable elimination
+method; and Hilbert-series extraction of projective dimension and degree
+from a monomial ideal of leading terms.
 
 All heavy computation is modular: the engine refuses rational
 coefficients.  Polynomials need not be homogeneous (saturation adjoins an
@@ -19,19 +19,9 @@ Inner loops work on raw term dicts ``{exponent_tuple: int}`` mod p;
 from __future__ import annotations
 
 import heapq
-import sys
-import time
 from dataclasses import dataclass, field as dc_field
 
 from .poly import Polynomial, grevlex_key
-
-_trace = False
-
-
-def set_trace(enabled: bool) -> None:
-    """Toggle stderr trace output (pair counts, basis sizes, timings)."""
-    global _trace
-    _trace = bool(enabled)
 
 
 def _elim_last_key(m):
@@ -181,7 +171,6 @@ def _reduced_basis(G, order, p):
 
 
 def _buchberger(gens, order, p):
-    t0 = time.monotonic()
     key = order.key
     G, lts = [], []
     for d in gens:
@@ -204,14 +193,11 @@ def _buchberger(gens, order, p):
         for i in range(j):
             push(i, j)
 
-    considered = 0
-    reduced_to_zero = 0
     while heap:
         _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        considered += 1
         li, lj = lts[i], lts[j]
         # first criterion: coprime leading terms
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
@@ -237,17 +223,7 @@ def _buchberger(gens, order, p):
             new = len(G) - 1
             for i2 in range(new):
                 push(i2, new)
-        else:
-            reduced_to_zero += 1
-
-    out = _reduced_basis(G, order, p)
-    if _trace:
-        print(
-            f"[groebner] pairs={considered} zero_reductions={reduced_to_zero} "
-            f"basis={len(out)} time={time.monotonic() - t0:.3f}s",
-            file=sys.stderr,
-        )
-    return out
+    return _reduced_basis(G, order, p)
 
 
 # -- public polynomial-level API ----------------------------------------------
@@ -332,84 +308,37 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
 # -- saturation by elimination -------------------------------------------------
 
 
-def _eliminate_last(dicts, p):
-    """Groebner-eliminate the last (auxiliary) variable; returns term dicts
-    in the smaller ring.  The result is a grevlex Groebner basis there."""
-    gb = _buchberger(dicts, _ELIM_LAST, p)
-    out = []
-    for d in gb:
-        if all(m[-1] == 0 for m in d):
-            out.append({m[:-1]: c for m, c in d.items()})
-    return out
-
-
-def _saturate_one(I_dicts, g, nvars, p):
-    """I : g^infty via (I + (1 - t*g)) intersect k[x]."""
-    ext = [{m + (0,): c for m, c in d.items()} for d in I_dicts]
-    rel = {(0,) * nvars + (0,): 1}
-    for m, c in g.items():
-        mm = m + (1,)
-        rel[mm] = (rel.get(mm, 0) - c) % p
-    ext.append({m: c for m, c in rel.items() if c})
-    return _eliminate_last(ext, p)
-
-
-def _intersect_dicts(A, B, nvars, p):
-    """A intersect B via elimination of t from t*A + (1-t)*B."""
-    ext = [{m + (1,): c for m, c in d.items()} for d in A]
-    for d in B:
-        e = {}
-        for m, c in d.items():
-            e[m + (0,)] = c
-            e[m + (1,)] = (-c) % p
-        ext.append(e)
-    return _eliminate_last(ext, p)
-
-
 def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
-    """The saturation I : J^infty, i.e. the union over k of I : J^k.
+    """The saturation I : g^infty by a principal ideal J = (g).
 
-    Computed per generator g of J as (I + (1 - t*g)) intersect k[x] by
-    elimination, then intersected over the generators.  Removes from V(I)
-    every component on which all of J vanishes.
+    Computed as (I + (1 - t*g)) intersect k[x] with one elimination of the
+    auxiliary variable t.  Removes from V(I) every component on which g
+    vanishes.  For a larger ideal J' containing g, I : J'^infty lies in
+    I : g^infty, with equality when g lies in no associated prime of I
+    that misses J'; a random combination of generators of J' is such a g
+    with high probability.
     """
-    if not J.gens:
-        # J = (0): every f satisfies f*J = 0, so the saturation is the
-        # unit ideal (for I as well as for 0).
-        if not I.gens:
-            raise ValueError("saturation of the zero ideal by the zero ideal")
-        template = I.gens[0]
-        one = template._wrap({(0,) * I.nvars: 1})
-        return IdealBasis((one,), "grevlex", True, ((0,) * I.nvars,))
+    if len(J.gens) != 1:
+        raise ValueError(
+            f"saturate takes a principal ideal (one generator), got {len(J.gens)}"
+        )
     if not I.gens:
         return IdealBasis((), "grevlex", True, ())
     field, nvars = _require_modular(list(I.gens) + list(J.gens))
     p = field.p
-    I_dicts = [g.terms for g in I.gens if not g.is_zero]
-    J_dicts = []
-    for g in J.gens:
-        if not g.is_zero and g.terms not in J_dicts:
-            J_dicts.append(g.terms)
-    acc = None
-    for g in J_dicts:
-        part = _saturate_one(I_dicts, g, nvars, p)
-        acc = part if acc is None else _intersect_dicts(acc, part, nvars, p)
-    final = _buchberger(acc, _GREVLEX, p) if acc else []
-    template = I.gens[0]
-    polys = tuple(template._wrap(d) for d in final)
-    lts = tuple(max(d, key=grevlex_key) for d in final)
-    return IdealBasis(polys, "grevlex", True, lts)
-
-
-def intersect(I: IdealBasis, J: IdealBasis) -> IdealBasis:
-    """Intersection of two ideals via the extra-variable trick."""
-    if not I.gens or not J.gens:
-        return IdealBasis((), "grevlex", True, ())
-    field, nvars = _require_modular(list(I.gens) + list(J.gens))
-    dicts = _intersect_dicts(
-        [g.terms for g in I.gens], [g.terms for g in J.gens], nvars, field.p
-    )
-    final = _buchberger(dicts, _GREVLEX, field.p)
+    ext = [{m + (0,): c for m, c in g.terms.items()} for g in I.gens]
+    rel = {m + (1,): -c % p for m, c in J.gens[0].terms.items()}
+    rel[(0,) * (nvars + 1)] = 1  # 1 - t*g
+    ext.append(rel)
+    # The t-free part of the reduced basis for the order eliminating t is
+    # already the reduced grevlex basis of the contraction, in grevlex
+    # lead-descending order.
+    elim = _buchberger(ext, _ELIM_LAST, p)
+    final = [
+        {m[:-1]: c for m, c in d.items()}
+        for d in elim
+        if all(m[-1] == 0 for m in d)
+    ]
     template = I.gens[0]
     polys = tuple(template._wrap(d) for d in final)
     lts = tuple(max(d, key=grevlex_key) for d in final)
@@ -444,12 +373,9 @@ def _poly_mul_one_minus_tk(a, k):
     return _poly_add(a, tuple(-c for c in _poly_shift(a, k)))
 
 
-_hilb_cache: dict = {}
-
-
-def _hilbert_rec(gens):
-    if gens in _hilb_cache:
-        return _hilb_cache[gens]
+def _hilbert_rec(gens, cache):
+    if gens in cache:
+        return cache[gens]
     if not gens:
         return (1,)
     if any(sum(m) == 0 for m in gens):
@@ -475,8 +401,10 @@ def _hilbert_rec(gens):
         )
         unit = tuple(1 if j == pivot else 0 for j in range(nvars))
         plus = _minimalize(tuple(m for m in gens if m[pivot] == 0) + (unit,))
-        out = _poly_add(_poly_shift(_hilbert_rec(colon), 1), _hilbert_rec(plus))
-    _hilb_cache[gens] = out
+        out = _poly_add(
+            _poly_shift(_hilbert_rec(colon, cache), 1), _hilbert_rec(plus, cache)
+        )
+    cache[gens] = out
     return out
 
 
@@ -490,7 +418,7 @@ def hilbert_numerator(monomials, nvars: int) -> list[int]:
     for m in gens:
         if len(m) != nvars:
             raise ValueError("monomial length does not match nvars")
-    out = list(_hilbert_rec(gens))
+    out = list(_hilbert_rec(gens, {}))
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out

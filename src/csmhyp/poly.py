@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
 from .errors import PolynomialParseError, RandomnessError
 
@@ -23,13 +22,32 @@ from .errors import PolynomialParseError, RandomnessError
 # -- coefficient fields -------------------------------------------------------
 
 
+# Miller-Rabin with these bases is exact below _PRIME_LIMIT (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < _PRIME_LIMIT."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    for q in range(3, isqrt(p) + 1, 2):
-        if p % q == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -75,6 +93,11 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= _PRIME_LIMIT:
+            raise ValueError(
+                f"prime {p} is too large: primes up to {_PRIME_LIMIT - 1} "
+                "are supported"
+            )
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

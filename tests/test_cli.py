@@ -67,6 +67,35 @@ def test_compute_inhomogeneous_exit_2(capsys):
     assert code == 2
 
 
+def test_compute_without_a_projective_line_exit_2(capsys):
+    code, _, err = run_cli(capsys, "compute", "x0", "--nvars", "1")
+    assert code == 2
+    assert "n >= 1" in err
+
+
+def test_compute_constant_exit_2(capsys):
+    code, _, err = run_cli(capsys, "compute", "7", "--nvars", "3")
+    assert code == 2
+    assert "degree >= 1" in err
+
+
+def test_compute_with_a_large_prime(capsys):
+    code, out, _ = run_cli(
+        capsys, "compute", "x0^2+x1^2+x2^2", "--nvars", "3", "--json",
+        "--prime", "1000000000000000003",
+    )
+    assert code == 0
+    assert json.loads(out)["euler"] == 2
+
+
+def test_compute_rejects_a_prime_past_the_exact_primality_range(capsys):
+    code, _, err = run_cli(
+        capsys, "compute", "x0^2+x1^2+x2^2", "--nvars", "3", "--prime", str(10**25)
+    )
+    assert code == 2
+    assert "too large" in err
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run_cli(capsys, "compute", "x0*x1*x2", "--nvars", "3", "--json")
     assert code == 0
@@ -190,6 +219,20 @@ def test_randomness_exhaustion_exits_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
     assert code == 4
     assert "randomness exhausted" in err
+
+
+def test_internal_identity_failure_exits_3(capsys, monkeypatch):
+    from csmhyp import charclasses
+    from csmhyp.errors import CsmhypError
+
+    def explode(*args, **kwargs):
+        raise CsmhypError("segre class has a nonzero codimension-0 part")
+
+    monkeypatch.setattr(charclasses, "build_report", explode)
+    code, out, err = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: segre class has a nonzero codimension-0 part\n"
 
 
 def test_cross_process_byte_determinism():

@@ -18,7 +18,6 @@ from csmhyp.groebner import (
     buchberger,
     dim_degree,
     hilbert_numerator,
-    intersect,
     normal_form,
     saturate,
 )
@@ -212,11 +211,12 @@ def _random_form(rng, nvars, d):
             return Polynomial(nvars, terms, GF)
 
 
-def test_intersect_of_principal_ideals():
-    A = buchberger([gf("x0", 3)])
-    B = buchberger([gf("x1", 3)])
-    out = intersect(A, B)
-    assert basis_strings(out) == ["x0*x1"]
+def test_saturate_takes_a_principal_ideal_only():
+    I = buchberger([gf("x0^2", 3), gf("x0*x1", 3)])
+    with pytest.raises(ValueError):
+        saturate(I, buchberger([gf("x0", 3), gf("x1", 3)]))
+    with pytest.raises(ValueError):
+        saturate(I, IdealBasis())
 
 
 # -- hilbert series and dimension/degree ----------------------------------------
@@ -326,18 +326,6 @@ def _det_mod_p(matrix, p):
             factor = m[r][col] * inv % p
             m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
     return det % p
-
-
-def test_trace_flag_smoke(capsys):
-    from csmhyp.groebner import set_trace
-
-    set_trace(True)
-    try:
-        buchberger([gf("x0^2 - x1*x2", 3), gf("x1^3", 3)])
-    finally:
-        set_trace(False)
-    err = capsys.readouterr().err
-    assert "pairs=" in err and "basis=" in err
 
 
 def _divide_with_certificate(f, basis):

@@ -170,9 +170,14 @@ def test_reduce_mod_p_examples():
 
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
-        PrimeField(32004)
+    for n in (32004, 561, 3215031751, 10**18 + 1):
+        with pytest.raises(ValueError):
+            PrimeField(n)
 
+
+def test_prime_field_accepts_large_primes():
+    assert PrimeField(2147483647).p == 2147483647
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
 
 def test_dehomogenize():
     f = parse_poly("x1^2*x2 - x0^3 - x0^2*x2", 3)
