@@ -12,7 +12,6 @@ from .charclasses import (
     HypersurfaceInput,
     build_report,
     classes_from_segre,
-    contact_degree_check,
     csm,
     csm_normal_crossings,
     csm_smooth_singularity,
@@ -27,13 +26,8 @@ from .charclasses import (
     segre_thickened,
     segre_x,
 )
-from .chow import ChowClass, chern_tangent_pn, make_class
-from .errors import (
-    CsmhypError,
-    PolynomialParseError,
-    RandomnessError,
-    VerificationError,
-)
+from .chow import ChowClass, chern_tangent_pn
+from .errors import CsmhypError, PolynomialParseError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, normal_form, saturate
 from .oracles import (
     FixtureCase,
@@ -49,7 +43,6 @@ from .poly import (
     QQ,
     euler_check,
     parse_poly,
-    partial_derivative,
     random_linear_combination,
     reduce_mod_p,
 )

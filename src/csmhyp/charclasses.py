@@ -10,9 +10,10 @@ along four independent routes that are provably equal:
   * thickening: c(TM) * s(X(k)) evaluated formally at k = -1
   * mu-class:   c_F(X) + c(L)^(dim X) * (mu dual tensor L)
 
-with c(L) = 1 + d*h and c(TM) = (1 + h)^(n+1).  The runtime keeps all
-four and records their agreement; a disagreement is an internal bug, not
-a data condition, and raises immediately.
+with c(L) = 1 + d*h and c(TM) = (1 + h)^(n+1).  ``classes_from_segre``
+evaluates all four and compares each of the other three with the compact
+route; every comparison is a verdict in the report, and a failing one
+(an internal bug, not a data condition) carries the difference.
 
 The report builder at the bottom runs the full Groebner pipeline and
 bundles classes, Euler characteristic, total Milnor number and the
@@ -88,19 +89,8 @@ def fulton(inp: HypersurfaceInput) -> ChowClass:
 
 
 def csm(inp: HypersurfaceInput) -> ChowClass:
-    """Chern-Schwartz-MacPherson class of X (compact evaluation route).
-
-    The binomial route is evaluated alongside and must agree exactly; a
-    mismatch means a bug in the calculus, never bad data.
-    """
-    via_compact = chern_tangent_pn(inp.n) * s_x_minus_y_compact(inp)
-    via_binomial = chern_tangent_pn(inp.n) * s_x_minus_y_binomial(inp)
-    if via_compact != via_binomial:
-        raise CsmhypError(
-            "compact and binomial residual routes disagree: "
-            f"{via_compact!r} vs {via_binomial!r}"
-        )
-    return via_compact
+    """Chern-Schwartz-MacPherson class of X (compact evaluation route)."""
+    return chern_tangent_pn(inp.n) * s_x_minus_y_compact(inp)
 
 
 def segre_thickened(inp: HypersurfaceInput, k: int) -> ChowClass:
@@ -208,13 +198,6 @@ def segre_singular_nc(n: int, degrees) -> ChowClass:
     return inner.tensor(total)
 
 
-def contact_degree_check(d1: int, d2: int, dim_y: int) -> bool:
-    """Whether two smooth hypersurfaces of degrees d1, d2 can meet with a
-    smooth contact scheme of dimension dim_y: a positive-dimensional smooth
-    contact scheme forces equal degrees."""
-    return d1 == d2 or dim_y == 0
-
-
 # -- full-pipeline report -----------------------------------------------------
 
 
@@ -238,7 +221,6 @@ class ClassReport:
     projective_degrees: ProjectiveDegrees
     scheme: SingularSchemeData
     segre_singular: ChowClass
-    s_x_minus_y: ChowClass
     csm: ChowClass
     fulton: ChowClass
     mu: ChowClass
@@ -279,20 +261,25 @@ class ClassReport:
 
 
 def classes_from_segre(n: int, d: int, s_y: ChowClass):
-    """All four CSM routes plus Fulton and mu for a given Segre input.
+    """CSM, Fulton and mu classes for a given Segre input, plus one
+    verdict per alternative CSM route.
 
-    Returns a dict of named ChowClass values; raises on any route
-    disagreement (formal identities cannot fail on correct code).
+    Returns ``(csm, fulton, mu, verdicts)``.  Each route is compared
+    exactly with the compact route ``csm``; a disagreement is a failing
+    verdict carrying the difference, never an exception.
     """
     inp = HypersurfaceInput(n, d, s_y)
-    return {
-        "csm": csm(inp),
-        "csm_thickening": csm_via_thickening(inp),
-        "csm_mu": csm_via_mu(inp),
-        "fulton": fulton(inp),
-        "mu": mu_class(inp),
-        "s_x_minus_y": s_x_minus_y_compact(inp),
-    }
+    c_csm = csm(inp)
+    c_tm = chern_tangent_pn(n)
+    verdicts = []
+    for name, c in (
+        ("csm_residual_binomial_route", c_tm * s_x_minus_y_binomial(inp)),
+        ("csm_thickening_route", csm_via_thickening(inp)),
+        ("csm_mu_class_route", csm_via_mu(inp)),
+    ):
+        ok = c == c_csm
+        verdicts.append(Verification(name, ok, None if ok else c - c_csm))
+    return c_csm, fulton(inp), mu_class(inp), verdicts
 
 
 def build_report(
@@ -317,31 +304,11 @@ def build_report(
     if d < 1:
         raise ValueError(f"a hypersurface needs degree >= 1; got degree {d}")
     s_y, pd, scheme = segre_singular_scheme(F, policy)
-    inp = HypersurfaceInput(n, d, s_y)
+    c_csm, c_fulton, c_mu, checks = classes_from_segre(n, d, s_y)
+    euler = euler_characteristic(c_csm)
+    milnor, milnor_ok = milnor_total(HypersurfaceInput(n, d, s_y), euler)
 
-    c_compact = csm(inp)
-    c_thick = csm_via_thickening(inp)
-    c_mu = csm_via_mu(inp)
-    c_fulton = fulton(inp)
-    c_mu_class = mu_class(inp)
-    euler = euler_characteristic(c_compact)
-    milnor, milnor_ok = milnor_total(inp, euler)
-
-    checks = [
-        Verification(
-            "csm_residual_binomial_route",
-            True,  # csm() raised if the binomial route disagreed
-        ),
-        Verification(
-            "csm_thickening_route",
-            c_thick == c_compact,
-            None if c_thick == c_compact else c_thick - c_compact,
-        ),
-        Verification(
-            "csm_mu_class_route",
-            c_mu == c_compact,
-            None if c_mu == c_compact else c_mu - c_compact,
-        ),
+    checks += [
         Verification("milnor_degree_identity", milnor_ok),
         Verification(
             "segre_smooth_vanishing",
@@ -349,14 +316,11 @@ def build_report(
         ),
         Verification(
             "integrality",
-            all(
-                cl.is_integral()
-                for cl in (s_y, c_compact, c_fulton, c_mu_class)
-            ),
+            all(cl.is_integral() for cl in (s_y, c_csm, c_fulton, c_mu)),
         ),
     ]
     if scheme.is_smooth:
-        checks.append(Verification("smooth_coincidence", c_compact == c_fulton))
+        checks.append(Verification("smooth_coincidence", c_csm == c_fulton))
 
     return ClassReport(
         n=n,
@@ -365,10 +329,9 @@ def build_report(
         projective_degrees=pd,
         scheme=scheme,
         segre_singular=s_y,
-        s_x_minus_y=s_x_minus_y_compact(inp),
-        csm=c_compact,
+        csm=c_csm,
         fulton=c_fulton,
-        mu=c_mu_class,
+        mu=c_mu,
         euler=euler,
         milnor_total=milnor,
         verification=tuple(checks),

@@ -20,17 +20,6 @@ from fractions import Fraction
 from math import comb
 
 
-def dim_to_codim(n: int, m: int) -> int:
-    """Convert a dimension index to a codimension index on P^n.
-
-    Centralized so the dimension-indexed residual formulas cannot drift
-    out of sync with the codimension-graded representation.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"dimension {m} out of range for P^{n}")
-    return n - m
-
-
 class ChowClass:
     """An element of Z[h]/(h^(n+1)) with exact rational coefficients.
 
@@ -135,22 +124,17 @@ class ChowClass:
     def tensor(self, d: int) -> "ChowClass":
         """Divide the codimension-i piece by (1 + d*h)^i and re-truncate.
 
-        ``tensor(0)`` is the identity; on the top-codimension piece every
-        tensor acts trivially.
+        Expanding h^i / (1 + d*h)^i gives the closed form
+        out_m = sum_{0 <= k < m} a_(m-k) * C(m-1, k) * (-d)^k and
+        out_0 = a_0 (Aluffi, Chern classes for singular hypersurfaces,
+        Trans. AMS 1999).  ``tensor(0)`` is the identity.
         """
-        n = self.n
-        if d == 0:
-            return self
-        inv = line_bundle(n, d).inverse()
-        out = ChowClass(n, [self.coeffs[0]] + [0] * n)
-        power = unit(n)
-        for i in range(1, n + 1):
-            power = power * inv
-            if self.coeffs[i] == 0:
-                continue
-            piece = hyperplane_power(n, i) * self.coeffs[i]
-            out = out + piece * power
-        return out
+        a = self.coeffs
+        out = [a[0]] + [
+            sum(a[m - k] * comb(m - 1, k) * (-d) ** k for k in range(m))
+            for m in range(1, self.n + 1)
+        ]
+        return ChowClass(self.n, out)
 
     def integral(self) -> Fraction:
         """Degree of the class: the coefficient of h^n."""
@@ -205,11 +189,6 @@ class ChowClass:
 # -- constructors -----------------------------------------------------------
 
 
-def make_class(n: int, coeffs) -> ChowClass:
-    """Build the class sum(coeffs[i] * h^i) on P^n; validates the length."""
-    return ChowClass(n, coeffs)
-
-
 def unit(n: int) -> ChowClass:
     """The fundamental class [P^n] = 1."""
     return ChowClass(n, [1] + [0] * n)
@@ -238,25 +217,3 @@ def chern_tangent_pn(n: int) -> ChowClass:
         raise ValueError("ambient dimension must be nonnegative")
     return ChowClass(n, [comb(n + 1, i) for i in range(n + 1)])
 
-
-# -- functional aliases -------------------------------------------------------
-
-
-def mul(a: ChowClass, b: ChowClass) -> ChowClass:
-    return a * b
-
-
-def inverse(a: ChowClass) -> ChowClass:
-    return a.inverse()
-
-
-def dual(a: ChowClass) -> ChowClass:
-    return a.dual()
-
-
-def tensor(a: ChowClass, d: int) -> ChowClass:
-    return a.tensor(d)
-
-
-def integral(a: ChowClass) -> Fraction:
-    return a.integral()

@@ -17,12 +17,7 @@ import sys
 
 from . import charclasses, oracles
 from .chow import ChowClass
-from .errors import (
-    CsmhypError,
-    PolynomialParseError,
-    RandomnessError,
-    VerificationError,
-)
+from .errors import CsmhypError, PolynomialParseError, RandomnessError
 from .poly import parse_poly
 from .segre import DEFAULT_PRIMES, DEFAULT_SEEDS, TrialPolicy
 
@@ -37,6 +32,8 @@ _LEGEND = [
     ("milnor_degree_identity", "deg mu = (-1)^n (chi(X) - chi of a smooth member)"),
     ("segre_smooth_vanishing", "s(Y) = 0 exactly when the hypersurface is smooth"),
     ("integrality", "every reported class has integer coefficients"),
+    ("smooth_coincidence", "c_SM(X) = c_F(X) when the hypersurface is smooth"),
+    ("milnor_affine_oracle", "deg mu = affine Jacobian colength (compute --verify)"),
 ]
 
 
@@ -270,9 +267,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
     except RandomnessError as exc:
         print(f"randomness exhausted: {exc}", file=sys.stderr)
         if exc.trials:

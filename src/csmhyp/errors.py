@@ -4,17 +4,13 @@ from __future__ import annotations
 
 
 class CsmhypError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  Raised as is
+    for a broken internal identity: CLI exit code 3."""
 
 
 class PolynomialParseError(CsmhypError):
     """Bad polynomial text: syntax error, unknown variable, zero or
     non-homogeneous result.  CLI exit code 2."""
-
-
-class VerificationError(CsmhypError):
-    """A computed identity or an expected fixture value failed to hold.
-    CLI exit code 3."""
 
 
 class RandomnessError(CsmhypError):

@@ -179,12 +179,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        """Maximum total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
@@ -268,7 +262,7 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {to_string(self)!r}, {self.field!r})"
 
-    # -- calculus and substitution ----------------------------------------
+    # -- calculus and charts ------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""
@@ -302,32 +296,6 @@ class Polynomial:
                 del out[mm]
         return Polynomial(self.nvars - 1, out, self.field)
 
-    def substitute_linear(self, matrix) -> "Polynomial":
-        """Compose with the linear change of coordinates x_i -> sum_j M[i][j]*x_j."""
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("matrix shape must be nvars x nvars")
-        forms = [
-            Polynomial(
-                n,
-                {
-                    tuple(1 if k == j else 0 for k in range(n)): matrix[i][j]
-                    for j in range(n)
-                },
-                self.field,
-            )
-            for i in range(n)
-        ]
-        result = Polynomial(n, {}, self.field)
-        one = Polynomial(n, {(0,) * n: 1}, self.field)
-        for m, c in self.terms.items():
-            term = one.scale(c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * forms[i]
-            result = result + term
-        return result
-
 
 def constant(nvars: int, c, field) -> Polynomial:
     return Polynomial(nvars, {(0,) * nvars: c}, field)
@@ -338,10 +306,6 @@ def variable(nvars: int, i: int, field) -> Polynomial:
 
 
 # -- calculus, checks, and field passage ---------------------------------------
-
-
-def partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    return f.partial(i)
 
 
 def euler_check(f: Polynomial) -> bool:

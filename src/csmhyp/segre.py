@@ -32,17 +32,17 @@ from .poly import Polynomial, random_linear_combination, reduce_mod_p, variable
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
+MAX_TRIALS = 8  # trials per input before giving up
+MAX_DISAGREEMENTS = 4  # disagreeing trials that abort the run
+DIM_RETRIES = 4  # fresh cuts per g_i while the residual is positive-dimensional
 
 
 @dataclass(frozen=True)
 class TrialPolicy:
-    """Randomness policy: which primes and seeds to try, and when to give up."""
+    """Randomness policy: which primes and seeds to try."""
 
     primes: tuple = DEFAULT_PRIMES[:2]
     seeds: tuple = DEFAULT_SEEDS
-    max_disagreements: int = 4
-    max_trials: int = 8
-    dim_retries: int = 4
 
     def combos(self):
         """Deterministic trial order: all seeds at the first prime, then
@@ -151,7 +151,7 @@ def _random_linear_form(nvars: int, field, rng) -> Polynomial:
             return acc
 
 
-def _degrees_one_trial(scheme: SingularSchemeData, rng, policy: TrialPolicy) -> tuple:
+def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     """One g-vector at one (prime, seed).
 
     Every cut is saturated by one random combination g of the partials
@@ -168,7 +168,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, policy: TrialPolicy) -> 
     base_locus = IdealBasis((random_linear_combination(nonzero_partials, rng),))
     g = []
     for i in range(n + 1):
-        for _ in range(policy.dim_retries):
+        for _ in range(DIM_RETRIES):
             gens = [
                 random_linear_combination(nonzero_partials, rng) for _ in range(i)
             ]
@@ -188,7 +188,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, policy: TrialPolicy) -> 
         else:
             raise RandomnessError(
                 f"residual scheme stayed positive-dimensional for g_{i} "
-                f"after {policy.dim_retries} retries"
+                f"after {DIM_RETRIES} retries"
             )
     return tuple(g)
 
@@ -214,7 +214,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     combos = []
     seen = set()
     for p, s in policy.combos():
-        if len(combos) >= policy.max_trials:
+        if len(combos) >= MAX_TRIALS:
             break
         if d % p == 0 or (p, s) in seen:
             continue
@@ -229,7 +229,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
         rng = random.Random(f"csmhyp:{prime}:{seed}")
-        g = _degrees_one_trial(schemes[prime], rng, policy)
+        g = _degrees_one_trial(schemes[prime], rng)
         trials.append((prime, seed, g))
         results.append(g)
         counts = {}
@@ -237,7 +237,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
             counts[gv] = counts.get(gv, 0) + 1
         winner, wcount = max(counts.items(), key=lambda kv: kv[1])
         disagreements = len(results) - wcount
-        if disagreements >= policy.max_disagreements:
+        if disagreements >= MAX_DISAGREEMENTS:
             raise RandomnessError(
                 "projective-degree trials disagree persistently",
                 trials=[

@@ -24,7 +24,7 @@ from csmhyp.charclasses import (
     s_x_minus_y_binomial,
     segre_singular_nc,
 )
-from csmhyp.chow import chern_tangent_pn, make_class
+from csmhyp.chow import ChowClass, chern_tangent_pn
 from csmhyp.oracles import affine_milnor_total, default_fixtures, smooth_chern_class
 from csmhyp.poly import Polynomial, QQ, parse_poly
 from csmhyp.segre import ProjectiveDegrees, TrialPolicy, segre_from_degrees
@@ -111,7 +111,7 @@ def test_acceptance_03_four_route_identity(report_cache):
     ok = True
     for n, d, s_y in cases:
         inp = HypersurfaceInput(n, d, s_y)
-        reference = csm(inp)  # compact route; raises if binomial disagrees
+        reference = csm(inp)  # compact route
         ok = ok and chern_tangent_pn(n) * s_x_minus_y_binomial(inp) == reference
         ok = ok and csm_via_thickening(inp) == reference
         ok = ok and csm_via_mu(inp) == reference
@@ -144,8 +144,8 @@ def test_acceptance_04_milnor_identity(report_cache):
 def test_acceptance_05_normal_crossings_consistency(report_cache):
     two = report_cache("x0*x1", 3)
     three = report_cache("x0*x1*x2", 3)
-    ok = two.csm == csm_normal_crossings(2, [1, 1]) == make_class(2, [0, 2, 3])
-    ok = ok and three.csm == csm_normal_crossings(2, [1, 1, 1]) == make_class(
+    ok = two.csm == csm_normal_crossings(2, [1, 1]) == ChowClass(2, [0, 2, 3])
+    ok = ok and three.csm == csm_normal_crossings(2, [1, 1, 1]) == ChowClass(
         2, [0, 3, 3]
     )
     ok = ok and two.segre_singular == segre_singular_nc(2, [1, 1])
@@ -162,12 +162,12 @@ def test_acceptance_06_reduced_invariance(report_cache):
 def test_acceptance_07_smooth_singularity_shortcut(report_cache):
     cone = report_cache("x0^2 + x1^2 + x2^2", 4)
     shortcut = csm_smooth_singularity(
-        cone.input, make_class(3, [0, 0, 0, 1]), codim_y=3
+        cone.input, ChowClass(3, [0, 0, 0, 1]), codim_y=3
     )
     ok = shortcut == cone.csm
     nodal = report_cache("x1^2*x2 - x0^3 - x0^2*x2", 3)
     shortcut = csm_smooth_singularity(
-        nodal.input, make_class(2, [0, 0, 1]), codim_y=2
+        nodal.input, ChowClass(2, [0, 0, 1]), codim_y=2
     )
     ok = ok and shortcut == nodal.csm
     _verdict("smooth-singularity-shortcut (point singular loci)", ok)
@@ -185,7 +185,7 @@ def test_acceptance_08_segre_engine_oracles(report_cache):
                         ("x0^2 + x1^2 + x2^2", 4)]:
         n = nvars - 1
         report = report_cache(text, nvars)
-        point = make_class(n, [0] * n + [1])
+        point = ChowClass(n, [0] * n + [1])
         ok = ok and report.segre_singular == point
     # multi-prime and multi-seed agreement on the whole corpus
     for fix in default_fixtures():
@@ -204,7 +204,7 @@ def test_acceptance_09_calculus_laws():
     ok = True
     for _ in range(100):
         n = rng.randint(0, 6)
-        a = make_class(n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
+        a = ChowClass(n, [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)])
         d1 = rng.randint(-5, 5)
         d2 = rng.randint(-5, 5)
         ok = ok and a.dual().dual() == a

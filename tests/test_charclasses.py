@@ -12,7 +12,7 @@ import pytest
 from csmhyp.charclasses import (
     HypersurfaceInput,
     build_report,
-    contact_degree_check,
+    classes_from_segre,
     csm,
     csm_normal_crossings,
     csm_smooth_singularity,
@@ -29,7 +29,7 @@ from csmhyp.charclasses import (
     segre_thickened,
     segre_x,
 )
-from csmhyp.chow import ChowClass, chern_tangent_pn, make_class
+from csmhyp.chow import ChowClass, chern_tangent_pn
 from csmhyp.errors import CsmhypError
 from csmhyp.oracles import smooth_chern_class
 from csmhyp.poly import parse_poly
@@ -37,24 +37,24 @@ from csmhyp.segre import TrialPolicy, segre_singular_scheme
 
 LIGHT = TrialPolicy(primes=(32003,), seeds=(101,))
 
-SMOOTH_CONIC = HypersurfaceInput(2, 2, make_class(2, [0, 0, 0]))
-TWO_LINES = HypersurfaceInput(2, 2, make_class(2, [0, 0, 1]))
-QUADRIC_CONE = HypersurfaceInput(3, 2, make_class(3, [0, 0, 0, 1]))
-NODAL_CUBIC = HypersurfaceInput(2, 3, make_class(2, [0, 0, 1]))
+SMOOTH_CONIC = HypersurfaceInput(2, 2, ChowClass(2, [0, 0, 0]))
+TWO_LINES = HypersurfaceInput(2, 2, ChowClass(2, [0, 0, 1]))
+QUADRIC_CONE = HypersurfaceInput(3, 2, ChowClass(3, [0, 0, 0, 1]))
+NODAL_CUBIC = HypersurfaceInput(2, 3, ChowClass(2, [0, 0, 1]))
 
 
 def _random_input(rng):
     n = rng.randint(1, 5)
     d = rng.randint(1, 5)
     coeffs = [0] + [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-    return HypersurfaceInput(n, d, make_class(n, coeffs))
+    return HypersurfaceInput(n, d, ChowClass(n, coeffs))
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        HypersurfaceInput(2, 0, make_class(2, [0, 0, 0]))
+        HypersurfaceInput(2, 0, ChowClass(2, [0, 0, 0]))
     with pytest.raises(ValueError):
-        HypersurfaceInput(2, 2, make_class(2, [1, 0, 0]))
+        HypersurfaceInput(2, 2, ChowClass(2, [1, 0, 0]))
 
 
 def test_segre_x_examples():
@@ -132,6 +132,18 @@ def test_csm_four_routes_on_fixtures():
         assert chern_tangent_pn(inp.n) * s_x_minus_y_binomial(inp) == reference
 
 
+def test_classes_from_segre_gives_one_verdict_per_route():
+    for inp in (SMOOTH_CONIC, TWO_LINES, QUADRIC_CONE, NODAL_CUBIC):
+        c, c_f, mu, verdicts = classes_from_segre(inp.n, inp.d, inp.s_y)
+        assert (c, c_f, mu) == (csm(inp), fulton(inp), mu_class(inp))
+        assert [v.name for v in verdicts] == [
+            "csm_residual_binomial_route",
+            "csm_thickening_route",
+            "csm_mu_class_route",
+        ]
+        assert all(v.ok and v.difference is None for v in verdicts)
+
+
 def test_csm_four_routes_on_random_inputs():
     rng = random.Random(71)
     for _ in range(60):
@@ -153,7 +165,7 @@ def test_milnor_total_examples():
     milnor, ok = milnor_total(NODAL_CUBIC, chi)
     assert (milnor, ok) == (1, True)
 
-    cusp = HypersurfaceInput(2, 3, make_class(2, [0, 0, 2]))
+    cusp = HypersurfaceInput(2, 3, ChowClass(2, [0, 0, 2]))
     chi = euler_characteristic(csm(cusp))
     assert chi == 2
     milnor, ok = milnor_total(cusp, chi)
@@ -172,13 +184,13 @@ def test_milnor_identity_detects_wrong_euler():
 
 def test_smooth_singularity_shortcut():
     # quadric cone: singular scheme is a reduced point, c(TY)[Y] = h^3
-    cty = make_class(3, [0, 0, 0, 1])
+    cty = ChowClass(3, [0, 0, 0, 1])
     assert csm_smooth_singularity(QUADRIC_CONE, cty, 3) == csm(QUADRIC_CONE)
     # nodal cubic: node is a point in P^2
-    cty2 = make_class(2, [0, 0, 1])
+    cty2 = ChowClass(2, [0, 0, 1])
     assert csm_smooth_singularity(NODAL_CUBIC, cty2, 2) == csm(NODAL_CUBIC)
     # empty singular scheme degenerates to the Fulton class
-    zero = make_class(2, [0, 0, 0])
+    zero = ChowClass(2, [0, 0, 0])
     assert csm_smooth_singularity(SMOOTH_CONIC, zero, 2) == fulton(SMOOTH_CONIC)
 
 
@@ -216,12 +228,6 @@ def test_inclusion_exclusion_for_generic_line_arrangements():
     for r in range(1, 6):
         chi = euler_characteristic(csm_normal_crossings(2, [1] * r))
         assert chi == 2 * r - r * (r - 1) // 2
-
-
-def test_contact_degree_check():
-    assert contact_degree_check(2, 2, 1)
-    assert not contact_degree_check(2, 3, 1)
-    assert contact_degree_check(2, 5, 0)
 
 
 def test_reduced_invariance_full_pipeline():
@@ -280,7 +286,7 @@ def test_build_report_quadrifolium():
 
 def test_euler_characteristic_rejects_non_integer():
     with pytest.raises(CsmhypError):
-        euler_characteristic(make_class(2, [0, 0, Fraction(1, 2)]))
+        euler_characteristic(ChowClass(2, [0, 0, Fraction(1, 2)]))
 
 
 def test_report_json_round_trip():

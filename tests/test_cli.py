@@ -235,6 +235,43 @@ def test_internal_identity_failure_exits_3(capsys, monkeypatch):
     assert err == "error: segre class has a nonzero codimension-0 part\n"
 
 
+def test_disagreeing_route_is_a_failing_verdict(capsys, monkeypatch):
+    from csmhyp import charclasses
+    from csmhyp.chow import hyperplane_power
+
+    binomial = charclasses.s_x_minus_y_binomial
+
+    def off_by_a_point(inp):
+        return binomial(inp) + hyperplane_power(inp.n, inp.n)
+
+    monkeypatch.setattr(charclasses, "s_x_minus_y_binomial", off_by_a_point)
+    report = charclasses.build_report("x0*x1", 3)
+    verdict = report.verification[0]
+    assert verdict.name == "csm_residual_binomial_route"
+    assert not verdict.ok
+    assert verdict.difference == hyperplane_power(2, 2)
+    assert not report.all_passed
+    code, out, _ = run_cli(capsys, "compute", "x0*x1", "--nvars", "3", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert {"name": "csm_residual_binomial_route", "pass": False} in payload[
+        "verification"
+    ]
+
+
+def test_legend_names_every_verdict(capsys):
+    from csmhyp.cli import _LEGEND
+
+    printed = set()
+    for poly in ("x0^2 + x1^2 + x2^2", "x1^2*x2 - x0^3 - x0^2*x2"):
+        _, out, _ = run_cli(capsys, "compute", poly, "--nvars", "3", "--verify")
+        for line in out.splitlines():
+            if line.startswith(("  [pass] ", "  [FAIL] ")):
+                printed.add(line.split()[1])
+    assert {"smooth_coincidence", "milnor_affine_oracle"} <= printed
+    assert printed <= {key for key, _ in _LEGEND}
+
+
 def test_cross_process_byte_determinism():
     import subprocess
     import sys

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from csmhyp.chow import make_class, unit
+from csmhyp.chow import ChowClass
 from csmhyp.errors import CsmhypError, RandomnessError
 from csmhyp.oracles import segre_linear_subspace
 from csmhyp.poly import PrimeField, Polynomial, parse_poly, reduce_mod_p
@@ -103,7 +103,7 @@ def test_degrees_multi_prime_agreement():
         assert len(runs) == 1
 
 
-def test_degrees_coordinate_invariance():
+def test_degrees_coordinate_invariance(substitute_linear):
     rng = random.Random(43)
     f = parse_poly("x1^2*x2 - x0^3 - x0^2*x2", 3)
     reference, _ = projective_degrees(f, LIGHT)
@@ -112,7 +112,7 @@ def test_degrees_coordinate_invariance():
             matrix = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
             if _det(matrix) != 0:
                 break
-        moved, _ = projective_degrees(f.substitute_linear(matrix), LIGHT)
+        moved, _ = projective_degrees(substitute_linear(f, matrix), LIGHT)
         assert moved.g == reference.g
 
 
@@ -144,9 +144,9 @@ def test_policy_with_unusable_primes():
 
 def test_segre_from_degrees_examples():
     quadric_cone = ProjectiveDegrees(n=3, e=1, g=(1, 1, 1, 0))
-    assert segre_from_degrees(quadric_cone) == make_class(3, [0, 0, 0, 1])
+    assert segre_from_degrees(quadric_cone) == ChowClass(3, [0, 0, 0, 1])
     crossing = ProjectiveDegrees(n=2, e=1, g=(1, 1, 0))
-    assert segre_from_degrees(crossing) == make_class(2, [0, 0, 1])
+    assert segre_from_degrees(crossing) == ChowClass(2, [0, 0, 1])
 
 
 def test_segre_telescoping_identity_symbolically():
@@ -205,7 +205,7 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
 
     calls = []
 
-    def flaky(scheme, rng, policy):
+    def flaky(scheme, rng):
         calls.append(1)
         # never confirm the same vector twice
         return (1, len(calls) % 7, 0)
@@ -222,7 +222,7 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
 
     outputs = iter([(1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 0)])
 
-    def scripted(scheme, rng, policy):
+    def scripted(scheme, rng):
         return next(outputs)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
