@@ -143,20 +143,20 @@ def euler_characteristic(c: ChowClass) -> int:
     return int(value)
 
 
-def milnor_total(inp: HypersurfaceInput, euler: int):
-    """Total Milnor number of X as the degree of the mu-class.
+def milnor_total(n: int, mu: ChowClass, fulton_class: ChowClass, euler: int):
+    """Total Milnor number of X in P^n as the degree of its mu-class.
 
     Returns ``(milnor, identity_holds)`` where the identity is
     milnor == (-1)^n (chi(X) - chi_virtual) with chi_virtual the degree of
-    the Fulton class (the Euler characteristic a smooth member of the
-    linear system would have).
+    the Fulton class ``fulton_class`` (the Euler characteristic a smooth
+    member of the linear system would have).
     """
-    value = mu_class(inp).integral()
+    value = mu.integral()
     if value.denominator != 1:
         raise CsmhypError(f"total Milnor number {value} is not an integer")
     milnor = int(value)
-    virtual = fulton(inp).integral()
-    holds = Fraction(milnor) == (-1) ** inp.n * (euler - virtual)
+    virtual = fulton_class.integral()
+    holds = Fraction(milnor) == (-1) ** n * (euler - virtual)
     return milnor, holds
 
 
@@ -306,7 +306,7 @@ def build_report(
     s_y, pd, scheme = segre_singular_scheme(F, policy)
     c_csm, c_fulton, c_mu, checks = classes_from_segre(n, d, s_y)
     euler = euler_characteristic(c_csm)
-    milnor, milnor_ok = milnor_total(HypersurfaceInput(n, d, s_y), euler)
+    milnor, milnor_ok = milnor_total(n, c_mu, c_fulton, euler)
 
     checks += [
         Verification("milnor_degree_identity", milnor_ok),

@@ -12,8 +12,20 @@ auxiliary variable with inhomogeneous relations; the affine Milnor oracle
 divides affine ideals), and every order used here is global, so division
 terminates regardless.
 
-Inner loops work on raw term dicts ``{exponent_tuple: int}`` mod p;
-``Polynomial`` values are unwrapped at the public boundary.
+Inner loops work on raw term dicts ``{packed_monomial: int}`` mod p;
+``Polynomial`` values are unwrapped, and their exponent tuples packed, at
+the public boundary.  A packed monomial is one int of ``W``-bit fields
+(Monagan and Pearce, "Sparse polynomial division using a heap", JSC
+2011): field i holds the exponent of x_i for i < r, field r the total
+degree of those r variables, and, during saturation, field r + 1 the
+exponent of the eliminated variable t.  A product is then a sum, the
+degree field included, and ``key(m) = m - 2*(m & pmask)``, where
+``pmask`` covers the r exponent fields, is one int ascending in grevlex
+and in the order that compares the t exponent first and breaks ties by
+grevlex.  The top bit of every field is a guard kept clear: ``lt``
+divides ``m`` iff ``(m - lt) & guard`` is zero, and a monomial whose
+exponent or degree reaches the guard bit raises ``ValueError`` rather
+than carrying into the next field.
 """
 
 from __future__ import annotations
@@ -21,57 +33,76 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 
-from .poly import Polynomial, grevlex_key
+from .poly import Polynomial
+
+W = 16  # bits per packed field, guard bit included
+_FIELD = (1 << W) - 1
+LIMIT = (1 << (W - 1)) - 1  # largest exponent or degree a field holds
 
 
-def _elim_last_key(m):
-    # Block order eliminating the last variable: compare its exponent
-    # first, then grevlex on the rest.  Restricted to monomials free of
-    # the last variable this is plain grevlex.
-    return (m[-1], grevlex_key(m[:-1]))
+def _overflow() -> ValueError:
+    return ValueError(
+        f"a monomial exponent or degree exceeds {LIMIT}, the largest the "
+        f"Groebner kernel's {W}-bit fields hold"
+    )
 
 
-def _neg_grevlex_key(m):
-    # entrywise negation of the ascending key: lexicographic order flips,
-    # so a min-heap on these pops the largest monomial first
-    return (-sum(m), m[::-1])
+class _Layout:
+    """Packing of exponent tuples in r graded variables, with the field of
+    an eliminated variable t above their degree field.
 
+    ``key`` is the ascending order key, ``pmask`` covers the exponent
+    fields, ``guard`` holds the guard bit of every field, t included, and
+    t's exponent sits at ``tshift``.
+    """
 
-def _neg_elim_last_key(m):
-    head = m[:-1]
-    return (-m[-1], -sum(head), head[::-1])
+    __slots__ = ("pmask", "guard", "ones", "shifts", "dshift", "tshift", "key")
 
+    def __init__(self, r: int):
+        self.pmask = pmask = (1 << (W * r)) - 1
+        self.guard = sum(1 << (W * i + W - 1) for i in range(r + 2))
+        self.ones = sum(1 << (W * i) for i in range(r))
+        self.shifts = tuple(W * i for i in range(r))
+        self.dshift = W * r
+        self.tshift = W * (r + 1)
+        self.key = lambda m: m - ((m & pmask) << 1)
 
-class _Order:
-    """A monomial order: ascending sort key plus its negation for heaps."""
+    def pack(self, exps) -> int:
+        deg = sum(exps)
+        if deg > LIMIT:
+            raise _overflow()
+        m = deg << self.dshift
+        for s, e in zip(self.shifts, exps):
+            m |= e << s
+        return m
 
-    __slots__ = ("key", "heapkey")
+    def unpack(self, m) -> tuple:
+        return tuple([(m >> s) & _FIELD for s in self.shifts])
 
-    def __init__(self, key, heapkey):
-        self.key = key
-        self.heapkey = heapkey
+    def lcm(self, a, b) -> int:
+        """Fieldwise maximum, with the degree field rebuilt as the sum of
+        the exponent fields.
 
-
-_GREVLEX = _Order(grevlex_key, _neg_grevlex_key)
-_ELIM_LAST = _Order(_elim_last_key, _neg_elim_last_key)
+        Multiplying by ``ones`` sums the exponent fields into the top one
+        without carries: every prefix sum is at most the lcm's degree,
+        which stays below 2^W for two monomials with clear guard bits.
+        """
+        guard = self.guard
+        t = ((a | guard) - b) & guard  # guard bit set where a >= b
+        mask = t - (t >> (W - 1))
+        L = (a & mask) | (b & ~mask)
+        low = L & self.pmask
+        deg = ((low * self.ones) >> (self.dshift - W)) & _FIELD
+        L = low | (deg << self.dshift) | (L >> self.tshift << self.tshift)
+        if L & guard:
+            raise _overflow()
+        return L
 
 
 # -- dict-level core ----------------------------------------------------------
 
 
-def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _monic_by(d, order, p):
-    lead = max(d, key=order.key)
+def _monic(d, lead, p):
     c = d[lead]
     if c == 1:
         return d
@@ -79,45 +110,48 @@ def _monic_by(d, order, p):
     return {m: (v * inv) % p for m, v in d.items()}
 
 
-def _reduce_full(f, lts, G, order, p):
+def _reduce_full(f, lts, G, lay, p):
     """Full normal form of term dict ``f`` against monic divisors ``G``.
 
     The working polynomial is driven by a lazy max-heap of monomials:
     entries going stale on cancellation are skipped at pop time, and a
     reduction step only ever creates monomials below the one it removes,
     so pops are monotone and each surviving monomial is handled once.
+    The remainder is therefore filled in descending order: its first
+    monomial is its leading term.  The heap holds
+    ``-key(m) = 2*(m & pmask) - m``, a map that is its own inverse, so
+    plain ints are compared and m is recovered at pop.
     """
     work = dict(f)
     if not work:
         return work
-    heapkey = order.heapkey
-    heap = [(heapkey(m), m) for m in work]
+    pmask, guard = lay.pmask, lay.guard
+    heap = [((m & pmask) << 1) - m for m in work]
     heapq.heapify(heap)
-    push = heapq.heappush
-    n_div = len(lts)
+    pop, push = heapq.heappop, heapq.heappush
+    divisors = list(zip(lts, G))
     remainder = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        nk = pop(heap)
+        m = ((nk & pmask) << 1) - nk
         c = work.get(m)
         if c is None:
             continue
-        for idx in range(n_div):
-            lt = lts[idx]
-            divides = True
-            for a, b in zip(lt, m):
-                if a > b:
-                    divides = False
-                    break
-            if divides:
-                q = tuple(a - b for a, b in zip(m, lt))
-                for mg, cg in G[idx].items():
-                    mm = tuple(a + b for a, b in zip(q, mg))
+        for lt, g in divisors:
+            q = m - lt
+            if not q & guard:
+                for mg, cg in g.items():
+                    mm = q + mg
                     old = work.get(mm)
                     if old is None:
+                        # a field that overflowed sets its guard bit, so the
+                        # monomial cannot already be in ``work``
+                        if mm & guard:
+                            raise _overflow()
                         v = (-c * cg) % p
                         if v:
                             work[mm] = v
-                            push(heap, (heapkey(mm), mm))
+                            push(heap, ((mm & pmask) << 1) - mm)
                     else:
                         v = (old - c * cg) % p
                         if v:
@@ -131,16 +165,19 @@ def _reduce_full(f, lts, G, order, p):
     return remainder
 
 
-def _spoly(gi, lti, gj, ltj, p):
-    L = _lcm(lti, ltj)
-    u = tuple(a - b for a, b in zip(L, lti))
-    v = tuple(a - b for a, b in zip(L, ltj))
+def _spoly(gi, li, gj, lj, L, guard, p):
+    u = L - li
+    v = L - lj
     out = {}
     for m, c in gi.items():
-        mm = tuple(a + b for a, b in zip(u, m))
+        mm = u + m
+        if mm & guard:
+            raise _overflow()
         out[mm] = c
     for m, c in gj.items():
-        mm = tuple(a + b for a, b in zip(v, m))
+        mm = v + m
+        if mm & guard:
+            raise _overflow()
         w = (out.get(mm, 0) - c) % p
         if w:
             out[mm] = w
@@ -149,14 +186,18 @@ def _spoly(gi, lti, gj, ltj, p):
     return out
 
 
-def _reduced_basis(G, order, p):
-    """Minimalize and tail-reduce a Groebner basis; sorted lead-descending."""
-    key = order.key
-    lts = [max(g, key=key) for g in G]
+def _reduced_basis(G, lts, lay, p):
+    """Minimalize and tail-reduce a monic Groebner basis.
+
+    Returns ``(leads, polys)`` sorted lead-descending.  Tail reduction
+    keeps each leading term, with coefficient 1, because no other kept
+    lead divides it.
+    """
+    key, guard = lay.key, lay.guard
     by_lead = sorted(range(len(G)), key=lambda i: key(lts[i]))
     kept = []
     for i in by_lead:
-        if not any(_divides(lts[j], lts[i]) for j in kept):
+        if all((lts[i] - lts[j]) & guard for j in kept):
             kept.append(i)
     polys = [G[i] for i in kept]
     leads = [lts[i] for i in kept]
@@ -164,51 +205,55 @@ def _reduced_basis(G, order, p):
     for i, g in enumerate(polys):
         others_lts = leads[:i] + leads[i + 1 :]
         others = polys[:i] + polys[i + 1 :]
-        r = _reduce_full(g, others_lts, others, order, p)
-        out.append(_monic_by(r, order, p))
-    out.sort(key=lambda g: key(max(g, key=key)), reverse=True)
-    return out
+        out.append(_reduce_full(g, others_lts, others, lay, p))
+    return leads[::-1], out[::-1]
 
 
-def _buchberger(gens, order, p):
-    key = order.key
+def _buchberger(gens, lay, p):
+    """Reduced Groebner basis of packed term dicts, as ``(leads, polys)``
+    sorted lead-descending."""
+    key, guard, lcm = lay.key, lay.guard, lay.lcm
     G, lts = [], []
+
+    def append(r):
+        lead = next(iter(r))  # remainders come in descending order
+        G.append(_monic(r, lead, p))
+        lts.append(lead)
+
     for d in gens:
         if not d:
             continue
-        r = _reduce_full(d, lts, G, order, p)
+        r = _reduce_full(d, lts, G, lay, p)
         if r:
-            G.append(_monic_by(r, order, p))
-            lts.append(max(r, key=key))
+            append(r)
 
     heap = []
     pending = set()
 
     def push(i, j):
-        pair = (i, j) if i < j else (j, i)
-        heapq.heappush(heap, (key(_lcm(lts[i], lts[j])), pair[0], pair[1]))
-        pending.add(pair)
+        L = lcm(lts[i], lts[j])
+        heapq.heappush(heap, (key(L), i, j, L))
+        pending.add((i, j))
 
     for j in range(len(G)):
         for i in range(j):
             push(i, j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, L = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         li, lj = lts[i], lts[j]
         # first criterion: coprime leading terms
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+        if L == li + lj:
             continue
         # second (chain) criterion: some treated intermediate divides the lcm
-        L = _lcm(li, lj)
         skip = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if _divides(lts[k], L):
+            if not (L - lts[k]) & guard:
                 ik = (i, k) if i < k else (k, i)
                 jk = (j, k) if j < k else (k, j)
                 if ik not in pending and jk not in pending:
@@ -216,14 +261,13 @@ def _buchberger(gens, order, p):
                     break
         if skip:
             continue
-        r = _reduce_full(_spoly(G[i], li, G[j], lj, p), lts, G, order, p)
+        r = _reduce_full(_spoly(G[i], li, G[j], lj, L, guard, p), lts, G, lay, p)
         if r:
-            G.append(_monic_by(r, order, p))
-            lts.append(max(r, key=key))
+            append(r)
             new = len(G) - 1
             for i2 in range(new):
                 push(i2, new)
-    return _reduced_basis(G, order, p)
+    return _reduced_basis(G, lts, lay, p)
 
 
 # -- public polynomial-level API ----------------------------------------------
@@ -272,17 +316,28 @@ def _require_modular(gens):
     return field, nvars
 
 
+def _packed(f: Polynomial, lay: _Layout) -> dict:
+    pack = lay.pack
+    return {pack(m): c for m, c in f.terms.items()}
+
+
+def _unpacked_basis(leads, polys, lay, template) -> IdealBasis:
+    unpack = lay.unpack
+    gens = tuple(
+        template._wrap({unpack(m): c for m, c in d.items()}) for d in polys
+    )
+    return IdealBasis(gens, "grevlex", True, tuple(unpack(m) for m in leads))
+
+
 def buchberger(gens) -> IdealBasis:
     """Reduced Groebner basis (grevlex) of the ideal the generators span."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return IdealBasis((), "grevlex", True, ())
     field, nvars = _require_modular(gens)
-    dicts = _buchberger([g.terms for g in gens], _GREVLEX, field.p)
-    template = gens[0]
-    polys = tuple(template._wrap(d) for d in dicts)
-    lts = tuple(max(d, key=grevlex_key) for d in dicts)
-    return IdealBasis(polys, "grevlex", True, lts)
+    lay = _Layout(nvars)
+    leads, polys = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
+    return _unpacked_basis(leads, polys, lay, gens[0])
 
 
 def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
@@ -295,14 +350,16 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     field = basis.field
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
+    lay = _Layout(basis.nvars)
     r = _reduce_full(
-        f.terms,
-        list(basis.leading_terms),
-        [g.terms for g in basis.gens],
-        _GREVLEX,
+        _packed(f, lay),
+        [lay.pack(m) for m in basis.leading_terms],
+        [_packed(g, lay) for g in basis.gens],
+        lay,
         field.p,
     )
-    return f._wrap(r)
+    unpack = lay.unpack
+    return f._wrap({unpack(m): c for m, c in r.items()})
 
 
 # -- saturation by elimination -------------------------------------------------
@@ -326,23 +383,19 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
         return IdealBasis((), "grevlex", True, ())
     field, nvars = _require_modular(list(I.gens) + list(J.gens))
     p = field.p
-    ext = [{m + (0,): c for m, c in g.terms.items()} for g in I.gens]
-    rel = {m + (1,): -c % p for m, c in J.gens[0].terms.items()}
-    rel[(0,) * (nvars + 1)] = 1  # 1 - t*g
+    lay = _Layout(nvars)
+    t = 1 << lay.tshift
+    ext = [_packed(g, lay) for g in I.gens]
+    rel = {lay.pack(m) + t: -c % p for m, c in J.gens[0].terms.items()}
+    rel[0] = 1  # 1 - t*g
     ext.append(rel)
-    # The t-free part of the reduced basis for the order eliminating t is
-    # already the reduced grevlex basis of the contraction, in grevlex
-    # lead-descending order.
-    elim = _buchberger(ext, _ELIM_LAST, p)
-    final = [
-        {m[:-1]: c for m, c in d.items()}
-        for d in elim
-        if all(m[-1] == 0 for m in d)
-    ]
-    template = I.gens[0]
-    polys = tuple(template._wrap(d) for d in final)
-    lts = tuple(max(d, key=grevlex_key) for d in final)
-    return IdealBasis(polys, "grevlex", True, lts)
+    # Packed keys order by the t exponent first, so an element whose lead
+    # is t-free is t-free, and those elements come last in lead-descending
+    # order.  They are already the reduced grevlex basis of the
+    # contraction, packed as x-monomials are.
+    leads, polys = _buchberger(ext, lay, p)
+    k = sum(m >= t for m in leads)
+    return _unpacked_basis(leads[k:], polys[k:], lay, I.gens[0])
 
 
 # -- Hilbert series of a monomial ideal ----------------------------------------
@@ -352,34 +405,39 @@ def _minimalize(monos):
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
     for m in monos:
-        if not any(_divides(g, m) for g in out):
+        if not any(all(x <= y for x, y in zip(g, m)) for g in out):
             out.append(m)
     return tuple(out)
 
 
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
 
 
 def _poly_shift(a, k):
-    return (0,) * k + tuple(a)
+    return [0] * k + a
 
 
 def _poly_mul_one_minus_tk(a, k):
     # multiply coefficient list a by (1 - t^k)
-    return _poly_add(a, tuple(-c for c in _poly_shift(a, k)))
+    out = a + [0] * k
+    for i, c in enumerate(a):
+        out[i + k] -= c
+    return out
 
 
 def _hilbert_rec(gens, cache):
     if gens in cache:
         return cache[gens]
     if not gens:
-        return (1,)
+        return [1]
     if any(sum(m) == 0 for m in gens):
-        return (0,)
+        return [0]
     nvars = len(gens[0])
     counts = [0] * nvars
     for m in gens:
@@ -389,7 +447,7 @@ def _hilbert_rec(gens, cache):
     jmax = max(range(nvars), key=lambda j: counts[j])
     if counts[jmax] <= 1:
         # pairwise coprime generators: a monomial regular sequence
-        out = (1,)
+        out = [1]
         for m in gens:
             out = _poly_mul_one_minus_tk(out, sum(m))
     else:

@@ -344,11 +344,19 @@ def random_linear_combination(polys, rng) -> Polynomial:
         raise ValueError("polynomials must share a single common degree")
     p = field.p
     for _ in range(64):
-        acc = Polynomial(polys[0].nvars, {}, field)
+        acc = {}
         for f in polys:
-            acc = acc + f.scale(rng.randrange(p))
-        if not acc.is_zero:
-            return acc
+            c = rng.randrange(p)
+            if not c:
+                continue
+            for m, v in f.terms.items():
+                w = (acc.get(m, 0) + c * v) % p
+                if w:
+                    acc[m] = w
+                else:
+                    del acc[m]
+        if acc:
+            return polys[0]._wrap(acc)
     raise RandomnessError("could not draw a nonzero combination")
 
 

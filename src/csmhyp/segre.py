@@ -28,7 +28,7 @@ from fractions import Fraction
 from .chow import ChowClass, hyperplane_power, line_bundle, unit
 from .errors import CsmhypError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, saturate
-from .poly import Polynomial, random_linear_combination, reduce_mod_p, variable
+from .poly import Polynomial, random_linear_combination, reduce_mod_p
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
@@ -144,11 +144,13 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
 
 def _random_linear_form(nvars: int, field, rng) -> Polynomial:
     while True:
-        acc = Polynomial(nvars, {}, field)
+        terms = {}
         for i in range(nvars):
-            acc = acc + variable(nvars, i, field).scale(rng.randrange(field.p))
-        if not acc.is_zero:
-            return acc
+            c = rng.randrange(field.p)
+            if c:
+                terms[(0,) * i + (1,) + (0,) * (nvars - i - 1)] = c
+        if terms:
+            return Polynomial(nvars, terms, field)
 
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:

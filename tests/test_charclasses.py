@@ -159,26 +159,30 @@ def test_mu_class_examples():
     assert mu_class(NODAL_CUBIC).coeffs == (0, 0, 1)
 
 
+def _milnor(inp, chi):
+    return milnor_total(inp.n, mu_class(inp), fulton(inp), chi)
+
+
 def test_milnor_total_examples():
     chi = euler_characteristic(csm(NODAL_CUBIC))
     assert chi == 1
-    milnor, ok = milnor_total(NODAL_CUBIC, chi)
+    milnor, ok = _milnor(NODAL_CUBIC, chi)
     assert (milnor, ok) == (1, True)
 
     cusp = HypersurfaceInput(2, 3, ChowClass(2, [0, 0, 2]))
     chi = euler_characteristic(csm(cusp))
     assert chi == 2
-    milnor, ok = milnor_total(cusp, chi)
+    milnor, ok = _milnor(cusp, chi)
     assert (milnor, ok) == (2, True)
 
     chi = euler_characteristic(csm(QUADRIC_CONE))
     assert chi == 3
-    milnor, ok = milnor_total(QUADRIC_CONE, chi)
+    milnor, ok = _milnor(QUADRIC_CONE, chi)
     assert (milnor, ok) == (1, True)
 
 
 def test_milnor_identity_detects_wrong_euler():
-    _, ok = milnor_total(QUADRIC_CONE, 17)
+    _, ok = _milnor(QUADRIC_CONE, 17)
     assert not ok
 
 

@@ -96,6 +96,19 @@ def test_compute_rejects_a_prime_past_the_exact_primality_range(capsys):
     assert "too large" in err
 
 
+def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
+    # The partials have degree 39999, past the 2^15 - 1 that a packed
+    # monomial field holds; the large prime passes the p > 2d check.
+    code, out, err = run_cli(
+        capsys, "compute", "x0^40000 + x1^40000", "--nvars", "2",
+        "--prime", "2147483647",
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run_cli(capsys, "compute", "x0*x1*x2", "--nvars", "3", "--json")
     assert code == 0

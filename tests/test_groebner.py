@@ -14,7 +14,9 @@ from math import comb
 import pytest
 
 from csmhyp.groebner import (
+    LIMIT,
     IdealBasis,
+    _Layout,
     buchberger,
     dim_degree,
     hilbert_numerator,
@@ -154,6 +156,57 @@ def test_membership_soundness_spot_check():
     )
     assert normal_form(inside, b).is_zero
     assert not normal_form(gf("x0*x1", 4), b).is_zero
+
+
+# -- packed monomials ----------------------------------------------------------
+
+
+def _random_exponents(rng, nvars, cap):
+    """Mostly small exponents, some zeros, now and then one near ``cap``."""
+    exps = [rng.choice((0, 0, 1, 2, 3, rng.randint(0, 9))) for _ in range(nvars)]
+    if rng.random() < 0.2:
+        exps[rng.randrange(nvars)] = rng.randint(0, cap)
+    return tuple(exps)
+
+
+def test_packed_monomials_match_tuple_definitions():
+    rng = random.Random(5)
+    for nvars in range(2, 8):
+        # graded: all nvars variables; elimination: the last one is t
+        lay, lay_t = _Layout(nvars), _Layout(nvars - 1)
+        cap = LIMIT // (2 * nvars)  # keeps every lcm's degree in range
+        monos = [_random_exponents(rng, nvars, cap) for _ in range(40)]
+        packed = [lay.pack(m) for m in monos]
+        elim = [lay_t.pack(m[:-1]) + (m[-1] << lay_t.tshift) for m in monos]
+        for a, pa, ea in zip(monos, packed, elim):
+            assert lay.unpack(pa) == a
+            for b, pb, eb in zip(monos, packed, elim):
+                assert (lay.key(pa) < lay.key(pb)) == (grevlex_key(a) < grevlex_key(b))
+                assert (lay_t.key(ea) < lay_t.key(eb)) == (
+                    (a[-1], grevlex_key(a[:-1])) < (b[-1], grevlex_key(b[:-1]))
+                )
+                top = tuple(max(x, y) for x, y in zip(a, b))
+                assert lay.lcm(pa, pb) == lay.pack(top)
+                assert lay_t.lcm(ea, eb) == (
+                    lay_t.pack(top[:-1]) + (top[-1] << lay_t.tshift)
+                )
+                # the kernel's divisibility test: one masked subtract
+                divides = all(x <= y for x, y in zip(a, b))
+                assert (not (pb - pa) & lay.guard) == divides
+                assert (not (eb - ea) & lay_t.guard) == divides
+
+
+def test_exponent_overflow_is_a_value_error():
+    big = Polynomial(2, {(2**15, 0): 1}, GF)
+    with pytest.raises(ValueError, match="exceeds"):
+        buchberger([big])
+    with pytest.raises(ValueError, match="exceeds"):
+        normal_form(big, buchberger([gf("x1", 2)]))
+    # inputs in range whose S-pair lcm is not: the kernel raises too
+    f = Polynomial(2, {(20000, 0): 1, (0, 1): 1}, GF)
+    g = Polynomial(2, {(0, 20000): 1, (1, 0): 1}, GF)
+    with pytest.raises(ValueError, match="exceeds"):
+        buchberger([f, g])
 
 
 # -- saturation ----------------------------------------------------------------

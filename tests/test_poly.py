@@ -133,6 +133,26 @@ def test_random_linear_combination_determinism():
     assert a.degree == 1
 
 
+def test_random_linear_combination_matches_the_scaled_sum():
+    # Reference: sum of f.scale(c) over the same draws in the same order,
+    # retried while it vanishes.  GF(5) makes zero draws, cancelling terms
+    # and all-zero retries common.
+    gf = PrimeField(5)
+    polys = [
+        Polynomial(2, {(1, 0): 1, (0, 1): 2}, gf),
+        Polynomial(2, {(1, 0): 4, (0, 1): 3}, gf),
+    ]
+    got_rng, ref_rng = random.Random(3), random.Random(3)
+    for _ in range(50):
+        got = random_linear_combination(polys, got_rng)
+        ref = Polynomial(2, {}, gf)
+        while ref.is_zero:
+            for f in polys:
+                ref = ref + f.scale(ref_rng.randrange(5))
+        assert got == ref and list(got.terms) == list(ref.terms)
+    assert got_rng.random() == ref_rng.random()
+
+
 def test_random_linear_combination_single_poly_never_zero():
     f = reduce_mod_p(parse_poly("x0^2", 3), 32003)
     for seed in range(10):

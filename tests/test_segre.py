@@ -14,9 +14,10 @@ import pytest
 from csmhyp.chow import ChowClass
 from csmhyp.errors import CsmhypError, RandomnessError
 from csmhyp.oracles import segre_linear_subspace
-from csmhyp.poly import PrimeField, Polynomial, parse_poly, reduce_mod_p
+from csmhyp.poly import PrimeField, Polynomial, parse_poly, reduce_mod_p, variable
 from csmhyp.segre import (
     ProjectiveDegrees,
+    _random_linear_form,
     TrialPolicy,
     jacobian_scheme,
     projective_degrees,
@@ -31,6 +32,24 @@ TWO_PRIME = TrialPolicy(primes=(32003, 65537), seeds=(101, 102))
 
 def gfpoly(text, nvars, p=P):
     return reduce_mod_p(parse_poly(text, nvars), p)
+
+
+# -- random slices ---------------------------------------------------------------
+
+
+def test_random_linear_form_matches_the_scaled_sum():
+    # Reference: sum of x_i.scale(c_i) over the same draws, retried while
+    # it vanishes; GF(3) makes zero draws and all-zero retries common.
+    gf = PrimeField(3)
+    got_rng, ref_rng = random.Random(8), random.Random(8)
+    for _ in range(50):
+        got = _random_linear_form(3, gf, got_rng)
+        ref = Polynomial(3, {}, gf)
+        while ref.is_zero:
+            for i in range(3):
+                ref = ref + variable(3, i, gf).scale(ref_rng.randrange(3))
+        assert got == ref and list(got.terms) == list(ref.terms)
+    assert got_rng.random() == ref_rng.random()
 
 
 # -- jacobian scheme -----------------------------------------------------------
