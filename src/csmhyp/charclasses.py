@@ -172,12 +172,17 @@ def csm_smooth_singularity(
     )
 
 
+def _arrangement(n: int, degrees) -> list:
+    degrees = list(degrees)
+    if n < 1 or not degrees or min(degrees) < 1:
+        raise ValueError(f"need n >= 1 and degrees >= 1; n = {n}, degrees {degrees}")
+    return degrees
+
+
 def csm_normal_crossings(n: int, degrees) -> ChowClass:
     """CSM class of a normal-crossings union of smooth hypersurfaces of the
     given degrees: c(TM) (1 - prod_i (1 + d_i h)^-1)."""
-    degrees = list(degrees)
-    if not degrees:
-        raise ValueError("need at least one hypersurface degree")
+    degrees = _arrangement(n, degrees)
     prod_inv = unit(n)
     for d in degrees:
         prod_inv = prod_inv * line_bundle(n, d).inverse()
@@ -187,9 +192,7 @@ def csm_normal_crossings(n: int, degrees) -> ChowClass:
 def segre_singular_nc(n: int, degrees) -> ChowClass:
     """Closed-form Segre class of the singular scheme of a normal-crossings
     arrangement: (1 - (1 - D h) / prod_i (1 - d_i h)) tensor O(D), D = sum d_i."""
-    degrees = list(degrees)
-    if not degrees:
-        raise ValueError("need at least one hypersurface degree")
+    degrees = _arrangement(n, degrees)
     total = sum(degrees)
     den = unit(n)
     for d in degrees:

@@ -51,6 +51,15 @@ def _policy_from_args(args) -> TrialPolicy:
     return TrialPolicy(primes=primes, seeds=seeds)
 
 
+def _chart(args) -> int:
+    """The Milnor oracle's affine chart: ``--chart``, else the last variable."""
+    if args.chart is None:
+        return args.nvars - 1
+    if not 0 <= args.chart < args.nvars:
+        raise ValueError(f"--chart {args.chart} is outside 0..{args.nvars - 1}")
+    return args.chart
+
+
 def _print_class(label: str, c: ChowClass) -> None:
     print(f"  {label:<10} = {c.to_h_string():<28} | {c.to_bracket_string()}")
 
@@ -79,12 +88,12 @@ def _render_report(report, show_legend=True) -> None:
 
 def _cmd_compute(args) -> int:
     policy = _policy_from_args(args)
+    chart = _chart(args)
     poly = parse_poly(args.poly, args.nvars)
     report = charclasses.build_report(poly, policy=policy)
     verdicts = list(report.verification)
     oracle_note = None
     if args.verify:
-        chart = args.chart if args.chart is not None else args.nvars - 1
         milnor = oracles.affine_milnor_total(poly, chart, policy.primes)
         if milnor is None:
             oracle_note = "affine Milnor oracle: non-isolated singular locus, skipped"
@@ -180,8 +189,8 @@ def _cmd_oracle(args) -> int:
         print(f"s(P^{args.m}, P^{args.n}):")
         _print_class("class", c)
     else:  # milnor
+        chart = _chart(args)
         poly = parse_poly(args.poly, args.nvars)
-        chart = args.chart if args.chart is not None else args.nvars - 1
         value = oracles.affine_milnor_total(poly, chart)
         print("non-isolated" if value is None else value)
     return 0

@@ -301,9 +301,6 @@ class IdealBasis:
     def is_zero_ideal(self) -> bool:
         return not self.gens
 
-    def is_unit_ideal(self) -> bool:
-        return any(m == (0,) * g.nvars for g in self.gens for m in g.terms)
-
 
 def _require_modular(gens):
     field = gens[0].field
@@ -369,11 +366,13 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     """The saturation I : g^infty by a principal ideal J = (g).
 
     Computed as (I + (1 - t*g)) intersect k[x] with one elimination of the
-    auxiliary variable t.  Removes from V(I) every component on which g
-    vanishes.  For a larger ideal J' containing g, I : J'^infty lies in
-    I : g^infty, with equality when g lies in no associated prime of I
-    that misses J'; a random combination of generators of J' is such a g
-    with high probability.
+    auxiliary variable t.  I need not be given by a Groebner basis: its
+    generators go straight into that elimination, and the result is the
+    reduced basis whatever generators I has.  Removes from V(I) every
+    component on which g vanishes.  For a larger ideal J' containing g,
+    I : J'^infty lies in I : g^infty, with equality when g lies in no
+    associated prime of I that misses J'; a random combination of
+    generators of J' is such a g with high probability.
     """
     if len(J.gens) != 1:
         raise ValueError(

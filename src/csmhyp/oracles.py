@@ -9,7 +9,7 @@ engine as everything else) and accepted only under multi-prime agreement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +23,8 @@ from .segre import DEFAULT_PRIMES
 def smooth_chern_class(n: int, d: int) -> ChowClass:
     """Pushforward of c(TX) cap [X] for a smooth degree-d hypersurface in
     P^n, by adjunction: (1 + h)^(n+1) * d*h / (1 + d*h)."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and degree d >= 1; got n = {n}, d = {d}")
     return (
         chern_tangent_pn(n)
         * hyperplane_power(n, 1)
@@ -81,24 +83,20 @@ def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
     if F.field.kind != "rationals":
         raise ValueError("oracle input must be a polynomial over Q")
     f = F.dehomogenize(chart)
-    gens_q = [f] + [f.partial(i) for i in range(f.nvars)]
-    gens_q = [g for g in gens_q if not g.is_zero]
-    values = []
-    for p in primes:
-        gens = [reduce_mod_p(g, p) for g in gens_q]
-        basis = buchberger(gens)
-        values.append(_standard_monomial_count(basis.leading_terms, f.nvars))
+    gens_q = [g for g in [f, *(f.partial(i) for i in range(f.nvars))] if not g.is_zero]
+
+    def colength(p):
+        basis = buchberger([reduce_mod_p(g, p) for g in gens_q])
+        return _standard_monomial_count(basis.leading_terms, f.nvars)
+
+    values = [colength(p) for p in primes]
     if len(set(values)) == 1:
         return values[0]
     for p in DEFAULT_PRIMES:
-        if p in primes:
-            continue
-        gens = [reduce_mod_p(g, p) for g in gens_q]
-        basis = buchberger(gens)
-        tie = _standard_monomial_count(basis.leading_terms, f.nvars)
-        matches = [v for v in values if v == tie]
-        if matches:
-            return tie
+        if p not in primes:
+            tie = colength(p)
+            if tie in values:
+                return tie
     raise RandomnessError(
         f"affine Milnor dimensions disagree across primes: {values}"
     )
@@ -141,22 +139,28 @@ class FixtureCase:
 
 
 def load_fixtures(path) -> list[FixtureCase]:
-    """Read a fixture corpus from a JSON list of FixtureCase dicts."""
+    """Read a fixture corpus from a JSON list of FixtureCase dicts.
+
+    A row without ``name``, ``poly`` or ``n``, or with a ``milnor_oracle``
+    but no ``chart`` in 0..n, raises ``ValueError`` naming the row and key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     out = []
-    for row in raw:
-        out.append(
-            FixtureCase(
-                name=row["name"],
-                poly=row["poly"],
-                n=row["n"],
-                expected=row.get("expected", {}),
-                chart=row.get("chart"),
-                milnor_oracle=row.get("milnor_oracle"),
-                provenance=row.get("provenance", ""),
-            )
-        )
+    for k, row in enumerate(raw):
+        where = f"fixture row {k}"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        for key in ("name", "poly", "n"):
+            if key not in row:
+                raise ValueError(f"{where} lacks the required key {key!r}")
+        chart = row.get("chart")
+        if row.get("milnor_oracle") is not None and chart is None:
+            raise ValueError(f"{where} sets 'milnor_oracle' without a 'chart'")
+        if chart is not None and not 0 <= chart <= row["n"]:
+            raise ValueError(f"{where} has 'chart' {chart} outside 0..{row['n']}")
+        known = {f.name: row[f.name] for f in fields(FixtureCase) if f.name in row}
+        out.append(FixtureCase(**known))
     return out
 
 

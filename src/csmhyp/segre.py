@@ -8,7 +8,8 @@ projective degrees of the gradient map p -> (dF/dx_0 : ... : dF/dx_n):
 
     g_i = degree of the zero-dimensional residual of i random combinations
           of the partials and n-i random hyperplanes, after saturating
-          away the base locus by one random combination of the partials,
+          away the base locus by one random combination of the partials
+          (one elimination, straight from the cut's generators),
 
 and then
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from .chow import ChowClass, hyperplane_power, line_bundle, unit
 from .errors import CsmhypError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, saturate
-from .poly import Polynomial, random_linear_combination, reduce_mod_p
+from .poly import Polynomial, random_linear_combination, reduce_mod_p, variable
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
@@ -97,9 +98,9 @@ class ProjectiveDegrees:
 
 @dataclass(frozen=True)
 class SingularSchemeData:
-    """The jacobian scheme of a hypersurface over one working prime."""
+    """The jacobian scheme of a hypersurface over one working prime;
+    ``partials`` holds the nonzero partial derivatives."""
 
-    jacobian: IdealBasis
     d: int
     n: int
     is_smooth: bool
@@ -109,8 +110,9 @@ class SingularSchemeData:
 
 
 def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
-    """Groebnerized partials of F over GF(p), with smoothness decided by
-    emptiness of their common projective zero locus."""
+    """The nonzero partials of F over GF(p), with the dimension and degree
+    of their common projective zero locus from one Groebner basis; F is
+    smooth when that locus is empty."""
     if F.is_zero:
         raise ValueError("hypersurface polynomial is zero")
     if F.field.kind != "prime":
@@ -125,14 +127,11 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     if p <= 2 * d:
         raise ValueError(f"prime {p} is too small for degree {d}: need p > 2d")
     n = F.nvars - 1
-    partials = tuple(F.partial(i) for i in range(F.nvars))
-    nonzero = [q for q in partials if not q.is_zero]
-    if not nonzero:
+    partials = tuple(q for q in map(F.partial, range(F.nvars)) if not q.is_zero)
+    if not partials:
         raise ValueError("all partial derivatives vanish: degenerate input")
-    basis = buchberger(nonzero)
-    dim_y, deg_y = dim_degree(basis)
+    dim_y, deg_y = dim_degree(buchberger(partials))
     return SingularSchemeData(
-        jacobian=basis,
         d=d,
         n=n,
         is_smooth=dim_y is None,
@@ -142,44 +141,27 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     )
 
 
-def _random_linear_form(nvars: int, field, rng) -> Polynomial:
-    while True:
-        terms = {}
-        for i in range(nvars):
-            c = rng.randrange(field.p)
-            if c:
-                terms[(0,) * i + (1,) + (0,) * (nvars - i - 1)] = c
-        if terms:
-            return Polynomial(nvars, terms, field)
-
-
 def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     """One g-vector at one (prime, seed).
 
-    Every cut is saturated by one random combination g of the partials
-    instead of the whole jacobian ideal J.  The two saturations agree
-    unless g lies in an associated prime of the cut that misses J, such
-    as a point of the zero-dimensional residual; an unlucky draw can only
-    lower some g_i, and the agreement policy records it as a
-    disagreement.
+    Each cut goes straight from its generators into one elimination that
+    saturates it by one random combination g of the partials, instead of
+    by the whole jacobian ideal J.  The two saturations agree unless g
+    lies in an associated prime of the cut that misses J, such as a point
+    of the zero-dimensional residual; an unlucky draw can only lower some
+    g_i, and the agreement policy records it as a disagreement.  A unit
+    residual is the empty scheme, so its g_i is 0.
     """
     n = scheme.n
-    nvars = n + 1
-    field = scheme.jacobian.field
-    nonzero_partials = [q for q in scheme.partials if not q.is_zero]
-    base_locus = IdealBasis((random_linear_combination(nonzero_partials, rng),))
+    partials = scheme.partials
+    xs = [variable(n + 1, k, partials[0].field) for k in range(n + 1)]
+    base_locus = IdealBasis((random_linear_combination(partials, rng),))
     g = []
     for i in range(n + 1):
         for _ in range(DIM_RETRIES):
-            gens = [
-                random_linear_combination(nonzero_partials, rng) for _ in range(i)
-            ]
-            gens += [_random_linear_form(nvars, field, rng) for _ in range(n - i)]
-            cut = buchberger(gens)
-            residual = saturate(cut, base_locus)
-            if residual.is_unit_ideal():
-                g.append(0)
-                break
+            gens = [random_linear_combination(partials, rng) for _ in range(i)]
+            gens += [random_linear_combination(xs, rng) for _ in range(n - i)]
+            residual = saturate(IdealBasis(tuple(gens)), base_locus)
             dim, deg = dim_degree(residual)
             if dim is None:
                 g.append(0)

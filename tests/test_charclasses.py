@@ -205,6 +205,14 @@ def test_normal_crossings_csm_examples():
         assert csm_normal_crossings(2, [d]) == smooth_chern_class(2, d)
 
 
+def test_normal_crossings_reject_degree_below_1_and_n_below_1():
+    for n, degrees in [(2, [0, 1]), (2, [-1]), (0, [1, 1]), (2, [])]:
+        with pytest.raises(ValueError):
+            csm_normal_crossings(n, degrees)
+        with pytest.raises(ValueError):
+            segre_singular_nc(n, degrees)
+
+
 def test_normal_crossings_segre_examples():
     assert segre_singular_nc(2, [1, 1]).coeffs == (0, 0, 1)
     assert all(c == 0 for c in segre_singular_nc(2, [3]).coeffs)

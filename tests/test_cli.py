@@ -16,6 +16,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_compute_two_lines_json(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "x0*x1", "--nvars", "3", "--json", "--seed", "101"
@@ -99,14 +106,39 @@ def test_compute_rejects_a_prime_past_the_exact_primality_range(capsys):
 def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
     # The partials have degree 39999, past the 2^15 - 1 that a packed
     # monomial field holds; the large prime passes the p > 2d check.
-    code, out, err = run_cli(
+    result = run_cli(
         capsys, "compute", "x0^40000 + x1^40000", "--nvars", "2",
         "--prime", "2147483647",
     )
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert_one_error_line(*result)
+
+
+def test_compute_chart_outside_the_variables_exit_2(capsys):
+    result = run_cli(
+        capsys, "compute", "x0*x1", "--nvars", "3", "--verify", "--chart", "7"
+    )
+    assert_one_error_line(*result)
+    assert "--chart 7" in result[2]
+
+
+def test_oracle_milnor_chart_outside_the_variables_exit_2(capsys):
+    for chart in ("-9", "-1", "3"):
+        result = run_cli(
+            capsys, "oracle", "milnor", "x0*x1", "--nvars", "3", "--chart", chart
+        )
+        assert_one_error_line(*result)
+
+
+def test_closed_forms_reject_degree_below_1_and_n_below_1(capsys):
+    for argv in (
+        ["oracle", "smooth", "--n", "2", "--d", "-2"],
+        ["oracle", "smooth", "--n", "2", "--d", "0"],
+        ["oracle", "smooth", "--n", "0", "--d", "2"],
+        ["nc", "--n", "2", "0", "1"],
+        ["nc", "--n", "2", "-1"],
+        ["nc", "--n", "0", "1", "1"],
+    ):
+        assert_one_error_line(*run_cli(capsys, *argv))
 
 
 def test_json_output_round_trips(capsys):
@@ -187,6 +219,22 @@ def test_verify_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error" in err
+
+
+def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
+    good = {"name": "two_lines", "poly": "x0*x1", "n": 2}
+    bad_rows = [
+        ({"poly": "x0*x1", "n": 2}, "'name'"),
+        ({"name": "no_poly", "n": 2}, "'poly'"),
+        ({**good, "milnor_oracle": 1}, "'chart'"),
+        ({**good, "milnor_oracle": 1, "chart": 5}, "'chart'"),
+    ]
+    for row, key in bad_rows:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([good, row]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert_one_error_line(code, out, err)
+        assert "row 1" in err and key in err
 
 
 def test_oracle_commands(capsys):

@@ -23,7 +23,16 @@ from csmhyp.groebner import (
     normal_form,
     saturate,
 )
-from csmhyp.poly import Polynomial, PrimeField, grevlex_key, parse_poly, reduce_mod_p
+from csmhyp.poly import (
+    Polynomial,
+    PrimeField,
+    grevlex_key,
+    parse_poly,
+    random_linear_combination,
+    reduce_mod_p,
+    to_string,
+    variable,
+)
 
 P = 32003
 GF = PrimeField(P)
@@ -225,7 +234,8 @@ def test_saturate_by_element_vanishing_on_all_components():
     # removes everything
     I = buchberger([gf("x0^2", 3), gf("x0*x1", 3)])
     out = saturate(I, buchberger([gf("x0", 3)]))
-    assert out.is_unit_ideal()
+    assert dim_degree(out) == (None, 0)
+    assert basis_strings(out) == ["1"]
 
 
 def test_saturate_by_nonzerodivisor_is_identity():
@@ -262,6 +272,31 @@ def _random_form(rng, nvars, d):
                 terms[m] = c
         if terms:
             return Polynomial(nvars, terms, GF)
+
+
+def test_saturate_of_raw_generators_matches_saturate_of_their_basis():
+    # The cuts of the projective-degree computation: i random combinations
+    # of the partials of F and n - i random hyperplanes, saturated by one
+    # more combination of the partials.  The reduced basis of an ideal is
+    # unique, so saturating the generators directly must give the same
+    # basis as saturating their reduced Groebner basis.
+    rng = random.Random(53)
+    cases = ["x0*x1*x2", "x0^2*x1 + x2^3", "x0^2*x1", "x0*x1*x2*x3", "x0^2*x1*x2 + x3^4"]
+    for _ in range(2):
+        cases.append(to_string(_random_form(rng, 4, 3)))
+    for text in cases:
+        nvars = 4 if "x3" in text else 3
+        F = gf(text, nvars)
+        partials = [q for q in (F.partial(k) for k in range(nvars)) if not q.is_zero]
+        xs = [variable(nvars, k, GF) for k in range(nvars)]
+        J = IdealBasis((random_linear_combination(partials, rng),))
+        for i in range(nvars):
+            gens = [random_linear_combination(partials, rng) for _ in range(i)]
+            gens += [random_linear_combination(xs, rng) for _ in range(nvars - 1 - i)]
+            raw = saturate(IdealBasis(tuple(gens)), J)
+            via_basis = saturate(buchberger(gens), J)
+            assert raw.gens == via_basis.gens
+            assert raw.leading_terms == via_basis.leading_terms
 
 
 def test_saturate_takes_a_principal_ideal_only():
@@ -420,7 +455,7 @@ def test_membership_certificates_on_small_cases():
     for _ in range(8):
         gens = [_random_form(rng, 3, rng.randint(1, 2)) for _ in range(2)]
         basis = buchberger(gens)
-        if basis.is_zero_ideal() or basis.is_unit_ideal():
+        if basis.is_zero_ideal() or dim_degree(basis) == (None, 0):
             continue
         # a known member: explicit combination of the generators
         member = gens[0] * _random_form(rng, 3, 1) + gens[1] * _random_form(rng, 3, 2)

@@ -28,6 +28,12 @@ def test_smooth_chern_class_examples():
     assert smooth_chern_class(3, 2).coeffs == (0, 2, 4, 4)
 
 
+def test_smooth_chern_class_rejects_degree_below_1_and_n_below_1():
+    for n, d in [(2, 0), (2, -2), (0, 2), (-1, 3)]:
+        with pytest.raises(ValueError):
+            smooth_chern_class(n, d)
+
+
 def test_segre_linear_subspace_examples():
     assert segre_linear_subspace(2, 0).coeffs == (0, 0, 1)
     assert segre_linear_subspace(3, 1).coeffs == (0, 0, 1, -2)
@@ -94,6 +100,17 @@ def test_fixture_json_round_trip(tmp_path):
     path.write_text(json.dumps([f.to_json() for f in fixtures]), encoding="utf-8")
     loaded = load_fixtures(path)
     assert loaded == fixtures
+
+
+def test_load_fixtures_names_the_row_and_key(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"name": "a", "n": 2}]), encoding="utf-8")
+    with pytest.raises(ValueError, match="row 0 lacks the required key 'poly'"):
+        load_fixtures(path)
+    row = {"name": "a", "poly": "x0*x1", "n": 2, "milnor_oracle": 1}
+    path.write_text(json.dumps([row]), encoding="utf-8")
+    with pytest.raises(ValueError, match="row 0 sets 'milnor_oracle' without a 'chart'"):
+        load_fixtures(path)
 
 
 def test_check_fixture_flags_corruption():

@@ -14,10 +14,16 @@ import pytest
 from csmhyp.chow import ChowClass
 from csmhyp.errors import CsmhypError, RandomnessError
 from csmhyp.oracles import segre_linear_subspace
-from csmhyp.poly import PrimeField, Polynomial, parse_poly, reduce_mod_p, variable
+from csmhyp.poly import (
+    PrimeField,
+    Polynomial,
+    parse_poly,
+    random_linear_combination,
+    reduce_mod_p,
+    variable,
+)
 from csmhyp.segre import (
     ProjectiveDegrees,
-    _random_linear_form,
     TrialPolicy,
     jacobian_scheme,
     projective_degrees,
@@ -38,12 +44,14 @@ def gfpoly(text, nvars, p=P):
 
 
 def test_random_linear_form_matches_the_scaled_sum():
+    # The hyperplanes of a cut are random combinations of the variables.
     # Reference: sum of x_i.scale(c_i) over the same draws, retried while
     # it vanishes; GF(3) makes zero draws and all-zero retries common.
     gf = PrimeField(3)
+    xs = [variable(3, i, gf) for i in range(3)]
     got_rng, ref_rng = random.Random(8), random.Random(8)
     for _ in range(50):
-        got = _random_linear_form(3, gf, got_rng)
+        got = random_linear_combination(xs, got_rng)
         ref = Polynomial(3, {}, gf)
         while ref.is_zero:
             for i in range(3):
@@ -249,6 +257,33 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
     assert pd.g == (1, 1, 0)
     flags = [t.accepted for t in pd.trials]
     assert flags.count(False) == 1 and flags.count(True) == 2
+
+
+def test_one_groebner_basis_per_prime_for_the_jacobian_only(monkeypatch):
+    # Cuts go straight into saturate; buchberger runs once per prime, on
+    # the nonzero partials of F mod that prime.
+    import csmhyp.segre as segre_mod
+
+    seen = []
+    real = segre_mod.buchberger
+
+    def counting(gens):
+        seen.append(list(gens))
+        return real(gens)
+
+    monkeypatch.setattr(segre_mod, "buchberger", counting)
+    one_seed = TrialPolicy(primes=(32003, 65537), seeds=(101,))
+    for text, nvars in [("x0*x1", 3), ("x0^2*x1", 4), ("x0^3 + x1^3 + x2^3", 3)]:
+        for policy in (TWO_PRIME, one_seed):
+            seen.clear()
+            F = parse_poly(text, nvars)
+            pd, _ = projective_degrees(F, policy)
+            primes = sorted({t.prime for t in pd.trials})
+            assert sorted(gens[0].field.p for gens in seen) == primes
+            for gens in seen:
+                Fp = reduce_mod_p(F, gens[0].field.p)
+                partials = [Fp.partial(k) for k in range(nvars)]
+                assert gens == [q for q in partials if not q.is_zero]
 
 
 def test_jacobian_scheme_rejects_undersized_prime():
