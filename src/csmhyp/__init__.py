@@ -21,7 +21,6 @@ from .charclasses import (
     fulton,
     milnor_total,
     mu_class,
-    reduced_invariance_check,
     segre_singular_nc,
     segre_thickened,
     segre_x,

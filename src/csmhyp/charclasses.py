@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import comb
 
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle, unit
@@ -56,7 +55,7 @@ def segre_x(n: int, d: int) -> ChowClass:
     divisor class capped with the inverse of its normal bundle."""
     if d < 1:
         raise ValueError("hypersurface degree must be positive")
-    return hyperplane_power(n, 1) * Fraction(d) * line_bundle(n, d).inverse()
+    return hyperplane_power(n, 1) * d * line_bundle(n, d).inverse()
 
 
 def s_x_minus_y_binomial(inp: HypersurfaceInput) -> ChowClass:
@@ -69,9 +68,9 @@ def s_x_minus_y_binomial(inp: HypersurfaceInput) -> ChowClass:
     sx = segre_x(n, d)
     out = []
     for k in range(n + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(k + 1):
-            acc += comb(k, j) * Fraction(d) ** j * inp.s_y.coeffs[k - j]
+            acc += comb(k, j) * d ** j * inp.s_y.coeffs[k - j]
         out.append(sx.coeffs[k] + (-1) ** k * acc)
     return ChowClass(n, out)
 
@@ -100,14 +99,9 @@ def segre_thickened(inp: HypersurfaceInput, k: int) -> ChowClass:
     sx = segre_x(n, d)
     out = []
     for c_ in range(n + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(c_ + 1):
-            acc += (
-                comb(c_, j)
-                * Fraction(-d) ** j
-                * Fraction(k) ** (c_ - j)
-                * inp.s_y.coeffs[c_ - j]
-            )
+            acc += comb(c_, j) * (-d) ** j * k ** (c_ - j) * inp.s_y.coeffs[c_ - j]
         out.append(sx.coeffs[c_] + acc)
     return ChowClass(n, out)
 
@@ -156,7 +150,7 @@ def milnor_total(n: int, mu: ChowClass, fulton_class: ChowClass, euler: int):
         raise CsmhypError(f"total Milnor number {value} is not an integer")
     milnor = int(value)
     virtual = fulton_class.integral()
-    holds = Fraction(milnor) == (-1) ** n * (euler - virtual)
+    holds = milnor == (-1) ** n * (euler - virtual)
     return milnor, holds
 
 
@@ -167,9 +161,7 @@ def csm_smooth_singularity(
     caller (smoothness is the caller's obligation):
     c_F(X) + (-1)^codim c(TY)/(1 + d h) cap [Y]."""
     n, d = inp.n, inp.d
-    return fulton(inp) + line_bundle(n, d).inverse() * cty * Fraction(
-        (-1) ** codim_y
-    )
+    return fulton(inp) + line_bundle(n, d).inverse() * cty * (-1) ** codim_y
 
 
 def _arrangement(n: int, degrees) -> list:
@@ -338,20 +330,4 @@ def build_report(
         euler=euler,
         milnor_total=milnor,
         verification=tuple(checks),
-    )
-
-
-def reduced_invariance_check(
-    F: Polynomial,
-    F_red: Polynomial,
-    policy: TrialPolicy = TrialPolicy(),
-) -> Verification:
-    """Run the full pipeline on F and on its squarefree part (supplied by
-    the caller; no factoring here) and compare the CSM classes.  The
-    degrees differ; equality is of classes in the Chow ring of P^n."""
-    r1 = build_report(F, policy=policy)
-    r2 = build_report(F_red, policy=policy)
-    ok = r1.csm == r2.csm
-    return Verification(
-        "reduced_invariance", ok, None if ok else r1.csm - r2.csm
     )

@@ -1,11 +1,15 @@
 """Exact arithmetic in the Chow ring of projective n-space.
 
 A class is a truncated polynomial a_0 + a_1*h + ... + a_n*h^n in the
-hyperplane class h, i.e. an element of Z[h]/(h^(n+1)) with rational
-coefficients, graded by codimension: ``coeffs[i]`` is the codimension-i
-piece, and the dimension-m piece of a class on P^n sits in codimension
-n - m.  All arithmetic is exact (``fractions.Fraction``); no floating
-point enters this module.
+hyperplane class h, i.e. an element of Z[h]/(h^(n+1)), graded by
+codimension: ``coeffs[i]`` is the codimension-i piece, and the
+dimension-m piece of a class on P^n sits in codimension n - m.
+Coefficients are ``int``; a ``fractions.Fraction`` appears only where a
+division is not exact (the inverse of a class whose constant term is not
++-1, or a caller passing one in), and a ``Fraction`` with denominator 1
+is stored as its ``int`` numerator, so equal classes store equal
+coefficients.  All arithmetic is exact; no floating point enters this
+module.
 
 Besides the ring operations, the module implements the two operations on
 codimension-graded classes that drive every formula downstream: ``dual``
@@ -21,7 +25,8 @@ from math import comb
 
 
 class ChowClass:
-    """An element of Z[h]/(h^(n+1)) with exact rational coefficients.
+    """An element of Z[h]/(h^(n+1)): ``int`` coefficients, with
+    ``Fraction`` only where a division is not exact.
 
     Immutable after construction; all operations return new instances, so
     values can be shared freely across concurrent tasks.
@@ -32,7 +37,7 @@ class ChowClass:
     def __init__(self, n: int, coeffs):
         if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(c if type(c) is int else _exact(c) for c in coeffs)
         if len(cs) != n + 1:
             raise ValueError(
                 f"expected {n + 1} coefficients for P^{n}, got {len(cs)}"
@@ -63,7 +68,7 @@ class ChowClass:
         if isinstance(other, ChowClass):
             self._check_same_ambient(other)
             n = self.n
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
@@ -72,7 +77,8 @@ class ChowClass:
                     if b:
                         out[i + j] += a * b
             return ChowClass(n, out)
-        return ChowClass(self.n, [a * Fraction(other) for a in self.coeffs])
+        k = other if type(other) is int else Fraction(other)
+        return ChowClass(self.n, [a * k for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -104,15 +110,20 @@ class ChowClass:
     # -- derived operations ---------------------------------------------
 
     def inverse(self) -> "ChowClass":
-        """Truncated multiplicative inverse of a unit (nonzero constant term)."""
+        """Truncated multiplicative inverse of a unit (nonzero constant term).
+
+        A constant term of +-1 is its own inverse, so an integral class with
+        one has an integral inverse; only other constant terms divide.
+        """
         a = self.coeffs
         if a[0] == 0:
             raise ValueError("class is not a unit: codimension-0 coefficient is 0")
         n = self.n
-        b = [Fraction(0)] * (n + 1)
-        b[0] = 1 / a[0]
+        inv = a[0] if a[0] in (1, -1) else Fraction(1) / a[0]
+        b = [0] * (n + 1)
+        b[0] = inv
         for k in range(1, n + 1):
-            b[k] = -sum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0]
+            b[k] = -inv * sum(a[i] * b[k - i] for i in range(1, k + 1))
         return ChowClass(n, b)
 
     def dual(self) -> "ChowClass":
@@ -136,7 +147,7 @@ class ChowClass:
         ]
         return ChowClass(self.n, out)
 
-    def integral(self) -> Fraction:
+    def integral(self) -> int | Fraction:
         """Degree of the class: the coefficient of h^n."""
         return self.coeffs[self.n]
 
@@ -186,6 +197,12 @@ class ChowClass:
         return " ".join(parts) if parts else "0"
 
 
+def _exact(c) -> int | Fraction:
+    """``Fraction(c)``, or its numerator when the denominator is 1."""
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 # -- constructors -----------------------------------------------------------
 
 
@@ -204,10 +221,10 @@ def hyperplane_power(n: int, k: int) -> ChowClass:
 
 def line_bundle(n: int, d: int) -> ChowClass:
     """Total Chern class 1 + d*h of the degree-d line bundle on P^n."""
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
     if n >= 1:
-        coeffs[1] = Fraction(d)
+        coeffs[1] = d
     return ChowClass(n, coeffs)
 
 

@@ -277,12 +277,11 @@ def _buchberger(gens, lay, p):
 class IdealBasis:
     """A generating set of an ideal, optionally certified Groebner.
 
-    When ``groebner`` is set the generators form the reduced basis for
-    ``order`` and ``leading_terms`` caches their leading monomials.
+    When ``groebner`` is set the generators form the reduced grevlex
+    basis and ``leading_terms`` caches their leading monomials.
     """
 
     gens: tuple = ()
-    order: str = "grevlex"
     groebner: bool = False
     leading_terms: tuple = dc_field(default_factory=tuple)
 
@@ -323,14 +322,14 @@ def _unpacked_basis(leads, polys, lay, template) -> IdealBasis:
     gens = tuple(
         template._wrap({unpack(m): c for m, c in d.items()}) for d in polys
     )
-    return IdealBasis(gens, "grevlex", True, tuple(unpack(m) for m in leads))
+    return IdealBasis(gens, True, tuple(unpack(m) for m in leads))
 
 
 def buchberger(gens) -> IdealBasis:
     """Reduced Groebner basis (grevlex) of the ideal the generators span."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return IdealBasis((), "grevlex", True, ())
+        return IdealBasis((), True, ())
     field, nvars = _require_modular(gens)
     lay = _Layout(nvars)
     leads, polys = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
@@ -379,7 +378,7 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
             f"saturate takes a principal ideal (one generator), got {len(J.gens)}"
         )
     if not I.gens:
-        return IdealBasis((), "grevlex", True, ())
+        return IdealBasis((), True, ())
     field, nvars = _require_modular(list(I.gens) + list(J.gens))
     p = field.p
     lay = _Layout(nvars)

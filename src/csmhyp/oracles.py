@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field, fields
-from fractions import Fraction
 from itertools import product
 
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
@@ -28,7 +27,7 @@ def smooth_chern_class(n: int, d: int) -> ChowClass:
     return (
         chern_tangent_pn(n)
         * hyperplane_power(n, 1)
-        * Fraction(d)
+        * d
         * line_bundle(n, d).inverse()
     )
 
@@ -141,8 +140,10 @@ class FixtureCase:
 def load_fixtures(path) -> list[FixtureCase]:
     """Read a fixture corpus from a JSON list of FixtureCase dicts.
 
-    A row without ``name``, ``poly`` or ``n``, or with a ``milnor_oracle``
-    but no ``chart`` in 0..n, raises ``ValueError`` naming the row and key.
+    A row without ``name``, ``poly`` or ``n``, with a non-string ``poly``,
+    a non-object ``expected`` or a non-integer ``n``, ``chart`` or
+    ``milnor_oracle``, or with a ``milnor_oracle`` but no ``chart`` in
+    0..n, raises ``ValueError`` naming the row and key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -155,7 +156,17 @@ def load_fixtures(path) -> list[FixtureCase]:
             if key not in row:
                 raise ValueError(f"{where} lacks the required key {key!r}")
         chart = row.get("chart")
-        if row.get("milnor_oracle") is not None and chart is None:
+        milnor = row.get("milnor_oracle")
+        for key, want, ok in (
+            ("poly", "a string", isinstance(row["poly"], str)),
+            ("n", "an integer", type(row["n"]) is int),
+            ("chart", "an integer", chart is None or type(chart) is int),
+            ("milnor_oracle", "an integer", milnor is None or type(milnor) is int),
+            ("expected", "an object", isinstance(row.get("expected", {}), dict)),
+        ):
+            if not ok:
+                raise ValueError(f"{where} has {key!r} {row[key]!r}, not {want}")
+        if milnor is not None and chart is None:
             raise ValueError(f"{where} sets 'milnor_oracle' without a 'chart'")
         if chart is not None and not 0 <= chart <= row["n"]:
             raise ValueError(f"{where} has 'chart' {chart} outside 0..{row['n']}")

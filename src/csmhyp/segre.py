@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .chow import ChowClass, hyperplane_power, line_bundle, unit
 from .errors import CsmhypError, RandomnessError
@@ -255,7 +254,7 @@ def segre_from_degrees(pd: ProjectiveDegrees) -> ChowClass:
     power = inv
     for j in range(n + 1):
         if pd.g[j]:
-            acc = acc - hyperplane_power(n, j) * power * Fraction(pd.g[j])
+            acc = acc - hyperplane_power(n, j) * power * pd.g[j]
         power = power * inv
     if acc.coeffs[0] != 0:
         raise CsmhypError("segre class has a nonzero codimension-0 part: bad degrees")

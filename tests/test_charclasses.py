@@ -22,7 +22,6 @@ from csmhyp.charclasses import (
     fulton,
     milnor_total,
     mu_class,
-    reduced_invariance_check,
     s_x_minus_y_binomial,
     s_x_minus_y_compact,
     segre_singular_nc,
@@ -240,21 +239,6 @@ def test_inclusion_exclusion_for_generic_line_arrangements():
     for r in range(1, 6):
         chi = euler_characteristic(csm_normal_crossings(2, [1] * r))
         assert chi == 2 * r - r * (r - 1) // 2
-
-
-def test_reduced_invariance_full_pipeline():
-    record = reduced_invariance_check(
-        parse_poly("x0^2*x1", 3), parse_poly("x0*x1", 3), LIGHT
-    )
-    assert record.ok
-    record = reduced_invariance_check(
-        parse_poly("x0^2", 3), parse_poly("x0", 3), LIGHT
-    )
-    assert record.ok
-    squarefree = reduced_invariance_check(
-        parse_poly("x0*x1", 3), parse_poly("x0*x1", 3), LIGHT
-    )
-    assert squarefree.ok
 
 
 def test_reduced_invariance_of_double_line_value():

@@ -151,6 +151,64 @@ def test_serialization_round_trip():
     strings = a.to_strings()
     assert strings == ["1/2", "-2", "0", "7"]
     assert ChowClass.from_strings(3, strings) == a
+    for n, strings in [(2, ["1/2", "-1/4", "1/8"]), (1, ["-7/2", "0"])]:
+        assert ChowClass.from_strings(n, strings).to_strings() == strings
+
+
+def test_fraction_coefficients_with_denominator_1_are_stored_as_int():
+    a = ChowClass(1, [Fraction(3), 0])
+    assert a.coeffs == (3, 0)
+    assert [type(c) for c in a.coeffs] == [int, int]
+    twin = ChowClass(1, [3, 0])
+    assert a == twin and hash(a) == hash(twin)
+    assert ChowClass(2, [Fraction(4, 2), True, -1.0]).coeffs == (2, 1, -1)
+    assert [type(c) for c in (a * Fraction(1, 3)).coeffs] == [int, int]
+    assert (a * Fraction(1, 2)).coeffs == (Fraction(3, 2), 0)
+
+
+def test_inverse_of_a_non_unit_constant_term_is_exact():
+    a = ChowClass(2, [2, 1, 0])
+    inv = a.inverse()
+    assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+    assert inv.to_strings() == ["1/2", "-1/4", "1/8"]
+    assert a * inv == unit(2)
+    assert [type(c) for c in (a * inv).coeffs] == [int, int, int]
+
+
+def _inverse_by_fractions(coeffs):
+    # the division recurrence b_k = -(sum_i a_i b_(k-i)) / a_0, all in Q
+    a = [Fraction(c) for c in coeffs]
+    b = [1 / a[0]]
+    for k in range(1, len(a)):
+        b.append(-sum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0])
+    return b
+
+
+def test_int_and_fraction_coefficients_give_the_same_classes():
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randint(0, 6)
+        xs = [rng.randint(-9, 9) for _ in range(n + 1)]
+        ys = [rng.randint(-9, 9) for _ in range(n + 1)]
+        us = [rng.choice([1, -1, 2, 3, -4])] + ys[1:]
+        d = rng.randint(-5, 5)
+        a, aq = ChowClass(n, xs), ChowClass(n, [Fraction(c) for c in xs])
+        b, bq = ChowClass(n, ys), ChowClass(n, [Fraction(c) for c in ys])
+        u, uq = ChowClass(n, us), ChowClass(n, [Fraction(c) for c in us])
+        assert u.inverse().coeffs == tuple(_inverse_by_fractions(us))
+        pairs = [
+            (a, aq),
+            (a * b, aq * bq),
+            (u.inverse(), uq.inverse()),
+            (u ** -2 * a, uq ** -2 * aq),
+            (a.tensor(d), aq.tensor(d)),
+            (a.dual(), aq.dual()),
+            (a - b * 3, aq - bq * Fraction(3)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert [type(c) for c in x.coeffs] == [type(c) for c in y.coeffs]
+            assert x.to_strings() == y.to_strings()
 
 
 def test_rendering():

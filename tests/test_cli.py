@@ -237,6 +237,24 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         assert "row 1" in err and key in err
 
 
+def test_verify_mistyped_fixture_values_exit_2(capsys, tmp_path):
+    good = {"name": "two_lines", "poly": "x0*x1", "n": 2}
+    bad_rows = [
+        ({**good, "n": "2"}, "'n'"),
+        ({**good, "chart": "2"}, "'chart'"),
+        ({**good, "poly": 7}, "'poly'"),
+        ({**good, "n": True}, "'n'"),
+        ({**good, "chart": 0, "milnor_oracle": "1"}, "'milnor_oracle'"),
+        ({**good, "expected": [1]}, "'expected'"),
+    ]
+    for row, key in bad_rows:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([good, row]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert_one_error_line(code, out, err)
+        assert "row 1" in err and key in err
+
+
 def test_oracle_commands(capsys):
     code, out, _ = run_cli(capsys, "oracle", "smooth", "--n", "2", "--d", "3")
     assert code == 0

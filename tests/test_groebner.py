@@ -152,7 +152,7 @@ def test_normal_form_examples():
 
 
 def test_normal_form_requires_groebner_flag():
-    raw = IdealBasis((gf("x0", 3),), "grevlex", False, ())
+    raw = IdealBasis((gf("x0", 3),), False, ())
     with pytest.raises(ValueError):
         normal_form(gf("x0", 3), raw)
 

@@ -86,6 +86,16 @@ def test_fixture_corpus_matches_pipeline():
         assert report.all_passed, fix.name
 
 
+def test_fixture_classes_have_int_coefficients(report_cache):
+    # Every class of the pipeline lies in Z[h]/(h^(n+1)) and every inverse
+    # it takes has constant term 1, so no Fraction may appear.
+    for fix in default_fixtures():
+        report = report_cache(fix.poly, fix.n + 1)
+        for name in ("segre_singular", "csm", "fulton", "mu"):
+            coeffs = getattr(report, name).coeffs
+            assert all(type(c) is int for c in coeffs), (fix.name, name, coeffs)
+
+
 def test_fixture_milnor_oracle_agreement():
     for fix in default_fixtures():
         if fix.milnor_oracle is None:
