@@ -1,10 +1,12 @@
 """Groebner-basis engine over prime fields.
 
-Buchberger's algorithm with the normal selection strategy and the two
-classical pair-elimination criteria; full multivariate division for normal
-forms; saturation by one element via the extra-variable elimination
-method; and Hilbert-series extraction of projective dimension and degree
-from a monomial ideal of leading terms.
+Buchberger's algorithm with the normal selection strategy, the
+Gebauer-Moeller pair update and a first-divisor memo in the reducer; full
+multivariate division for normal forms; saturation by one element via the
+extra-variable elimination method, tail-reducing only the t-free part it
+returns; and Hilbert-series extraction of projective dimension and degree,
+and of the colength of an Artinian ideal, from a monomial ideal of leading
+terms.
 
 All heavy computation is modular: the engine refuses rational
 coefficients.  Polynomials need not be homogeneous (saturation adjoins an
@@ -110,7 +112,7 @@ def _monic(d, lead, p):
     return {m: (v * inv) % p for m, v in d.items()}
 
 
-def _reduce_full(f, lts, G, lay, p):
+def _reduce_full(f, lts, G, lay, p, memo):
     """Full normal form of term dict ``f`` against monic divisors ``G``.
 
     The working polynomial is driven by a lazy max-heap of monomials:
@@ -121,6 +123,13 @@ def _reduce_full(f, lts, G, lay, p):
     monomial is its leading term.  The heap holds
     ``-key(m) = 2*(m & pmask) - m``, a map that is its own inverse, so
     plain ints are compared and m is recovered at pop.
+
+    Each monomial is divided by its first dividing lead in ``lts`` order.
+    ``memo`` maps a monomial to the index of that lead or, when none
+    divides it, to ``~k`` for the k leads tested.  A caller may share one
+    memo between calls whose ``lts`` only grows by appending, as it does
+    inside one Buchberger run: a later visit then tests only the newer
+    leads, and picks the same divisor a full scan would.
     """
     work = dict(f)
     if not work:
@@ -129,7 +138,7 @@ def _reduce_full(f, lts, G, lay, p):
     heap = [((m & pmask) << 1) - m for m in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    divisors = list(zip(lts, G))
+    n = len(lts)
     remainder = {}
     while heap:
         nk = pop(heap)
@@ -137,31 +146,36 @@ def _reduce_full(f, lts, G, lay, p):
         c = work.get(m)
         if c is None:
             continue
-        for lt, g in divisors:
-            q = m - lt
-            if not q & guard:
-                for mg, cg in g.items():
-                    mm = q + mg
-                    old = work.get(mm)
-                    if old is None:
-                        # a field that overflowed sets its guard bit, so the
-                        # monomial cannot already be in ``work``
-                        if mm & guard:
-                            raise _overflow()
-                        v = (-c * cg) % p
-                        if v:
-                            work[mm] = v
-                            push(heap, ((mm & pmask) << 1) - mm)
-                    else:
-                        v = (old - c * cg) % p
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
-                break
-        else:
-            remainder[m] = c
-            del work[m]
+        j = memo.get(m, -1)  # ~0: no lead tested yet
+        if j < 0:
+            for j in range(~j, n):
+                if not (m - lts[j]) & guard:
+                    break
+            else:
+                memo[m] = ~n
+                remainder[m] = c
+                del work[m]
+                continue
+            memo[m] = j
+        q = m - lts[j]
+        for mg, cg in G[j].items():
+            mm = q + mg
+            old = work.get(mm)
+            if old is None:
+                # a field that overflowed sets its guard bit, so the
+                # monomial cannot already be in ``work``
+                if mm & guard:
+                    raise _overflow()
+                v = (-c * cg) % p
+                if v:
+                    work[mm] = v
+                    push(heap, ((mm & pmask) << 1) - mm)
+            else:
+                v = (old - c * cg) % p
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
     return remainder
 
 
@@ -189,85 +203,97 @@ def _spoly(gi, li, gj, lj, L, guard, p):
 def _reduced_basis(G, lts, lay, p):
     """Minimalize and tail-reduce a monic Groebner basis.
 
-    Returns ``(leads, polys)`` sorted lead-descending.  Tail reduction
-    keeps each leading term, with coefficient 1, because no other kept
-    lead divides it.
+    Returns ``(leads, polys)`` sorted lead-descending.  Each tail is
+    reduced against every kept element, its own included: the tail lies
+    below its lead, so only the other leads can divide it, and one memo
+    serves all the tails.  Each leading term is kept with coefficient 1.
     """
     key, guard = lay.key, lay.guard
-    by_lead = sorted(range(len(G)), key=lambda i: key(lts[i]))
-    kept = []
-    for i in by_lead:
-        if all((lts[i] - lts[j]) & guard for j in kept):
-            kept.append(i)
-    polys = [G[i] for i in kept]
-    leads = [lts[i] for i in kept]
+    leads, polys = [], []
+    for i in sorted(range(len(G)), key=lambda i: key(lts[i])):
+        lt = lts[i]
+        if all((lt - m) & guard for m in leads):
+            leads.append(lt)
+            polys.append(G[i])
+    memo = {}
     out = []
-    for i, g in enumerate(polys):
-        others_lts = leads[:i] + leads[i + 1 :]
-        others = polys[:i] + polys[i + 1 :]
-        out.append(_reduce_full(g, others_lts, others, lay, p))
+    for lt, g in zip(leads, polys):
+        tail = dict(g)
+        del tail[lt]
+        r = {lt: 1}
+        r.update(_reduce_full(tail, leads, polys, lay, p, memo))
+        out.append(r)
     return leads[::-1], out[::-1]
 
 
 def _buchberger(gens, lay, p):
-    """Reduced Groebner basis of packed term dicts, as ``(leads, polys)``
-    sorted lead-descending."""
-    key, guard, lcm = lay.key, lay.guard, lay.lcm
-    G, lts = [], []
+    """A monic Groebner basis of packed term dicts, as ``(polys, leads)``
+    in insertion order, neither minimalized nor tail-reduced.
 
-    def append(r):
-        lead = next(iter(r))  # remainders come in descending order
-        G.append(_monic(r, lead, p))
-        lts.append(lead)
+    Pairs are taken smallest lcm first (the normal selection strategy)
+    and kept by the Gebauer-Moeller update (Gebauer and Moeller, "On an
+    installation of Buchberger's algorithm", JSC 1988).  When h joins the
+    basis, a queued pair (i, j) is dropped when lt(h) divides its lcm
+    and neither lcm(i, h) nor lcm(j, h) equals it (criterion B_k).  New
+    pairs (i, h) are formed with active elements only; one is dropped
+    when another's lcm properly divides its lcm (criterion M); of those
+    sharing an lcm one is kept, and none when any of them has coprime
+    leads (criterion F and the coprime criterion).  Active elements whose
+    lead lt(h) divides then retire: they stay divisors but form no new
+    pairs.  Every reduction shares one first-divisor memo, which is sound
+    because the basis only grows.
+    """
+    key, guard, lcm = lay.key, lay.guard, lay.lcm
+    heappush, heappop = heapq.heappush, heapq.heappop
+    G, lts, active, pairs, memo = [], [], [], [], {}
+
+    def update(r):
+        nonlocal pairs, active
+        lh = next(iter(r))  # remainders come in descending order
+        h = len(G)
+        G.append(_monic(r, lh, p))
+        lts.append(lh)
+        kept = [
+            e for e in pairs
+            if (e[3] - lh) & guard
+            or lcm(lts[e[1]], lh) == e[3]
+            or lcm(lts[e[2]], lh) == e[3]
+        ]
+        if len(kept) < len(pairs):
+            heapq.heapify(kept)
+            pairs = kept
+        new = []
+        for i in active:
+            L = lcm(lts[i], lh)
+            new.append((key(L), i, L))
+        new.sort()
+        # Smallest lcm first, keep the first pair per lcm (F) whose lcm no
+        # earlier lcm divides (M).  A coprime pair shares its lcm with no
+        # other, since lcm(b, lt(h)) = lt(i)*lt(h) forces lt(i) | lt(b) and
+        # active leads divide no other, so F's coprime rule is the check
+        # on that first pair.
+        firsts = {}  # lcm -> (key, i, coprime)
+        for k, i, L in new:
+            if L not in firsts and all((L - M) & guard for M in firsts):
+                firsts[L] = (k, i, L == lts[i] + lh)
+        for L, (k, i, coprime) in firsts.items():
+            if not coprime:
+                heappush(pairs, (k, i, h, L))
+        active = [i for i in active if (lts[i] - lh) & guard]
+        active.append(h)
 
     for d in gens:
-        if not d:
-            continue
-        r = _reduce_full(d, lts, G, lay, p)
+        if d:
+            r = _reduce_full(d, lts, G, lay, p, memo)
+            if r:
+                update(r)
+    while pairs:
+        _, i, j, L = heappop(pairs)
+        s = _spoly(G[i], lts[i], G[j], lts[j], L, guard, p)
+        r = _reduce_full(s, lts, G, lay, p, memo)
         if r:
-            append(r)
-
-    heap = []
-    pending = set()
-
-    def push(i, j):
-        L = lcm(lts[i], lts[j])
-        heapq.heappush(heap, (key(L), i, j, L))
-        pending.add((i, j))
-
-    for j in range(len(G)):
-        for i in range(j):
-            push(i, j)
-
-    while heap:
-        _, i, j, L = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        li, lj = lts[i], lts[j]
-        # first criterion: coprime leading terms
-        if L == li + lj:
-            continue
-        # second (chain) criterion: some treated intermediate divides the lcm
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if not (L - lts[k]) & guard:
-                ik = (i, k) if i < k else (k, i)
-                jk = (j, k) if j < k else (k, j)
-                if ik not in pending and jk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = _reduce_full(_spoly(G[i], li, G[j], lj, L, guard, p), lts, G, lay, p)
-        if r:
-            append(r)
-            new = len(G) - 1
-            for i2 in range(new):
-                push(i2, new)
-    return _reduced_basis(G, lts, lay, p)
+            update(r)
+    return G, lts
 
 
 # -- public polynomial-level API ----------------------------------------------
@@ -332,7 +358,8 @@ def buchberger(gens) -> IdealBasis:
         return IdealBasis((), True, ())
     field, nvars = _require_modular(gens)
     lay = _Layout(nvars)
-    leads, polys = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
+    G, lts = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
+    leads, polys = _reduced_basis(G, lts, lay, field.p)
     return _unpacked_basis(leads, polys, lay, gens[0])
 
 
@@ -353,6 +380,7 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
         [_packed(g, lay) for g in basis.gens],
         lay,
         field.p,
+        {},
     )
     unpack = lay.unpack
     return f._wrap({unpack(m): c for m, c in r.items()})
@@ -365,13 +393,14 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     """The saturation I : g^infty by a principal ideal J = (g).
 
     Computed as (I + (1 - t*g)) intersect k[x] with one elimination of the
-    auxiliary variable t.  I need not be given by a Groebner basis: its
-    generators go straight into that elimination, and the result is the
-    reduced basis whatever generators I has.  Removes from V(I) every
-    component on which g vanishes.  For a larger ideal J' containing g,
-    I : J'^infty lies in I : g^infty, with equality when g lies in no
-    associated prime of I that misses J'; a random combination of
-    generators of J' is such a g with high probability.
+    auxiliary variable t; only the t-free elements of that basis are
+    minimalized and tail-reduced.  I need not be given by a Groebner
+    basis: its generators go straight into that elimination, and the
+    result is the reduced basis whatever generators I has.  Removes from
+    V(I) every component on which g vanishes.  For a larger ideal J'
+    containing g, I : J'^infty lies in I : g^infty, with equality when g
+    lies in no associated prime of I that misses J'; a random combination
+    of generators of J' is such a g with high probability.
     """
     if len(J.gens) != 1:
         raise ValueError(
@@ -388,12 +417,16 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     rel[0] = 1  # 1 - t*g
     ext.append(rel)
     # Packed keys order by the t exponent first, so an element whose lead
-    # is t-free is t-free, and those elements come last in lead-descending
-    # order.  They are already the reduced grevlex basis of the
-    # contraction, packed as x-monomials are.
-    leads, polys = _buchberger(ext, lay, p)
-    k = sum(m >= t for m in leads)
-    return _unpacked_basis(leads[k:], polys[k:], lay, I.gens[0])
+    # is t-free is t-free, and those elements form a Groebner basis of the
+    # contraction, packed as x-monomials are.  A t-free monomial is
+    # divisible by t-free leads only, so minimalizing and tail-reducing
+    # them alone gives its reduced grevlex basis.
+    G, lts = _buchberger(ext, lay, p)
+    free = [i for i, m in enumerate(lts) if m < t]
+    leads, polys = _reduced_basis(
+        [G[i] for i in free], [lts[i] for i in free], lay, p
+    )
+    return _unpacked_basis(leads, polys, lay, I.gens[0])
 
 
 # -- Hilbert series of a monomial ideal ----------------------------------------
@@ -480,6 +513,41 @@ def hilbert_numerator(monomials, nvars: int) -> list[int]:
     return out
 
 
+def _divide_out_one_minus_t(num):
+    """Divide the coefficient list ``num`` by (1 - t) as often as it
+    divides, by synthetic division.  Returns ``(quotient, times)``;
+    ``num`` must not be zero."""
+    times = 0
+    while sum(num) == 0:
+        q = []
+        acc = 0
+        for c in num[:-1]:
+            acc += c
+            q.append(acc)
+        num = q
+        times += 1
+    return num, times
+
+
+def standard_monomial_count(monomials, nvars: int):
+    """Number of monomials in ``nvars`` variables outside the monomial
+    ideal the given monomials generate: the colength of an Artinian
+    monomial ideal.
+
+    Read off the Hilbert series N(t)/(1-t)^nvars, which is then the
+    polynomial counting standard monomials by degree.  Returns ``None``
+    when the count is infinite (fewer than ``nvars`` factors cancel, the
+    zero ideal included) and ``0`` for the unit ideal.
+    """
+    num = hilbert_numerator(monomials, nvars)
+    if not any(num):
+        return 0
+    num, cancelled = _divide_out_one_minus_t(num)
+    if cancelled < nvars:
+        return None
+    return sum(num)
+
+
 def dim_degree(I: IdealBasis):
     """Projective dimension and degree of Proj of the quotient by I.
 
@@ -493,18 +561,9 @@ def dim_degree(I: IdealBasis):
         raise ValueError("dim_degree of the zero ideal needs ring data; pass generators")
     nvars = I.nvars
     num = hilbert_numerator(I.leading_terms, nvars)
-    if all(c == 0 for c in num):
+    if not any(num):
         return None, 0
-    cancelled = 0
-    while sum(num) == 0:
-        # synthetic division by (1 - t)
-        q = []
-        acc = 0
-        for c in num[:-1]:
-            acc += c
-            q.append(acc)
-        num = q if q else [0]
-        cancelled += 1
+    num, cancelled = _divide_out_one_minus_t(num)
     krull = nvars - cancelled
     if krull <= 0:
         return None, 0

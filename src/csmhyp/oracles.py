@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field, fields
-from itertools import product
 
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
-from .groebner import buchberger
+from .groebner import buchberger, standard_monomial_count
 from .poly import Polynomial, parse_poly, reduce_mod_p
 from .segre import DEFAULT_PRIMES
 
@@ -43,32 +42,6 @@ def segre_linear_subspace(n: int, m: int) -> ChowClass:
 # -- affine Milnor oracle -----------------------------------------------------
 
 
-def _standard_monomial_count(lts, nvars):
-    """Number of monomials outside a monomial ideal; None if infinite."""
-    if not lts:
-        return None  # zero ideal: the whole polynomial ring
-    bounds = [None] * nvars
-    for m in lts:
-        support = [i for i, e in enumerate(m) if e]
-        if not support:
-            return 0  # unit ideal
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
-        return None  # some variable has no pure power: positive-dimensional
-    # enumerate the finite box under the pure-power bounds
-    def divisible(mono):
-        return any(all(x >= y for x, y in zip(mono, lt)) for lt in lts)
-
-    count = 0
-    for mono in product(*[range(b) for b in bounds]):
-        if not divisible(mono):
-            count += 1
-    return count
-
-
 def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
     """Total Milnor number of the affine part of V(F) in the given chart,
     as the GF(p) vector-space dimension of the quotient by the affine
@@ -86,7 +59,7 @@ def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
 
     def colength(p):
         basis = buchberger([reduce_mod_p(g, p) for g in gens_q])
-        return _standard_monomial_count(basis.leading_terms, f.nvars)
+        return standard_monomial_count(basis.leading_terms, f.nvars)
 
     values = [colength(p) for p in primes]
     if len(set(values)) == 1:

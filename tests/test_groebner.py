@@ -2,13 +2,17 @@
 
 Expected values for the Hilbert cases were frozen from the brute-force
 graded dimension count implemented below; saturations are confirmed by
-membership tests, not by trusting the engine under test.
+membership tests, not by trusting the engine under test.  Reduced bases
+and saturations are also compared with a textbook Buchberger below that
+reduces every pair, so the engine's pair criteria are checked against an
+algorithm without them.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -22,6 +26,7 @@ from csmhyp.groebner import (
     hilbert_numerator,
     normal_form,
     saturate,
+    standard_monomial_count,
 )
 from csmhyp.poly import (
     Polynomial,
@@ -165,6 +170,181 @@ def test_membership_soundness_spot_check():
     )
     assert normal_form(inside, b).is_zero
     assert not normal_form(gf("x0*x1", 4), b).is_zero
+
+
+# -- pair criteria against a criteria-free reference ---------------------------
+
+SMALL = 7  # a small prime, so that cancellations and equal lcms are common
+
+
+def _ref_reduce(f, basis, order, p):
+    """Full reduction of term dict f by (lead, monic dict) pairs, always
+    dividing the largest remaining monomial by the first lead that divides
+    it."""
+    f = dict(f)
+    remainder = {}
+    while f:
+        m = max(f, key=order)
+        c = f.pop(m)
+        for lt, g in basis:
+            if all(a <= b for a, b in zip(lt, m)):
+                shift = tuple(b - a for a, b in zip(lt, m))
+                for mg, cg in g.items():
+                    if mg != lt:
+                        mm = tuple(a + b for a, b in zip(shift, mg))
+                        v = (f.get(mm, 0) - c * cg) % p
+                        if v:
+                            f[mm] = v
+                        else:
+                            f.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def reference_reduced_basis(gens, p, order=grevlex_key):
+    """Reduced Groebner basis of term dicts by the textbook Buchberger
+    algorithm: every pair is reduced, smallest lcm first, with no
+    criterion; the result is then minimalized and tail-reduced.  Returned
+    as a sorted list of sorted term tuples."""
+    basis, pairs = [], []
+
+    def add(f):
+        lt = max(f, key=order)
+        inv = pow(f[lt], p - 2, p)
+        for i, (li, _) in enumerate(basis):
+            lcm = tuple(map(max, li, lt))
+            heapq.heappush(pairs, (order(lcm), i, len(basis), lcm))
+        basis.append((lt, {m: c * inv % p for m, c in f.items()}))
+
+    for g in gens:
+        if g:
+            add(g)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        s = {}
+        for lt, g, sign in ((li, gi, 1), (lj, gj, -1)):
+            shift = tuple(a - b for a, b in zip(lcm, lt))
+            for m, c in g.items():
+                mm = tuple(a + b for a, b in zip(shift, m))
+                s[mm] = (s.get(mm, 0) + sign * c) % p
+        r = _ref_reduce({m: c for m, c in s.items() if c}, basis, order, p)
+        if r:
+            add(r)
+    basis.sort(key=lambda e: order(e[0]))
+    minimal = []
+    for lt, g in basis:
+        if not any(all(a <= b for a, b in zip(m, lt)) for m, _ in minimal):
+            minimal.append((lt, g))
+    return sorted(
+        tuple(sorted(_ref_reduce(g, minimal[:k] + minimal[k + 1 :], order, p).items()))
+        for k, (_, g) in enumerate(minimal)
+    )
+
+
+def _terms(basis: IdealBasis):
+    return sorted(tuple(sorted(g.terms.items())) for g in basis.gens)
+
+
+def _random_terms(rng, nvars, degrees, density):
+    """A random term dict with monomials of the given degrees, nonzero."""
+    while True:
+        terms = {}
+        for d in degrees:
+            for m in monomials_of_degree(nvars, d):
+                if rng.random() < density:
+                    terms[m] = rng.randrange(1, SMALL)
+        if terms:
+            return terms
+
+
+def _random_monomial(rng, nvars, top):
+    return tuple(rng.randint(0, top) for _ in range(nvars))
+
+
+def _random_ideal(rng, family):
+    """(nvars, generators as term dicts) of one family of test ideals."""
+    if family == "homogeneous":
+        nvars = rng.randint(2, 4)
+        top = 3 if nvars < 4 else 2
+        gens = [
+            _random_terms(rng, nvars, [rng.randint(1, top)], 0.4)
+            for _ in range(rng.randint(2, 3))
+        ]
+    elif family == "inhomogeneous":
+        nvars = rng.randint(2, 3)
+        gens = [
+            _random_terms(rng, nvars, range(rng.randint(1, 3) + 1), 0.3)
+            for _ in range(rng.randint(2, 3))
+        ]
+    elif family == "rabinowitsch":
+        # an ideal in x plus 1 - t*g, with t the last variable
+        nx = rng.randint(2, 3)
+        nvars = nx + 1
+        gens = [
+            {m + (0,): c for m, c in _random_terms(rng, nx, [rng.randint(1, 2)], 0.5).items()}
+            for _ in range(rng.randint(1, 2))
+        ]
+        g = _random_terms(rng, nx, [rng.randint(1, 2)], 0.5)
+        rel = {m + (1,): -c % SMALL for m, c in g.items()}
+        rel[(0,) * nvars] = 1
+        gens.append(rel)
+    else:  # monomials and binomials, where equal lcms and coprime ties abound
+        nvars = rng.choice((2, 3, 3))
+        gens = []
+        for _ in range(rng.randint(3, 6)):
+            a = _random_monomial(rng, nvars, 3)
+            if rng.random() < 0.3:
+                gens.append({a: 1})
+                continue
+            b = _random_monomial(rng, nvars, 3)
+            if a == b:
+                continue
+            gens.append({a: 1, b: rng.randrange(1, SMALL)})
+    return nvars, gens
+
+
+def test_buchberger_matches_a_criteria_free_reference():
+    # Reduced bases are unique, so dropping pairs by the criteria, and the
+    # first-divisor memo, must not change any basis.
+    field = PrimeField(SMALL)
+    rng = random.Random(61)
+    families = ("homogeneous", "inhomogeneous", "rabinowitsch", "binomial", "binomial")
+    for k in range(600):
+        nvars, gens = _random_ideal(rng, families[k % 5])
+        got = buchberger([Polynomial(nvars, g, field) for g in gens])
+        assert _terms(got) == reference_reduced_basis(gens, SMALL), (nvars, gens)
+
+
+def test_saturate_matches_a_criteria_free_elimination():
+    # I : g^infty is the t-free part of the reduced basis of I + (1 - t*g)
+    # in an order comparing the t exponent first.
+    field = PrimeField(SMALL)
+    rng = random.Random(67)
+
+    def eliminate_t(m):
+        return (m[-1], grevlex_key(m[:-1]))
+
+    for k in range(120):
+        nvars = rng.randint(2, 3)
+        degrees = [rng.randint(1, 2)] if k % 2 else range(3)
+        gens = [_random_terms(rng, nvars, degrees, 0.5) for _ in range(2)]
+        g = _random_terms(rng, nvars, [rng.randint(1, 2)], 0.5)
+        rel = {m + (1,): -c % SMALL for m, c in g.items()}
+        rel[(0,) * (nvars + 1)] = 1
+        ext = [{m + (0,): c for m, c in f.items()} for f in gens] + [rel]
+        expected = [
+            tuple((m[:-1], c) for m, c in f)
+            for f in reference_reduced_basis(ext, SMALL, eliminate_t)
+            if all(m[-1] == 0 for m, _ in f)
+        ]
+        got = saturate(
+            IdealBasis(tuple(Polynomial(nvars, f, field) for f in gens)),
+            IdealBasis((Polynomial(nvars, g, field),)),
+        )
+        assert _terms(got) == expected, (gens, g)
 
 
 # -- packed monomials ----------------------------------------------------------
@@ -344,6 +524,42 @@ def test_hilbert_numerator_matches_brute_force_on_random_monomial_ideals():
             assert hilbert_function_from_numerator(num, nvars, degree) == (
                 brute_quotient_dimension(gens, nvars, degree)
             )
+
+
+def brute_standard_monomial_count(gens, nvars):
+    """Monomials outside an Artinian monomial ideal, by enumerating the box
+    under the smallest pure power of each variable."""
+    bounds = [
+        min(m[i] for m in gens if m[i] and sum(m) == m[i]) for i in range(nvars)
+    ]
+    return sum(
+        1
+        for m in product(*(range(b) for b in bounds))
+        if not any(all(x >= y for x, y in zip(m, g)) for g in gens)
+    )
+
+
+def test_standard_monomial_count_matches_a_box_count():
+    rng = random.Random(71)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(1, 4) if j == i else 0 for j in range(nvars))
+            for i in range(nvars)
+        ]
+        gens += [_random_monomial(rng, nvars, 3) for _ in range(rng.randint(0, 4))]
+        gens = [m for m in gens if any(m)]
+        assert standard_monomial_count(gens, nvars) == (
+            brute_standard_monomial_count(gens, nvars)
+        )
+
+
+def test_standard_monomial_count_edge_cases():
+    assert standard_monomial_count([], 2) is None  # the zero ideal
+    assert standard_monomial_count([(0, 0)], 2) == 0  # the unit ideal
+    assert standard_monomial_count([(2, 0), (1, 1)], 2) is None  # a line
+    assert standard_monomial_count([(2, 0), (0, 3)], 2) == 6
+    assert standard_monomial_count([(3,)], 1) == 3
 
 
 def test_dim_degree_examples():

@@ -290,3 +290,23 @@ def test_jacobian_scheme_rejects_undersized_prime():
     f = reduce_mod_p(parse_poly("x0^3 + x1^2*x2", 3), 5)
     with pytest.raises(ValueError, match="too small"):
         jacobian_scheme(f)
+
+
+# -- hard tier ------------------------------------------------------------------
+
+
+def test_quadric_times_cubic_threefold_at_default_seeds():
+    # The union X = Q u C in P^4 of the Fermat quadric and cubic threefolds,
+    # singular along the K3 surface Q n C.  Its last cuts grow bases of
+    # over a hundred elements, where the pair criteria and the reducer's
+    # first-divisor memo do real work.
+    from csmhyp.charclasses import build_report
+
+    report = build_report(
+        "(x0^2+x1^2+x2^2+x3^2+x4^2)*(x0^3+x1^3+x2^3+x3^3+x4^3)", 5
+    )
+    assert report.projective_degrees.g == (1, 4, 10, 22, 46)
+    # chi(Q) + chi(C) - chi(Q n C), with Q n C a smooth (2,3) complete
+    # intersection K3 surface: 4 + (-6) - 24
+    assert report.euler == -26
+    assert report.all_passed
