@@ -94,14 +94,23 @@ def _cmd_compute(args) -> int:
     verdicts = list(report.verification)
     oracle_note = None
     if args.verify:
-        milnor = oracles.affine_milnor_total(poly, chart, policy.primes)
-        if milnor is None:
-            oracle_note = "affine Milnor oracle: non-isolated singular locus, skipped"
-        else:
-            ok = milnor == report.milnor_total
-            verdicts.append(
-                charclasses.Verification("milnor_affine_oracle", ok)
+        # the oracle counts one affine chart only
+        if oracles.singular_point_at_infinity(poly, chart, policy.primes[0]):
+            oracle_note = (
+                "affine Milnor oracle: singular point on the chart's "
+                "hyperplane at infinity, skipped"
             )
+        else:
+            milnor = oracles.affine_milnor_total(poly, chart, policy.primes)
+            if milnor is None:
+                oracle_note = (
+                    "affine Milnor oracle: non-isolated singular locus, skipped"
+                )
+            else:
+                ok = milnor == report.milnor_total
+                verdicts.append(
+                    charclasses.Verification("milnor_affine_oracle", ok)
+                )
     report = dataclasses.replace(report, verification=tuple(verdicts))
     if args.json:
         print(report.to_json())

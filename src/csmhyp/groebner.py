@@ -1,7 +1,8 @@
 """Groebner-basis engine over prime fields.
 
-Buchberger's algorithm with the normal selection strategy, the
-Gebauer-Moeller pair update and a first-divisor memo in the reducer; full
+Buchberger's algorithm with the sugar selection strategy (pairs by sugar,
+then by lcm; on homogeneous input this is the normal strategy's order),
+the Gebauer-Moeller pair update and a first-divisor memo in the reducer; full
 multivariate division for normal forms; saturation by one element via the
 extra-variable elimination method, tail-reducing only the t-free part it
 returns; and Hilbert-series extraction of projective dimension and degree,
@@ -230,8 +231,20 @@ def _buchberger(gens, lay, p):
     """A monic Groebner basis of packed term dicts, as ``(polys, leads)``
     in insertion order, neither minimalized nor tail-reduced.
 
-    Pairs are taken smallest lcm first (the normal selection strategy)
-    and kept by the Gebauer-Moeller update (Gebauer and Moeller, "On an
+    Pairs are taken lowest sugar first, then smallest lcm (the sugar
+    strategy of Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
+    cube, please", ISSAC 1991).  Sugar counts x-degree only, not t.  An
+    input generator's sugar is the degree field of its largest packed
+    monomial: its highest x-degree for t-free input and for ``1 - t*g``.
+    An element's ecart is its sugar less the degree of its lead; a
+    pair's sugar is ``deg(lcm)`` plus the larger ecart of its two
+    elements, and the remainder of its S-polynomial joins the basis with
+    that sugar.  Sugar is the degree a pair would have were the input
+    homogenized, so on homogeneous input every ecart is 0 and pairs pop
+    smallest lcm first, the normal strategy's order.  The heap holds one
+    int per pair: the sugar shifted above every packed field, plus the
+    lcm's key.
+    Pairs are kept by the Gebauer-Moeller update (Gebauer and Moeller, "On an
     installation of Buchberger's algorithm", JSC 1988).  When h joins the
     basis, a queued pair (i, j) is dropped when lt(h) divides its lcm
     and neither lcm(i, h) nor lcm(j, h) equals it (criterion B_k).  New
@@ -243,16 +256,19 @@ def _buchberger(gens, lay, p):
     pairs.  Every reduction shares one first-divisor memo, which is sound
     because the basis only grows.
     """
-    key, guard, lcm = lay.key, lay.guard, lay.lcm
+    key, guard, lcm, dshift = lay.key, lay.guard, lay.lcm, lay.dshift
+    sshift = lay.tshift + W  # above every packed field, t's included
     heappush, heappop = heapq.heappush, heapq.heappop
-    G, lts, active, pairs, memo = [], [], [], [], {}
+    G, lts, ecarts, active, pairs, memo = [], [], [], [], [], {}
 
-    def update(r):
+    def update(r, sugar):
         nonlocal pairs, active
         lh = next(iter(r))  # remainders come in descending order
         h = len(G)
         G.append(_monic(r, lh, p))
         lts.append(lh)
+        eh = sugar - (lh >> dshift & _FIELD)
+        ecarts.append(eh)
         kept = [
             e for e in pairs
             if (e[3] - lh) & guard
@@ -278,7 +294,8 @@ def _buchberger(gens, lay, p):
                 firsts[L] = (k, i, L == lts[i] + lh)
         for L, (k, i, coprime) in firsts.items():
             if not coprime:
-                heappush(pairs, (k, i, h, L))
+                sugar = max(ecarts[i], eh) + (L >> dshift & _FIELD)
+                heappush(pairs, ((sugar << sshift) + k, i, h, L))
         active = [i for i in active if (lts[i] - lh) & guard]
         active.append(h)
 
@@ -286,13 +303,13 @@ def _buchberger(gens, lay, p):
         if d:
             r = _reduce_full(d, lts, G, lay, p, memo)
             if r:
-                update(r)
+                update(r, max(d) >> dshift & _FIELD)
     while pairs:
-        _, i, j, L = heappop(pairs)
+        k, i, j, L = heappop(pairs)
         s = _spoly(G[i], lts[i], G[j], lts[j], L, guard, p)
         r = _reduce_full(s, lts, G, lay, p, memo)
         if r:
-            update(r)
+            update(r, k >> sshift)
     return G, lts
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field as dc_field, fields
 
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
-from .groebner import buchberger, standard_monomial_count
-from .poly import Polynomial, parse_poly, reduce_mod_p
+from .groebner import buchberger, dim_degree, standard_monomial_count
+from .poly import Polynomial, parse_poly, reduce_mod_p, variable
 from .segre import DEFAULT_PRIMES
 
 
@@ -47,10 +47,11 @@ def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
     as the GF(p) vector-space dimension of the quotient by the affine
     jacobian ideal (the dehomogenized F together with its partials).
 
-    Valid when every singular point lies in the chart (caller obligation;
-    re-chart otherwise) and, as a Milnor rather than Tjurina count, when
-    the singularities are quasi-homogeneous, true of the whole fixture
-    corpus.  Returns None for a non-isolated singular locus.
+    Valid when every singular point lies in the chart (caller obligation,
+    see ``singular_point_at_infinity``; re-chart otherwise) and, as a
+    Milnor rather than Tjurina count, when the singularities are
+    quasi-homogeneous, true of the whole fixture corpus.  Returns None
+    for a non-isolated singular locus.
     """
     if F.field.kind != "rationals":
         raise ValueError("oracle input must be a polynomial over Q")
@@ -72,6 +73,19 @@ def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
     raise RandomnessError(
         f"affine Milnor dimensions disagree across primes: {values}"
     )
+
+
+def singular_point_at_infinity(F: Polynomial, chart: int, p: int) -> bool:
+    """Whether V(F) has a singular point on the hyperplane x_chart = 0,
+    which the affine Milnor oracle's chart leaves out: whether the
+    partials of F together with x_chart have a projective zero over
+    GF(p).  The partials cut the singular scheme when p does not divide
+    deg F (Euler relation)."""
+    f = reduce_mod_p(F, p)
+    gens = [f.partial(i) for i in range(f.nvars)]
+    gens.append(variable(f.nvars, chart, f.field))
+    dim, _ = dim_degree(buchberger(gens))
+    return dim is not None
 
 
 # -- fixture corpus -----------------------------------------------------------

@@ -277,11 +277,38 @@ def test_oracle_commands(capsys):
     assert out.strip() == "non-isolated"
 
 
-def test_compute_verify_oracle_mismatch_exits_3(capsys):
-    # the three coordinate lines have singular points in every chart's
-    # complement, so the affine oracle undercounts and the check must fail
+SKIP_AT_INFINITY = (
+    "affine Milnor oracle: singular point on the chart's hyperplane at "
+    "infinity, skipped"
+)
+
+
+@pytest.mark.parametrize(
+    "poly, nvars",
+    [
+        # the three coordinate lines meet in every chart's complement
+        ("x0*x1*x2", "3"),
+        # 12 nodes where two coordinates vanish, some of them with x3 = 0
+        ("(x0^2+x1^2+x2^2+x3^2)^2 - 4*x0*x1*x2*x3", "4"),
+    ],
+)
+def test_compute_verify_skips_the_oracle_with_a_singular_point_at_infinity(
+    capsys, poly, nvars
+):
+    code, out, _ = run_cli(capsys, "compute", poly, "--nvars", nvars, "--verify")
+    assert code == 0
+    assert SKIP_AT_INFINITY in out.splitlines()
+    assert "milnor_affine_oracle" not in out.split("legend:")[0]
+
+
+def test_compute_verify_oracle_mismatch_exits_3(capsys, monkeypatch):
+    from csmhyp import oracles
+
+    # the cusp (0:0:1) lies in the chart, so the oracle runs; a wrong
+    # count from it must fail the check
+    monkeypatch.setattr(oracles, "affine_milnor_total", lambda *args: 3)
     code, out, _ = run_cli(
-        capsys, "compute", "x0*x1*x2", "--nvars", "3", "--verify", "--chart", "2"
+        capsys, "compute", "x1^2*x2 - x0^3", "--nvars", "3", "--verify"
     )
     assert code == 3
     assert "[FAIL] milnor_affine_oracle" in out

@@ -347,6 +347,27 @@ def test_saturate_matches_a_criteria_free_elimination():
         assert _terms(got) == expected, (gens, g)
 
 
+def test_reduced_bases_do_not_depend_on_the_generator_order():
+    # The sugar of a pair depends on the degrees of the inputs it comes
+    # from, so the pair taken first changes with the generator order;
+    # reduced bases are unique, so the results must not.  The binomials'
+    # shared lcms also exercise the pair criteria.
+    field = PrimeField(SMALL)
+    rng = random.Random(71)
+    families = ("homogeneous", "inhomogeneous", "rabinowitsch", "binomial")
+    for k in range(160):
+        nvars, gens = _random_ideal(rng, families[k % 4])
+        g = Polynomial(nvars, _random_terms(rng, nvars, [1, 2], 0.5), field)
+        polys = [Polynomial(nvars, f, field) for f in gens]
+        basis = _terms(buchberger(polys))
+        saturated = _terms(saturate(IdealBasis(tuple(polys)), IdealBasis((g,))))
+        for _ in range(2):
+            rng.shuffle(polys)
+            assert _terms(buchberger(polys)) == basis, (nvars, gens)
+            got = saturate(IdealBasis(tuple(polys)), IdealBasis((g,)))
+            assert _terms(got) == saturated, (nvars, gens, g)
+
+
 # -- packed monomials ----------------------------------------------------------
 
 

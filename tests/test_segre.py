@@ -299,14 +299,20 @@ def test_quadric_times_cubic_threefold_at_default_seeds():
     # The union X = Q u C in P^4 of the Fermat quadric and cubic threefolds,
     # singular along the K3 surface Q n C.  Its last cuts grow bases of
     # over a hundred elements, where the pair criteria and the reducer's
-    # first-divisor memo do real work.
+    # first-divisor memo do real work, and their inhomogeneous
+    # saturations are where sugar pair selection saves the most.
     from csmhyp.charclasses import build_report
 
     report = build_report(
         "(x0^2+x1^2+x2^2+x3^2+x4^2)*(x0^3+x1^3+x2^3+x3^3+x4^3)", 5
     )
     assert report.projective_degrees.g == (1, 4, 10, 22, 46)
-    # chi(Q) + chi(C) - chi(Q n C), with Q n C a smooth (2,3) complete
-    # intersection K3 surface: 4 + (-6) - 24
+    # By inclusion-exclusion, chi(X) = chi(Q) + chi(C) - chi(Q n C), each
+    # term the top Chern number of a smooth complete intersection in P^4,
+    # the h^dim coefficient of (1+h)^5 / prod(1 + d_k h) times prod d_k:
+    #   Q, degree 2:      h^3 of (1+h)^5 / (1+2h)         = 2,  chi = 2*2 = 4
+    #   C, degree 3:      h^3 of (1+h)^5 / (1+3h)         = -2, chi = -2*3 = -6
+    #   Q n C, (2,3) K3:  h^2 of (1+h)^5 / (1+2h)(1+3h)   = 4,  chi = 4*6 = 24
+    # so chi(X) = 4 + (-6) - 24 = -26.
     assert report.euler == -26
     assert report.all_passed
