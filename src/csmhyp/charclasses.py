@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle, unit
+from .chow import ChowClass, chern_tangent_pn, inverse_line_bundle, line_bundle, unit
 from .errors import CsmhypError
 from .poly import Polynomial, parse_poly, to_string
 from .segre import ProjectiveDegrees, SingularSchemeData, TrialPolicy, segre_singular_scheme
@@ -52,10 +52,11 @@ class HypersurfaceInput:
 
 def segre_x(n: int, d: int) -> ChowClass:
     """Segre class of the hypersurface itself: d*h / (1 + d*h), the
-    divisor class capped with the inverse of its normal bundle."""
+    divisor class capped with the inverse of its normal bundle, in closed
+    form as sum_(k >= 1) -(-d)^k h^k."""
     if d < 1:
         raise ValueError("hypersurface degree must be positive")
-    return hyperplane_power(n, 1) * d * line_bundle(n, d).inverse()
+    return ChowClass(n, [0] + [-((-d) ** k) for k in range(1, n + 1)])
 
 
 def s_x_minus_y_binomial(inp: HypersurfaceInput) -> ChowClass:
@@ -79,7 +80,7 @@ def s_x_minus_y_compact(inp: HypersurfaceInput) -> ChowClass:
     """Residual class in closed form: s(X) + c(L)^-1 (s_Y dual tensor L)."""
     n, d = inp.n, inp.d
     twisted = inp.s_y.dual().tensor(d)
-    return segre_x(n, d) + line_bundle(n, d).inverse() * twisted
+    return segre_x(n, d) + inverse_line_bundle(n, d) * twisted
 
 
 def fulton(inp: HypersurfaceInput) -> ChowClass:
@@ -117,7 +118,7 @@ def mu_class(inp: HypersurfaceInput) -> ChowClass:
     n, d = inp.n, inp.d
     twisted_cotangent = (
         line_bundle(n, d - 1) ** (n + 1)
-    ) * line_bundle(n, d).inverse()
+    ) * inverse_line_bundle(n, d)
     return twisted_cotangent * inp.s_y
 
 

@@ -228,6 +228,11 @@ def line_bundle(n: int, d: int) -> ChowClass:
     return ChowClass(n, coeffs)
 
 
+def inverse_line_bundle(n: int, d: int) -> ChowClass:
+    """(1 + d*h)^-1 on P^n in closed form: the class sum_k (-d)^k h^k."""
+    return ChowClass(n, [(-d) ** k for k in range(n + 1)])
+
+
 def chern_tangent_pn(n: int) -> ChowClass:
     """Total Chern class of the tangent bundle of P^n: (1 + h)^(n+1) truncated."""
     if n < 0:

@@ -39,10 +39,13 @@ _LEGEND = [
 
 def _default_seeds():
     env = os.environ.get("CSMHYP_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEEDS
+    try:
         base = int(env)
-        return (base, base + 1)
-    return DEFAULT_SEEDS
+    except ValueError:
+        raise ValueError(f"CSMHYP_SEED must be an integer, got {env!r}") from None
+    return (base, base + 1)
 
 
 def _policy_from_args(args) -> TrialPolicy:

@@ -8,12 +8,18 @@ projective degrees of the gradient map p -> (dF/dx_0 : ... : dF/dx_n):
 
     g_i = degree of the zero-dimensional residual of i random combinations
           of the partials and n-i random hyperplanes, after saturating
-          away the base locus by one random combination of the partials
-          (one elimination, straight from the cut's generators),
+          away the base locus by one random combination g of the partials,
 
 and then
 
     s(Y, P^n) = 1 - sum_j g_j * h^j / (1 + e*h)^(j+1),    e = deg F - 1.
+
+A cut with i >= 2 goes straight from its generators into one
+elimination.  A cut with i <= 1 needs no Groebner basis: its hyperplanes
+leave a point, where g_0 is 1 unless g vanishes there, or a line, where
+g_1 is the degree of the binary form of the cut once every root it
+shares with g is removed; both come from linear algebra and univariate
+gcds mod p.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero and accepted only under the multi-prime, multi-seed
@@ -24,8 +30,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
-from .chow import ChowClass, hyperplane_power, line_bundle, unit
+from .chow import ChowClass
 from .errors import CsmhypError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, saturate
 from .poly import Polynomial, random_linear_combination, reduce_mod_p, variable
@@ -140,32 +147,165 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     )
 
 
+def _null_space(rows, ncols, p):
+    """A basis of the vectors mod p that every row annihilates, by
+    Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        pivot = rows[r] = [v * inv % p for v in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                t = row[c]
+                rows[k] = [(v - t * w) % p for v, w in zip(row, pivot)]
+        pivots.append(c)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [0] * ncols
+            v[c] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[c] % p
+            basis.append(v)
+    return basis
+
+
+def _evaluate(f: Polynomial, point, p) -> int:
+    """The value of f at a point mod p."""
+    acc = 0
+    for m, c in f.terms.items():
+        for x, k in zip(point, m):
+            if k:
+                c = c * pow(x, k, p)
+        acc += c
+    return acc % p
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _on_line(f: Polynomial, a, b, e, p) -> list:
+    """The coefficients, lowest first and trimmed, of f(a + s*b) as a
+    polynomial of degree at most e in s: its values at s = 0..e,
+    interpolated by Newton's divided differences."""
+    ys = [_evaluate(f, [x + s * y for x, y in zip(a, b)], p) for s in range(e + 1)]
+    for j in range(1, e + 1):
+        inv = pow(j, p - 2, p)
+        for k in range(e, j - 1, -1):
+            ys[k] = (ys[k] - ys[k - 1]) * inv % p
+    out = [ys[e]]
+    for k in range(e - 1, -1, -1):  # Horner in the basis prod (s - node)
+        out = [0] + out
+        for j in range(len(out) - 1):
+            out[j] = (out[j] - k * out[j + 1]) % p
+        out[0] = (out[0] + ys[k]) % p
+    return _trim(out)
+
+
+def _divmod(a, b, p):
+    """Quotient and remainder of trimmed coefficient lists, b nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] * inv % p
+        if c:
+            for j, v in enumerate(b):
+                a[k + j] = (a[k + j] - c * v) % p
+    return q, _trim(a[:db])
+
+
+def _gcd(a, b, p):
+    """A gcd of coefficient lists, by Euclid's algorithm."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return a
+
+
+def _point_or_line_degree(forms, planes, g, n, p):
+    """``g_i`` of a cut with i = len(forms) <= 1, found on the point or
+    line its hyperplanes cut out; ``None`` when the hyperplanes are
+    dependent or the one form vanishes on the line.
+
+    On the point P the saturation is the ideal of P, or the unit ideal
+    when g(P) = 0.  On a line the cut is one binary form F of degree e,
+    and (F) : g^infty is F stripped of every factor it shares with g|L,
+    with its full multiplicity; its degree is what is left.  The line is
+    a + s*b, so the point b is a root of F|L of multiplicity
+    e - deg F|L, shared with g exactly when deg g|L < e as well.
+    """
+    rows = []
+    for h in planes:
+        row = [0] * (n + 1)
+        for m, c in h.terms.items():
+            row[m.index(1)] = c
+        rows.append(row)
+    basis = _null_space(rows, n + 1, p)
+    if len(basis) != len(forms) + 1:
+        return None
+    if not forms:
+        return 1 if _evaluate(g, basis[0], p) else 0
+    a, b = basis
+    e = forms[0].degree
+    f_l = _on_line(forms[0], a, b, e, p)
+    if not f_l:
+        return None
+    g_l = _on_line(g, a, b, e, p)
+    if not g_l:
+        return 0
+    at_b = e + 1 - len(f_l)
+    while True:
+        h = _gcd(f_l, g_l, p)
+        if len(h) == 1:
+            break
+        f_l = _divmod(f_l, h, p)[0]
+    return len(f_l) - 1 + (at_b if len(g_l) == e + 1 else 0)
+
+
 def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     """One g-vector at one (prime, seed).
 
-    Each cut goes straight from its generators into one elimination that
-    saturates it by one random combination g of the partials, instead of
-    by the whole jacobian ideal J.  The two saturations agree unless g
-    lies in an associated prime of the cut that misses J, such as a point
-    of the zero-dimensional residual; an unlucky draw can only lower some
-    g_i, and the agreement policy records it as a disagreement.  A unit
-    residual is the empty scheme, so its g_i is 0.
+    Each cut is saturated by one random combination g of the partials,
+    instead of by the whole jacobian ideal J.  The two saturations agree
+    unless g lies in an associated prime of the cut that misses J, such
+    as a point of the zero-dimensional residual; an unlucky draw can only
+    lower some g_i, and the agreement policy records it as a
+    disagreement.  A unit residual is the empty scheme, so its g_i is 0.
+
+    A cut with i <= 1 is solved on the point or line its n - i
+    hyperplanes cut out, by linear algebra and univariate gcds mod p,
+    with the same answer as the elimination.  Every other cut, and one
+    whose hyperplanes are dependent or whose form vanishes on its line,
+    goes straight from its generators into one elimination by ``saturate``.
     """
     n = scheme.n
     partials = scheme.partials
+    p = partials[0].field.p
     xs = [variable(n + 1, k, partials[0].field) for k in range(n + 1)]
     base_locus = IdealBasis((random_linear_combination(partials, rng),))
     g = []
     for i in range(n + 1):
         for _ in range(DIM_RETRIES):
-            gens = [random_linear_combination(partials, rng) for _ in range(i)]
-            gens += [random_linear_combination(xs, rng) for _ in range(n - i)]
-            residual = saturate(IdealBasis(tuple(gens)), base_locus)
+            forms = [random_linear_combination(partials, rng) for _ in range(i)]
+            planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+            if i <= 1:
+                gi = _point_or_line_degree(forms, planes, base_locus.gens[0], n, p)
+                if gi is not None:
+                    g.append(gi)
+                    break
+            residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
             dim, deg = dim_degree(residual)
-            if dim is None:
-                g.append(0)
-                break
-            if dim == 0:
+            if dim is None or dim == 0:  # (None, 0) for the empty scheme
                 g.append(deg)
                 break
         else:
@@ -247,15 +387,16 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
 
 def segre_from_degrees(pd: ProjectiveDegrees) -> ChowClass:
     """Assemble the pushforward of s(Y, P^n) from the projective degrees:
-    1 - sum_j g_j h^j / (1 + e h)^(j+1)."""
-    n = pd.n
-    inv = line_bundle(n, pd.e).inverse()
-    acc = unit(n)
-    power = inv
-    for j in range(n + 1):
-        if pd.g[j]:
-            acc = acc - hyperplane_power(n, j) * power * pd.g[j]
-        power = power * inv
+    1 - sum_j g_j h^j / (1 + e h)^(j+1), whose h^k coefficient is
+    [k = 0] - sum_(j <= k) C(k, j) (-e)^(k-j) g_j."""
+    e, g = pd.e, pd.g
+    acc = ChowClass(
+        pd.n,
+        [
+            int(k == 0) - sum(comb(k, j) * (-e) ** (k - j) * g[j] for j in range(k + 1))
+            for k in range(pd.n + 1)
+        ],
+    )
     if acc.coeffs[0] != 0:
         raise CsmhypError("segre class has a nonzero codimension-0 part: bad degrees")
     return acc

@@ -28,11 +28,23 @@ from csmhyp.charclasses import (
     segre_thickened,
     segre_x,
 )
-from csmhyp.chow import ChowClass, chern_tangent_pn
+from csmhyp.chow import (
+    ChowClass,
+    chern_tangent_pn,
+    hyperplane_power,
+    inverse_line_bundle,
+    line_bundle,
+    unit,
+)
 from csmhyp.errors import CsmhypError
 from csmhyp.oracles import smooth_chern_class
 from csmhyp.poly import parse_poly
-from csmhyp.segre import TrialPolicy, segre_singular_scheme
+from csmhyp.segre import (
+    ProjectiveDegrees,
+    TrialPolicy,
+    segre_from_degrees,
+    segre_singular_scheme,
+)
 
 LIGHT = TrialPolicy(primes=(32003,), seeds=(101,))
 
@@ -323,3 +335,24 @@ def test_concurrent_reports_match_sequential():
             pool.map(lambda c: build_report(c[0], c[1], LIGHT).to_json(), cases)
         )
     assert concurrent == sequential
+
+
+def test_closed_forms_match_the_inverse_based_products():
+    # Reference: ChowClass.inverse() and ring products, the way these
+    # classes are defined.
+    rng = random.Random(9)
+    for n in range(7):
+        for d in range(-3, 7):
+            inv = line_bundle(n, d).inverse()
+            assert inverse_line_bundle(n, d) == inv, (n, d)
+            if d < 1:
+                continue
+            assert segre_x(n, d) == hyperplane_power(n, 1) * d * inv, (n, d)
+            e = d - 1
+            for _ in range(3):
+                g = (1,) + tuple(rng.randint(0, e**i) for i in range(1, n + 1))
+                ref, power = unit(n), line_bundle(n, e).inverse()
+                for j in range(n + 1):
+                    ref = ref - hyperplane_power(n, j) * power * g[j]
+                    power = power * line_bundle(n, e).inverse()
+                assert segre_from_degrees(ProjectiveDegrees(n, e, g)) == ref, (n, e, g)

@@ -167,6 +167,13 @@ def test_seed_env_var_sets_default(capsys, monkeypatch):
     assert {t["seed"] for t in payload["trials"]} == {4242, 4243}
 
 
+def test_seed_env_var_that_is_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("CSMHYP_SEED", "abc")
+    result = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
+    assert_one_error_line(*result)
+    assert result[2] == "error: CSMHYP_SEED must be an integer, got 'abc'\n"
+
+
 def test_nc_command(capsys):
     code, out, _ = run_cli(capsys, "nc", "--n", "2", "1", "1", "1", "--json")
     assert code == 0

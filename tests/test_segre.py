@@ -7,6 +7,7 @@ from the engine under test.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -260,7 +261,8 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
 
 
 def test_one_groebner_basis_per_prime_for_the_jacobian_only(monkeypatch):
-    # Cuts go straight into saturate; buchberger runs once per prime, on
+    # Cuts of dimension two and up go straight into saturate, point and
+    # line cuts need no basis at all; buchberger runs once per prime, on
     # the nonzero partials of F mod that prime.
     import csmhyp.segre as segre_mod
 
@@ -316,3 +318,180 @@ def test_quadric_times_cubic_threefold_at_default_seeds():
     # so chi(X) = 4 + (-6) - 24 = -26.
     assert report.euler == -26
     assert report.all_passed
+
+
+def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
+    # One trial makes n + 1 cuts; the point and line cuts (i = 0, 1) are
+    # solved on their linear space, so n - 1 of them reach saturate.
+    import csmhyp.segre as segre_mod
+
+    calls = []
+    real = segre_mod.saturate
+
+    def counting(I, J):
+        calls.append(len(I.gens))
+        return real(I, J)
+
+    monkeypatch.setattr(segre_mod, "saturate", counting)
+
+    def one_trial(text, nvars):
+        # the first trial of the default policy: prime 32003, seed 101
+        scheme = jacobian_scheme(reduce_mod_p(parse_poly(text, nvars), 32003))
+        calls.clear()
+        segre_mod._degrees_one_trial(scheme, random.Random("csmhyp:32003:101"))
+        return len(calls)
+
+    for text, nvars in [
+        ("x0^2*x1 + x1^3", 2),
+        ("x0^2 + x1^2 + x2^2", 3),
+        ("x0*x1", 3),
+        ("x1^2*x2 - x0^3", 3),
+        ("x0^2*x1", 4),
+        ("x0^3 + x1^3 + x2^3 + x3^3", 4),
+    ]:
+        assert one_trial(text, nvars) == max(nvars - 2, 0), text
+    # the smooth conic's plane cut still supplies saturate spans
+    assert one_trial("x0^2 + x1^2 + x2^2", 3) >= 1
+
+
+# -- point and line cuts -------------------------------------------------------
+
+NONISOLATED = [
+    ("x1^2*x2^2 + x2^2*x0^2 + x0^2*x1^2 - x0*x1*x2*x3", 4),
+    ("(x0^2+x1^2+x2^2-x3^2)^2 + x3^4", 4),
+    ("(x0^3+x1^3+x2^3)^2 + x3^6", 4),
+    ("(x0^4+x1^4+x2^4+x3^4)^2 + x3^8", 4),
+    ("(x0^2+x1^2+x2^2+x3^2+x4^2)^2 + x4^4", 5),
+    ("x0*x1*x2*x3", 4),
+]
+
+
+def _value(f, point, p):
+    total = 0
+    for m, c in f.terms.items():
+        for x, k in zip(point, m):
+            c *= x**k
+        total += c
+    return total % p
+
+
+def _power(nvars, k, e, field):
+    exps = tuple(e if j == k else 0 for j in range(nvars))
+    return Polynomial(nvars, {exps: 1}, field)
+
+
+def _singular_point(partials, nvars, p):
+    """A point with coordinates in {0, 1, -1} where every partial
+    vanishes, or None."""
+    for point in itertools.product((0, 1, p - 1), repeat=nvars):
+        if any(point) and not any(_value(q, point, p) for q in partials):
+            return point
+    return None
+
+
+def _force(kind, i, g, forms, planes, singular, rng):
+    """Rework one seeded draw into the degenerate case ``kind``; the cut
+    is left as drawn where the case does not apply."""
+    from csmhyp.segre import _null_space
+
+    nvars = g.nvars
+    p = g.field.p
+    e = g.degree
+    xs = [variable(nvars, k, g.field) for k in range(nvars)]
+    if kind == "dependent" and len(planes) >= 2:
+        planes[-1] = random_linear_combination(planes[:-1], rng)
+    elif kind == "g_on_cut" and planes:
+        g = planes[0] * _power(nvars, 0, e - 1, g.field)
+    elif kind == "f_on_line" and i == 1 and planes:
+        forms[0] = planes[0] * _power(nvars, 1, e - 1, g.field)
+    elif kind == "singular" and singular is not None:
+        k = next(k for k, x in enumerate(singular) if x)
+        inv = pow(singular[k], -1, p)
+        planes = [h - xs[k].scale(_value(h, singular, p) * inv) for h in planes]
+    elif kind in ("shared_at_b", "double_at_a") and i == 1:
+        rows = [[h.terms.get(next(iter(x.terms)), 0) for x in xs] for h in planes]
+        basis = _null_space(rows, nvars, p)
+        if len(basis) == 2:
+            # The line is a + s*b.  x_u restricts to 1 and x_v to s.
+            a, b = basis
+            u = next(k for k in range(nvars) if (a[k], b[k]) == (1, 0))
+            v = next(k for k in range(nvars) if (a[k], b[k]) == (0, 1))
+            if kind == "shared_at_b":  # f and g vanish at s = infinity
+                forms[0] = forms[0] - _power(nvars, v, e, g.field).scale(
+                    _value(forms[0], b, p))
+                g = g - _power(nvars, v, e, g.field).scale(_value(g, b, p))
+            else:  # f|L has a double root at s = 0, g|L a simple one
+                f = forms[0]
+                slope = sum(b[k] * _value(f.partial(k), a, p) for k in range(nvars))
+                forms[0] = (
+                    f
+                    - _power(nvars, u, e, g.field).scale(_value(f, a, p))
+                    - (_power(nvars, u, e - 1, g.field) * xs[v]).scale(slope)
+                )
+                g = g - _power(nvars, u, e, g.field).scale(_value(g, a, p))
+    return g, forms, planes
+
+
+def test_point_and_line_cuts_match_the_elimination():
+    # Reference: dim_degree(saturate(cut, g)).  Besides plain draws, each
+    # input gets dependent hyperplanes, g vanishing on the cut's point or
+    # line, f vanishing on the line, a cut through a singular point of F,
+    # f, g sharing the line's point b (s = infinity), and a root of f|L
+    # of multiplicity 2 that g|L shares once.  The fallback must be taken
+    # exactly for dependent hyperplanes or f on the line, both decided
+    # here by a Groebner basis of the hyperplanes.
+    from csmhyp.groebner import (
+        IdealBasis,
+        buchberger,
+        dim_degree,
+        normal_form,
+        saturate,
+    )
+    from csmhyp.oracles import default_fixtures
+    from csmhyp.segre import _point_or_line_degree
+
+    inputs = [(c.poly, c.n + 1) for c in default_fixtures()] + NONISOLATED
+    kinds = (
+        "plain", "dependent", "g_on_cut", "f_on_line", "singular", "shared_at_b",
+        "double_at_a",
+    )
+    seen = {}
+    for text, nvars in inputs:
+        F = parse_poly(text, nvars)
+        n = nvars - 1
+        for p in (7, 11, 13, 32003):
+            if p <= 2 * F.degree:
+                continue
+            scheme = jacobian_scheme(reduce_mod_p(F, p))
+            xs = [variable(nvars, k, PrimeField(p)) for k in range(nvars)]
+            singular = _singular_point(scheme.partials, nvars, p)
+            rng = random.Random(f"{text}:{p}")
+            for i, kind, _ in itertools.product((0, 1), kinds, range(2)):
+                g = random_linear_combination(scheme.partials, rng)
+                forms = [
+                    random_linear_combination(scheme.partials, rng) for _ in range(i)
+                ]
+                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                g, forms, planes = _force(kind, i, g, forms, planes, singular, rng)
+                if any(q.is_zero for q in [g] + forms + planes):
+                    continue
+                line = buchberger(planes) if planes else None
+                dependent = bool(planes) and dim_degree(line)[0] != n - len(planes)
+                on_line = i == 1 and not dependent and (
+                    normal_form(forms[0], line) if planes else forms[0]
+                ).is_zero
+                got = _point_or_line_degree(forms, planes, g, n, p)
+                dim, deg = dim_degree(
+                    saturate(IdealBasis(tuple(forms + planes)), IdealBasis((g,)))
+                )
+                where = (text, p, i, kind)
+                assert (got is None) == (dependent or on_line), where
+                if got is not None:
+                    assert dim in (None, 0) and got == deg, where
+                key = "fallback" if got is None else (i, kind, got > 0)
+                seen[key] = seen.get(key, 0) + 1
+    assert seen["fallback"] > 0
+    for i in (0, 1):
+        assert seen[(i, "g_on_cut", False)] and seen[(i, "singular", False)]
+        assert seen[(i, "plain", True)]
+    assert seen[(1, "shared_at_b", True)] and seen[(1, "double_at_a", True)]
