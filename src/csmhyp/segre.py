@@ -14,12 +14,11 @@ and then
 
     s(Y, P^n) = 1 - sum_j g_j * h^j / (1 + e*h)^(j+1),    e = deg F - 1.
 
-A cut with i >= 2 goes straight from its generators into one
-elimination.  A cut with i <= 1 needs no Groebner basis: its hyperplanes
-leave a point, where g_0 is 1 unless g vanishes there, or a line, where
-g_1 is the degree of the binary form of the cut once every root it
-shares with g is removed; both come from linear algebra and univariate
-gcds mod p.
+g_0 is the degree of P^n, so it is 1 and is not computed.  g_1 needs no
+Groebner basis: on the line through two random points the cut is one
+binary form, and g_1 is its degree once every root it shares with g is
+removed, by univariate gcds mod p.  Only a cut with i >= 2 goes through
+an elimination, straight from its generators.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero and accepted only under the multi-prime, multi-seed
@@ -50,6 +49,14 @@ class TrialPolicy:
 
     primes: tuple = DEFAULT_PRIMES[:2]
     seeds: tuple = DEFAULT_SEEDS
+
+    def __post_init__(self):
+        # Primality is checked by PrimeField, where each prime is used.
+        if not self.primes or not self.seeds:
+            raise ValueError("a trial policy needs at least one prime and one seed")
+        for p in self.primes:
+            if not isinstance(p, int) or p < 2:
+                raise ValueError(f"policy prime {p!r} is not an integer >= 2")
 
     def combos(self):
         """Deterministic trial order: all seeds at the first prime, then
@@ -147,35 +154,6 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     )
 
 
-def _null_space(rows, ncols, p):
-    """A basis of the vectors mod p that every row annihilates, by
-    Gauss-Jordan elimination."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        pivot = rows[r] = [v * inv % p for v in rows[r]]
-        for k, row in enumerate(rows):
-            if k != r and row[c]:
-                t = row[c]
-                rows[k] = [(v - t * w) % p for v, w in zip(row, pivot)]
-        pivots.append(c)
-    basis = []
-    for c in range(ncols):
-        if c not in pivots:
-            v = [0] * ncols
-            v[c] = 1
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[c] % p
-            basis.append(v)
-    return basis
-
-
 def _evaluate(f: Polynomial, point, p) -> int:
     """The value of f at a point mod p."""
     acc = 0
@@ -232,37 +210,26 @@ def _gcd(a, b, p):
     return a
 
 
-def _point_or_line_degree(forms, planes, g, n, p):
-    """``g_i`` of a cut with i = len(forms) <= 1, found on the point or
-    line its hyperplanes cut out; ``None`` when the hyperplanes are
-    dependent or the one form vanishes on the line.
+def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
+    """``g_1`` of the cut (f) on the line a + s*b, saturated by g; ``None``
+    when a and b are dependent, or f vanishes on the line and g does not.
 
-    On the point P the saturation is the ideal of P, or the unit ideal
-    when g(P) = 0.  On a line the cut is one binary form F of degree e,
-    and (F) : g^infty is F stripped of every factor it shares with g|L,
-    with its full multiplicity; its degree is what is left.  The line is
-    a + s*b, so the point b is a root of F|L of multiplicity
-    e - deg F|L, shared with g exactly when deg g|L < e as well.
+    On the line the cut is one binary form F of degree e, and
+    (F) : g^infty is F stripped of every factor it shares with g|L, with
+    its full multiplicity; its degree is what is left.  The point b is a
+    root of F|L of multiplicity e - deg F|L, shared with g exactly when
+    deg g|L < e as well.
     """
-    rows = []
-    for h in planes:
-        row = [0] * (n + 1)
-        for m, c in h.terms.items():
-            row[m.index(1)] = c
-        rows.append(row)
-    basis = _null_space(rows, n + 1, p)
-    if len(basis) != len(forms) + 1:
+    k = next((k for k, x in enumerate(a) if x), None)
+    if k is None or all(x * b[k] % p == y * a[k] % p for x, y in zip(a, b)):
         return None
-    if not forms:
-        return 1 if _evaluate(g, basis[0], p) else 0
-    a, b = basis
-    e = forms[0].degree
-    f_l = _on_line(forms[0], a, b, e, p)
-    if not f_l:
-        return None
+    e = f.degree
     g_l = _on_line(g, a, b, e, p)
     if not g_l:
         return 0
+    f_l = _on_line(f, a, b, e, p)
+    if not f_l:
+        return None
     at_b = e + 1 - len(f_l)
     while True:
         h = _gcd(f_l, g_l, p)
@@ -282,31 +249,34 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     lower some g_i, and the agreement policy records it as a
     disagreement.  A unit residual is the empty scheme, so its g_i is 0.
 
-    A cut with i <= 1 is solved on the point or line its n - i
-    hyperplanes cut out, by linear algebra and univariate gcds mod p,
-    with the same answer as the elimination.  Every other cut, and one
-    whose hyperplanes are dependent or whose form vanishes on its line,
-    goes straight from its generators into one elimination by ``saturate``.
+    g_0 is 1, the degree of P^n, and is not computed.  g_1 is read on the
+    line through two random points, by univariate gcds mod p, with the
+    same answer as the elimination; a draw whose points are dependent or
+    whose form vanishes on the line is drawn again.  Every cut with
+    i >= 2 goes straight from its generators into one elimination by
+    ``saturate``.
     """
     n = scheme.n
     partials = scheme.partials
     p = partials[0].field.p
     xs = [variable(n + 1, k, partials[0].field) for k in range(n + 1)]
     base_locus = IdealBasis((random_linear_combination(partials, rng),))
-    g = []
-    for i in range(n + 1):
+    g = [1]
+    for i in range(1, n + 1):
         for _ in range(DIM_RETRIES):
-            forms = [random_linear_combination(partials, rng) for _ in range(i)]
-            planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
-            if i <= 1:
-                gi = _point_or_line_degree(forms, planes, base_locus.gens[0], n, p)
-                if gi is not None:
-                    g.append(gi)
-                    break
-            residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
-            dim, deg = dim_degree(residual)
-            if dim is None or dim == 0:  # (None, 0) for the empty scheme
-                g.append(deg)
+            if i == 1:
+                f = random_linear_combination(partials, rng)
+                a, b = ([rng.randrange(p) for _ in range(n + 1)] for _ in range(2))
+                gi = _line_degree(f, base_locus.gens[0], a, b, p)
+            else:
+                forms = [random_linear_combination(partials, rng) for _ in range(i)]
+                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
+                dim, gi = dim_degree(residual)
+                if dim:  # positive-dimensional; (None, 0) for the empty scheme
+                    gi = None
+            if gi is not None:
+                g.append(gi)
                 break
         else:
             raise RandomnessError(

@@ -103,6 +103,15 @@ def test_compute_rejects_a_prime_past_the_exact_primality_range(capsys):
     assert "too large" in err
 
 
+def test_compute_rejects_a_prime_below_2_exit_2(capsys):
+    for prime in ("0", "1", "-7"):
+        result = run_cli(
+            capsys, "compute", "x0*x1", "--nvars", "3", "--prime", prime
+        )
+        assert_one_error_line(*result)
+        assert "integer >= 2" in result[2]
+
+
 def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
     # The partials have degree 39999, past the 2^15 - 1 that a packed
     # monomial field holds; the large prime passes the p > 2d check.

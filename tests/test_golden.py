@@ -31,6 +31,13 @@ CASES = [
         "compute_quadrifolium.json",
         ["compute", "(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", "--nvars", "3", "--json"],
     ),
+    (
+        "compute_quartic_3fold_double_quadric.json",
+        [
+            "compute", "(x0^2+x1^2+x2^2+x3^2+x4^2)^2 + x4^4",
+            "--nvars", "5", "--json",
+        ],
+    ),
     ("verify.json", ["verify", "--json"]),
 ]
 

@@ -18,6 +18,7 @@ from csmhyp.oracles import segre_linear_subspace
 from csmhyp.poly import (
     PrimeField,
     Polynomial,
+    constant,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,
@@ -165,6 +166,51 @@ def test_policy_with_unusable_primes():
         projective_degrees(
             parse_poly("x0^3 + x1^3 + x2^3", 3), TrialPolicy(primes=(3,), seeds=(1,))
         )
+
+
+def test_policy_rejects_empty_grids_and_primes_below_2():
+    # An empty seed list would make combos() yield nothing, forever; a
+    # prime of 0 would divide by zero in the degree check.
+    for kwargs in (
+        {"seeds": ()},
+        {"primes": ()},
+        {"primes": (0,)},
+        {"primes": (1,)},
+        {"primes": (32003, -7)},
+        {"primes": (32003.0,)},
+    ):
+        with pytest.raises(ValueError):
+            TrialPolicy(**kwargs)
+
+
+def test_no_trial_records_a_g0_other_than_1(monkeypatch):
+    # g_0 is the degree of P^n.  At tiny primes a computed g_0 would come
+    # out 0 whenever the combination g vanished at the cut's point.
+    import csmhyp.segre as segre_mod
+
+    vectors = []
+    real = segre_mod._degrees_one_trial
+
+    def recording(scheme, rng):
+        vectors.append(real(scheme, rng))
+        return vectors[-1]
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", recording)
+    inputs = [
+        ("x0*x1", 3),
+        ("x1^2*x2 - x0^3", 3),
+        ("x0^2 + x1^2 + x2^2", 3),
+        ("x0*x1*x2", 4),
+    ]
+    for p, seed, (text, nvars) in itertools.product((7, 11, 13), range(1, 60), inputs):
+        try:
+            pd, _ = projective_degrees(
+                parse_poly(text, nvars), TrialPolicy(primes=(p,), seeds=(seed,))
+            )
+            assert all(t.g[0] == 1 for t in pd.trials)
+        except RandomnessError as err:
+            assert all(t["g"][0] == 1 for t in err.trials)
+    assert vectors and all(g[0] == 1 for g in vectors)
 
 
 # -- class assembly --------------------------------------------------------------
@@ -354,7 +400,7 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
     assert one_trial("x0^2 + x1^2 + x2^2", 3) >= 1
 
 
-# -- point and line cuts -------------------------------------------------------
+# -- line cuts -----------------------------------------------------------------
 
 NONISOLATED = [
     ("x1^2*x2^2 + x2^2*x0^2 + x0^2*x1^2 - x0*x1*x2*x3", 4),
@@ -375,11 +421,6 @@ def _value(f, point, p):
     return total % p
 
 
-def _power(nvars, k, e, field):
-    exps = tuple(e if j == k else 0 for j in range(nvars))
-    return Polynomial(nvars, {exps: 1}, field)
-
-
 def _singular_point(partials, nvars, p):
     """A point with coordinates in {0, 1, -1} where every partial
     vanishes, or None."""
@@ -389,76 +430,96 @@ def _singular_point(partials, nvars, p):
     return None
 
 
-def _force(kind, i, g, forms, planes, singular, rng):
-    """Rework one seeded draw into the degenerate case ``kind``; the cut
-    is left as drawn where the case does not apply."""
-    from csmhyp.segre import _null_space
+def _pow(f, k):
+    out = constant(f.nvars, 1, f.field)
+    for _ in range(k):
+        out = out * f
+    return out
 
+
+def _pivots(a, b, p):
+    """Coordinates u, v with a nonzero 2x2 minor D of (a, b), and D; None
+    when a and b are dependent."""
+    for u, v in itertools.combinations(range(len(a)), 2):
+        minor = (a[u] * b[v] - a[v] * b[u]) % p
+        if minor:
+            return u, v, minor
+    return None
+
+
+def _line_forms(a, b, xs, p):
+    """The n - 1 hyperplanes of the line a + s*b, and linear forms l_a,
+    l_b with l_a(a) = l_b(b) = 1 and l_a(b) = l_b(a) = 0; a and b must
+    be independent.  The hyperplane for coordinate k is the determinant
+    of the rows a, b and (x_u, x_v, x_k), which vanishes at a and b and
+    has x_k-coefficient D."""
+    u, v, minor = _pivots(a, b, p)
+    planes = [
+        xs[u].scale(a[v] * b[k] - a[k] * b[v])
+        - xs[v].scale(a[u] * b[k] - a[k] * b[u])
+        + xs[k].scale(minor)
+        for k in range(len(a))
+        if k not in (u, v)
+    ]
+    inv = pow(minor, -1, p)
+    l_a = (xs[u].scale(b[v]) - xs[v].scale(b[u])).scale(inv)
+    l_b = (xs[v].scale(a[u]) - xs[u].scale(a[v])).scale(inv)
+    return planes, l_a, l_b
+
+
+def _force(kind, f, g, a, b, singular, rng):
+    """Rework one seeded draw (f, g, a, b) into the degenerate case
+    ``kind``; the draw is left as it is where the case does not apply."""
     nvars = g.nvars
     p = g.field.p
     e = g.degree
     xs = [variable(nvars, k, g.field) for k in range(nvars)]
-    if kind == "dependent" and len(planes) >= 2:
-        planes[-1] = random_linear_combination(planes[:-1], rng)
-    elif kind == "g_on_cut" and planes:
-        g = planes[0] * _power(nvars, 0, e - 1, g.field)
-    elif kind == "f_on_line" and i == 1 and planes:
-        forms[0] = planes[0] * _power(nvars, 1, e - 1, g.field)
-    elif kind == "singular" and singular is not None:
-        k = next(k for k, x in enumerate(singular) if x)
-        inv = pow(singular[k], -1, p)
-        planes = [h - xs[k].scale(_value(h, singular, p) * inv) for h in planes]
-    elif kind in ("shared_at_b", "double_at_a") and i == 1:
-        rows = [[h.terms.get(next(iter(x.terms)), 0) for x in xs] for h in planes]
-        basis = _null_space(rows, nvars, p)
-        if len(basis) == 2:
-            # The line is a + s*b.  x_u restricts to 1 and x_v to s.
-            a, b = basis
-            u = next(k for k in range(nvars) if (a[k], b[k]) == (1, 0))
-            v = next(k for k in range(nvars) if (a[k], b[k]) == (0, 1))
-            if kind == "shared_at_b":  # f and g vanish at s = infinity
-                forms[0] = forms[0] - _power(nvars, v, e, g.field).scale(
-                    _value(forms[0], b, p))
-                g = g - _power(nvars, v, e, g.field).scale(_value(g, b, p))
-            else:  # f|L has a double root at s = 0, g|L a simple one
-                f = forms[0]
-                slope = sum(b[k] * _value(f.partial(k), a, p) for k in range(nvars))
-                forms[0] = (
-                    f
-                    - _power(nvars, u, e, g.field).scale(_value(f, a, p))
-                    - (_power(nvars, u, e - 1, g.field) * xs[v]).scale(slope)
-                )
-                g = g - _power(nvars, u, e, g.field).scale(_value(g, a, p))
-    return g, forms, planes
+    if kind == "dependent":
+        return f, g, a, [rng.randrange(p) * x % p for x in a]
+    if kind == "singular" and singular is not None:
+        a = list(singular)
+    if _pivots(a, b, p) is None:
+        return f, g, a, b
+    planes, l_a, l_b = _line_forms(a, b, xs, p)
+    if kind == "g_on_line" and planes:
+        g = planes[0] * _pow(xs[0], e - 1)
+    elif kind == "f_on_line" and planes:
+        f = planes[0] * _pow(xs[1], e - 1)
+    elif kind == "shared_at_b":  # f|L and g|L lose their top degree
+        f = f - _pow(l_b, e).scale(_value(f, b, p))
+        g = g - _pow(l_b, e).scale(_value(g, b, p))
+    elif kind == "double_at_a":  # f|L has a double root at s = 0, g|L one
+        slope = sum(b[k] * _value(f.partial(k), a, p) for k in range(nvars))
+        f = (
+            f
+            - _pow(l_a, e).scale(_value(f, a, p))
+            - (_pow(l_a, e - 1) * l_b).scale(slope)
+        )
+        g = g - _pow(l_a, e).scale(_value(g, a, p))
+    return f, g, a, b
 
 
-def test_point_and_line_cuts_match_the_elimination():
-    # Reference: dim_degree(saturate(cut, g)).  Besides plain draws, each
-    # input gets dependent hyperplanes, g vanishing on the cut's point or
-    # line, f vanishing on the line, a cut through a singular point of F,
-    # f, g sharing the line's point b (s = infinity), and a root of f|L
-    # of multiplicity 2 that g|L shares once.  The fallback must be taken
-    # exactly for dependent hyperplanes or f on the line, both decided
-    # here by a Groebner basis of the hyperplanes.
-    from csmhyp.groebner import (
-        IdealBasis,
-        buchberger,
-        dim_degree,
-        normal_form,
-        saturate,
-    )
+def test_line_cuts_match_the_elimination():
+    # Reference: dim_degree(saturate(f + hyperplanes of the line, g)).
+    # Besides plain draws, each input gets a dependent pair (a, b), g
+    # vanishing on the line, f vanishing on the line, a line through a
+    # singular point of F, f and g sharing the line's point b
+    # (s = infinity), and a root of f|L of multiplicity 2 that g|L shares
+    # once.  A draw is redrawn exactly when (a, b) is dependent or the
+    # residual is a whole line.
+    from csmhyp.groebner import IdealBasis, dim_degree, saturate
     from csmhyp.oracles import default_fixtures
-    from csmhyp.segre import _point_or_line_degree
+    from csmhyp.segre import _line_degree
 
-    inputs = [(c.poly, c.n + 1) for c in default_fixtures()] + NONISOLATED
+    inputs = [(c.poly, c.n + 1) for c in default_fixtures()]
+    inputs += NONISOLATED + [("x0^2*x1 + x1^3", 2)]
     kinds = (
-        "plain", "dependent", "g_on_cut", "f_on_line", "singular", "shared_at_b",
-        "double_at_a",
+        "plain", "dependent", "g_on_line", "f_on_line", "singular",
+        "shared_at_b", "double_at_a",
     )
-    seen = {}
+    seen = set()
     for text, nvars in inputs:
         F = parse_poly(text, nvars)
-        n = nvars - 1
         for p in (7, 11, 13, 32003):
             if p <= 2 * F.degree:
                 continue
@@ -466,32 +527,30 @@ def test_point_and_line_cuts_match_the_elimination():
             xs = [variable(nvars, k, PrimeField(p)) for k in range(nvars)]
             singular = _singular_point(scheme.partials, nvars, p)
             rng = random.Random(f"{text}:{p}")
-            for i, kind, _ in itertools.product((0, 1), kinds, range(2)):
-                g = random_linear_combination(scheme.partials, rng)
-                forms = [
-                    random_linear_combination(scheme.partials, rng) for _ in range(i)
-                ]
-                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
-                g, forms, planes = _force(kind, i, g, forms, planes, singular, rng)
-                if any(q.is_zero for q in [g] + forms + planes):
+            for kind, _ in itertools.product(kinds, range(2)):
+                g, f = (random_linear_combination(scheme.partials, rng) for _ in "gf")
+                a, b = ([rng.randrange(p) for _ in xs] for _ in "ab")
+                f, g, a, b = _force(kind, f, g, a, b, singular, rng)
+                if f.is_zero or g.is_zero:
                     continue
-                line = buchberger(planes) if planes else None
-                dependent = bool(planes) and dim_degree(line)[0] != n - len(planes)
-                on_line = i == 1 and not dependent and (
-                    normal_form(forms[0], line) if planes else forms[0]
-                ).is_zero
-                got = _point_or_line_degree(forms, planes, g, n, p)
+                got = _line_degree(f, g, a, b, p)
+                where = (text, p, kind)
+                if _pivots(a, b, p) is None:
+                    assert got is None, where
+                    seen.add((kind, "redraw"))
+                    continue
+                planes = _line_forms(a, b, xs, p)[0]
                 dim, deg = dim_degree(
-                    saturate(IdealBasis(tuple(forms + planes)), IdealBasis((g,)))
+                    saturate(IdealBasis((f, *planes)), IdealBasis((g,)))
                 )
-                where = (text, p, i, kind)
-                assert (got is None) == (dependent or on_line), where
-                if got is not None:
-                    assert dim in (None, 0) and got == deg, where
-                key = "fallback" if got is None else (i, kind, got > 0)
-                seen[key] = seen.get(key, 0) + 1
-    assert seen["fallback"] > 0
-    for i in (0, 1):
-        assert seen[(i, "g_on_cut", False)] and seen[(i, "singular", False)]
-        assert seen[(i, "plain", True)]
-    assert seen[(1, "shared_at_b", True)] and seen[(1, "double_at_a", True)]
+                if dim:
+                    assert got is None, where
+                    seen.add((kind, "redraw"))
+                else:
+                    assert got == deg, where
+                    seen.add((kind, "zero" if not deg else
+                              "full" if deg == f.degree else "drop"))
+    assert ("plain", "full") in seen and ("dependent", "redraw") in seen
+    assert ("g_on_line", "zero") in seen and ("f_on_line", "redraw") in seen
+    assert ("singular", "drop") in seen
+    assert ("shared_at_b", "drop") in seen and ("double_at_a", "drop") in seen
