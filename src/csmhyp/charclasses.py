@@ -26,7 +26,14 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .chow import ChowClass, chern_tangent_pn, inverse_line_bundle, line_bundle, unit
+from .chow import (
+    ChowClass,
+    chern_tangent_pn,
+    inverse_line_bundle,
+    line_bundle,
+    line_bundle_power,
+    unit,
+)
 from .errors import CsmhypError
 from .poly import Polynomial, parse_poly, to_string
 from .segre import ProjectiveDegrees, SingularSchemeData, TrialPolicy, segre_singular_scheme
@@ -116,17 +123,15 @@ def mu_class(inp: HypersurfaceInput) -> ChowClass:
     """The mu-class of Y: c(T*M tensor L) * s_Y, with the twisted cotangent
     Chern class (1 + (d-1)h)^(n+1) / (1 + d h) from the Euler sequence."""
     n, d = inp.n, inp.d
-    twisted_cotangent = (
-        line_bundle(n, d - 1) ** (n + 1)
-    ) * inverse_line_bundle(n, d)
-    return twisted_cotangent * inp.s_y
+    cotangent = line_bundle_power(n, d - 1, n + 1)
+    return cotangent * inverse_line_bundle(n, d) * inp.s_y
 
 
 def csm_via_mu(inp: HypersurfaceInput) -> ChowClass:
     """CSM class as Fulton class plus the mu-class correction:
     c_F(X) + c(L)^(n-1) * (mu dual tensor L)."""
     n, d = inp.n, inp.d
-    correction = (line_bundle(n, d) ** (n - 1)) * mu_class(inp).dual().tensor(d)
+    correction = line_bundle_power(n, d, n - 1) * mu_class(inp).dual().tensor(d)
     return fulton(inp) + correction
 
 

@@ -37,7 +37,11 @@ class ChowClass:
     def __init__(self, n: int, coeffs):
         if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        cs = tuple(c if type(c) is int else _exact(c) for c in coeffs)
+        cs = tuple(coeffs)
+        for c in cs:  # a class of ints, the common case, is kept as it is
+            if type(c) is not int:
+                cs = tuple(c if type(c) is int else _exact(c) for c in cs)
+                break
         if len(cs) != n + 1:
             raise ValueError(
                 f"expected {n + 1} coefficients for P^{n}, got {len(cs)}"
@@ -228,6 +232,14 @@ def line_bundle(n: int, d: int) -> ChowClass:
     return ChowClass(n, coeffs)
 
 
+def line_bundle_power(n: int, d: int, k: int) -> ChowClass:
+    """(1 + d*h)^k on P^n for k >= 0 in closed form: the class
+    sum_j C(k, j) d^j h^j."""
+    if k < 0:
+        raise ValueError(f"exponent {k} is negative; use inverse_line_bundle")
+    return ChowClass(n, [comb(k, j) * d**j for j in range(n + 1)])
+
+
 def inverse_line_bundle(n: int, d: int) -> ChowClass:
     """(1 + d*h)^-1 on P^n in closed form: the class sum_k (-d)^k h^k."""
     return ChowClass(n, [(-d) ** k for k in range(n + 1)])
@@ -237,5 +249,5 @@ def chern_tangent_pn(n: int) -> ChowClass:
     """Total Chern class of the tangent bundle of P^n: (1 + h)^(n+1) truncated."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    return ChowClass(n, [comb(n + 1, i) for i in range(n + 1)])
+    return line_bundle_power(n, 1, n + 1)
 

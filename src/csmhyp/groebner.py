@@ -28,12 +28,22 @@ and in the order that compares the t exponent first and breaks ties by
 grevlex.  The top bit of every field is a guard kept clear: ``lt``
 divides ``m`` iff ``(m - lt) & guard`` is zero, and a monomial whose
 exponent or degree reaches the guard bit raises ``ValueError`` rather
-than carrying into the next field.
+than carrying into the next field.  With ``W = 16`` each field is one
+little-endian unsigned short, so tuples pack and unpack through
+``struct``.  One ``_Layout`` per ring size is built and shared.
+
+The Hilbert series of a monomial ideal is computed on the same packed
+monomials: minimalization tests divisibility by the guard bits, the
+pivot variable is the field set in most generators, and the colon by it
+subtracts that variable, degree field included, from each generator
+whose field is set.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import struct
 from dataclasses import dataclass, field as dc_field
 
 from .poly import Polynomial
@@ -59,7 +69,10 @@ class _Layout:
     t's exponent sits at ``tshift``.
     """
 
-    __slots__ = ("pmask", "guard", "ones", "shifts", "dshift", "tshift", "key")
+    __slots__ = (
+        "pmask", "guard", "ones", "shifts", "dshift", "tshift", "key",
+        "_fields", "_exps", "_nbytes",
+    )
 
     def __init__(self, r: int):
         self.pmask = pmask = (1 << (W * r)) - 1
@@ -69,18 +82,20 @@ class _Layout:
         self.dshift = W * r
         self.tshift = W * (r + 1)
         self.key = lambda m: m - ((m & pmask) << 1)
+        # With W = 16 a field is one little-endian unsigned short, so the
+        # exponents and the degree pack and unpack as bytes.
+        self._fields = struct.Struct(f"<{r + 1}H").pack
+        self._exps = struct.Struct(f"<{r}H").unpack
+        self._nbytes = 2 * r
 
     def pack(self, exps) -> int:
         deg = sum(exps)
         if deg > LIMIT:
             raise _overflow()
-        m = deg << self.dshift
-        for s, e in zip(self.shifts, exps):
-            m |= e << s
-        return m
+        return int.from_bytes(self._fields(*exps, deg), "little")
 
     def unpack(self, m) -> tuple:
-        return tuple([(m >> s) & _FIELD for s in self.shifts])
+        return self._exps((m & self.pmask).to_bytes(self._nbytes, "little"))
 
     def lcm(self, a, b) -> int:
         """Fieldwise maximum, with the degree field rebuilt as the sum of
@@ -100,6 +115,13 @@ class _Layout:
         if L & guard:
             raise _overflow()
         return L
+
+
+@functools.cache
+def _layout(r: int) -> _Layout:
+    """The layout of r graded variables, built once per ring size; a
+    ``_Layout`` is never mutated, so every caller shares it."""
+    return _Layout(r)
 
 
 # -- dict-level core ----------------------------------------------------------
@@ -374,7 +396,7 @@ def buchberger(gens) -> IdealBasis:
     if not gens:
         return IdealBasis((), True, ())
     field, nvars = _require_modular(gens)
-    lay = _Layout(nvars)
+    lay = _layout(nvars)
     G, lts = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
     leads, polys = _reduced_basis(G, lts, lay, field.p)
     return _unpacked_basis(leads, polys, lay, gens[0])
@@ -390,7 +412,7 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     field = basis.field
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
-    lay = _Layout(basis.nvars)
+    lay = _layout(basis.nvars)
     r = _reduce_full(
         _packed(f, lay),
         [lay.pack(m) for m in basis.leading_terms],
@@ -427,7 +449,7 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
         return IdealBasis((), True, ())
     field, nvars = _require_modular(list(I.gens) + list(J.gens))
     p = field.p
-    lay = _Layout(nvars)
+    lay = _layout(nvars)
     t = 1 << lay.tshift
     ext = [_packed(g, lay) for g in I.gens]
     rel = {lay.pack(m) + t: -c % p for m, c in J.gens[0].terms.items()}
@@ -449,11 +471,17 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
 # -- Hilbert series of a monomial ideal ----------------------------------------
 
 
-def _minimalize(monos):
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+def _minimal(monos, guard) -> tuple:
+    """The minimal generators of a monomial ideal given by packed
+    monomials, ascending.  Packed ints ascend by degree first, and a
+    divisor of m of m's degree is m, so only earlier kept ones can
+    divide."""
     out = []
-    for m in monos:
-        if not any(all(x <= y for x, y in zip(g, m)) for g in out):
+    for m in sorted(set(monos)):
+        for g in out:
+            if not (m - g) & guard:
+                break
+        else:
             out.append(m)
     return tuple(out)
 
@@ -467,10 +495,6 @@ def _poly_add(a, b):
     return out
 
 
-def _poly_shift(a, k):
-    return [0] * k + a
-
-
 def _poly_mul_one_minus_tk(a, k):
     # multiply coefficient list a by (1 - t^k)
     out = a + [0] * k
@@ -479,36 +503,56 @@ def _poly_mul_one_minus_tk(a, k):
     return out
 
 
-def _hilbert_rec(gens, cache):
-    if gens in cache:
-        return cache[gens]
+def _hilbert_rec(gens, lay, cache):
+    """Coefficients of the Hilbert numerator of the monomial ideal whose
+    minimal generators are the ascending packed monomials ``gens``.
+
+    Splits on the pivot variable x that divides the most generators:
+    N(I) = N(I + (x)) + t*N(I : x).  Generators that share no variable
+    form a regular sequence, with numerator prod (1 - t^deg m); the unit
+    ideal, whose one generator is 1, is such a case with numerator 0.
+    """
     if not gens:
         return [1]
-    if any(sum(m) == 0 for m in gens):
-        return [0]
-    nvars = len(gens[0])
-    counts = [0] * nvars
+    out = cache.get(gens)
+    if out is not None:
+        return out
+    # Adding LIMIT to each exponent field sets its guard bit exactly when
+    # the field is nonzero; moved down to the field's lowest bit, those
+    # bits sum fieldwise into the number of generators each variable
+    # divides, which stays below 2^W as long as there are fewer generators.
+    pmask, ones = lay.pmask, lay.ones
+    fill = LIMIT * ones
+    counts = 0
     for m in gens:
-        for j, e in enumerate(m):
-            if e:
-                counts[j] += 1
-    jmax = max(range(nvars), key=lambda j: counts[j])
-    if counts[jmax] <= 1:
-        # pairwise coprime generators: a monomial regular sequence
+        counts += ((m & pmask) + fill) >> (W - 1) & ones
+    best, pivot = 0, 0
+    for s in lay.shifts:
+        c = (counts >> s) & _FIELD
+        if c > best:
+            best, pivot = c, s
+    if best <= 1:
         out = [1]
         for m in gens:
-            out = _poly_mul_one_minus_tk(out, sum(m))
+            out = _poly_mul_one_minus_tk(out, m >> lay.dshift)
     else:
-        pivot = jmax
-        colon = _minimalize(
-            tuple(
-                m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1 :] for m in gens
-            )
-        )
-        unit = tuple(1 if j == pivot else 0 for j in range(nvars))
-        plus = _minimalize(tuple(m for m in gens if m[pivot] == 0) + (unit,))
+        x = (1 << pivot) | (1 << lay.dshift)  # the pivot variable, degree 1
+        field = _FIELD << pivot
+        # I : x.  The quotients by x divide no other quotient, and nothing
+        # free of x divides one, so only quotients can remove an x-free
+        # generator.  I + (x) is minimal as it stands.
+        guard = lay.guard
+        quotients = [m - x for m in gens if m & field]
+        free = [m for m in gens if not m & field]
+        colon = quotients + [
+            m for m in free if all((m - q) & guard for q in quotients)
+        ]
+        colon.sort()
+        free.append(x)
+        free.sort()
         out = _poly_add(
-            _poly_shift(_hilbert_rec(colon, cache), 1), _hilbert_rec(plus, cache)
+            [0] + _hilbert_rec(tuple(colon), lay, cache),
+            _hilbert_rec(tuple(free), lay, cache),
         )
     cache[gens] = out
     return out
@@ -518,13 +562,16 @@ def hilbert_numerator(monomials, nvars: int) -> list[int]:
     """Coefficients of N(t) where the Hilbert series is N(t)/(1-t)^nvars.
 
     ``monomials`` generate the monomial ideal (minimalized here); the
-    numerator is computed by recursive pivot-variable splitting.
+    numerator is computed by recursive pivot-variable splitting on packed
+    monomials, which raise ``ValueError`` past the kernel's field width.
     """
-    gens = _minimalize(tuple(tuple(m) for m in monomials))
-    for m in gens:
+    lay = _layout(nvars)
+    packed = []
+    for m in monomials:
         if len(m) != nvars:
             raise ValueError("monomial length does not match nvars")
-    out = list(_hilbert_rec(gens, {}))
+        packed.append(lay.pack(m))
+    out = list(_hilbert_rec(_minimal(packed, lay.guard), lay, {}))
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out

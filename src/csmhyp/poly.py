@@ -13,6 +13,7 @@ saturation (the extra-variable trick) and by the affine Milnor oracle.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -291,10 +292,6 @@ class Polynomial:
         return Polynomial(self.nvars - 1, out, self.field)
 
 
-def constant(nvars: int, c, field) -> Polynomial:
-    return Polynomial(nvars, {(0,) * nvars: c}, field)
-
-
 def variable(nvars: int, i: int, field) -> Polynomial:
     return Polynomial(nvars, {tuple(1 if k == i else 0 for k in range(nvars)): 1}, field)
 
@@ -336,7 +333,13 @@ def random_linear_combination(polys, rng) -> Polynomial:
     degs = {f.degree for f in polys}
     if len(degs) != 1 or None in degs:
         raise ValueError("polynomials must share a single common degree")
-    p = field.p
+    return _random_combination(polys, field.p, rng)
+
+
+def _random_combination(polys, p, rng) -> Polynomial:
+    """``random_linear_combination`` without its checks: ``polys`` is a
+    nonempty sequence of nonzero GF(p) forms of one degree.  Draws from
+    ``rng`` exactly as the checked function does."""
     for _ in range(64):
         acc = {}
         for f in polys:
@@ -391,15 +394,34 @@ def _tokenize(text: str):
     return tokens
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two integer term dicts without zeros."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(operator.add, m1, m2))
+            v = out.get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            else:  # c1 * c2 is not 0, so m was there
+                del out[m]
+    return out
+
+
 class _Parser:
     """Recursive descent over: expr := [±] term {± term};
     term := factor {* factor}; factor := atom [^ int];
-    atom := int | var | ( expr )."""
+    atom := int | var | ( expr ).
+
+    The grammar admits integer coefficients only, so every rule returns a
+    term dict ``{exponent tuple: int}`` without zeros; ``parse_poly``
+    makes the one ``Polynomial`` over Q."""
 
     def __init__(self, tokens, nvars):
         self.tokens = tokens
         self.i = 0
         self.nvars = nvars
+        self.one = (0,) * nvars
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -409,47 +431,51 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
-        acc = self.term().scale(sign)
+        acc = {m: sign * c for m, c in self.term().items()}
         while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            acc = acc + (t if op == "+" else -t)
+            sign = -1 if self.next()[0] == "-" else 1
+            for m, c in self.term().items():
+                v = acc.get(m, 0) + sign * c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
-            acc = acc * self.factor()
+            acc = _mul_terms(acc, self.factor())
         return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.next()
             kind, val = self.next()
             if kind != "num":
                 raise PolynomialParseError("exponent must be a nonnegative integer")
-            out = constant(self.nvars, 1, QQ)
+            out = {self.one: 1}
             for _ in range(val):
-                out = out * base
+                out = _mul_terms(out, base)
             return out
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, val = self.next()
         if kind == "num":
-            return constant(self.nvars, val, QQ)
+            return {self.one: val} if val else {}
         if kind == "var":
             if val >= self.nvars:
                 raise PolynomialParseError(
                     f"unknown variable x{val}: only x0..x{self.nvars - 1} are in scope"
                 )
-            return variable(self.nvars, val, QQ)
+            return {tuple(int(k == val) for k in range(self.nvars)): 1}
         if kind == "(":
             inner = self.expr()
             if self.next()[0] != ")":
@@ -469,13 +495,14 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
         raise PolynomialParseError("nvars must be at least 1")
     parser = _Parser(_tokenize(text), nvars)
     try:
-        poly = parser.expr()
+        terms = parser.expr()
     except IndexError:
         raise PolynomialParseError("unexpected end of input") from None
     if parser.peek() != "end":
         raise PolynomialParseError(f"trailing input at token {parser.peek()!r}")
-    if poly.is_zero:
+    if not terms:
         raise PolynomialParseError("polynomial is identically zero")
+    poly = Polynomial(nvars, terms, QQ)
     if not poly.is_homogeneous():
         raise PolynomialParseError("polynomial is not homogeneous")
     return poly

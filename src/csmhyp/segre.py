@@ -34,7 +34,7 @@ from math import comb
 from .chow import ChowClass
 from .errors import CsmhypError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, saturate
-from .poly import Polynomial, random_linear_combination, reduce_mod_p, variable
+from .poly import Polynomial, _random_combination, reduce_mod_p, variable
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
@@ -260,17 +260,20 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     partials = scheme.partials
     p = partials[0].field.p
     xs = [variable(n + 1, k, partials[0].field) for k in range(n + 1)]
-    base_locus = IdealBasis((random_linear_combination(partials, rng),))
+    # The partials are nonzero forms of degree d - 1 and the variables
+    # forms of degree 1, so the draws skip random_linear_combination's
+    # checks; they take the same values from rng.
+    base_locus = IdealBasis((_random_combination(partials, p, rng),))
     g = [1]
     for i in range(1, n + 1):
         for _ in range(DIM_RETRIES):
             if i == 1:
-                f = random_linear_combination(partials, rng)
+                f = _random_combination(partials, p, rng)
                 a, b = ([rng.randrange(p) for _ in range(n + 1)] for _ in range(2))
                 gi = _line_degree(f, base_locus.gens[0], a, b, p)
             else:
-                forms = [random_linear_combination(partials, rng) for _ in range(i)]
-                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                forms = [_random_combination(partials, p, rng) for _ in range(i)]
+                planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
                 residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
                 dim, gi = dim_degree(residual)
                 if dim:  # positive-dimensional; (None, 0) for the empty scheme

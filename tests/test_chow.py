@@ -12,6 +12,7 @@ from csmhyp.chow import (
     chern_tangent_pn,
     hyperplane_power,
     line_bundle,
+    line_bundle_power,
     unit,
 )
 
@@ -129,6 +130,17 @@ def test_chern_tangent_examples():
     assert chern_tangent_pn(1).coeffs == (1, 2)
     assert chern_tangent_pn(2).coeffs == (1, 3, 3)
     assert chern_tangent_pn(3).coeffs == (1, 4, 6, 4)
+
+
+def test_line_bundle_power_matches_repeated_products():
+    for n in range(7):
+        for a in range(-3, 7):
+            for k in range(9):
+                got = line_bundle_power(n, a, k)
+                assert got == line_bundle(n, a) ** k, (n, a, k)
+                assert all(type(c) is int for c in got.coeffs)
+    with pytest.raises(ValueError):
+        line_bundle_power(2, 1, -1)
 
 
 def test_integral_examples():

@@ -547,6 +547,69 @@ def test_hilbert_numerator_matches_brute_force_on_random_monomial_ideals():
             )
 
 
+def graded_standard_counts(gens, nvars, top):
+    """Standard monomials of a monomial ideal counted degree by degree up
+    to ``top``: those of degree k + 1 are the standard multiples x_i * m
+    of those of degree k, since a divisor of a standard monomial is
+    standard."""
+    def inside(m):
+        return any(all(x >= y for x, y in zip(m, g)) for g in gens)
+
+    level = {m for m in [(0,) * nvars] if not inside(m)}
+    counts = [len(level)]
+    for _ in range(top):
+        level = {
+            m[:i] + (m[i] + 1,) + m[i + 1 :] for m in level for i in range(nvars)
+        }
+        level = {m for m in level if not inside(m)}
+        counts.append(len(level))
+    return counts
+
+
+def test_packed_hilbert_numerator_matches_graded_counts():
+    # Random monomial ideals in up to 6 variables with exponents up to 5,
+    # redundant and repeated generators included.  N(t) has degree at
+    # most that of the lcm of the generators, so (1-t)^nvars times the
+    # counts up to that degree is all of it; ideals whose lcm has degree
+    # above 14 are redrawn to keep the counts small.
+    rng = random.Random(2024)
+    done = 0
+    while done < 80:
+        nvars = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(1, 7)):
+            support = rng.sample(range(nvars), rng.randint(1, min(3, nvars)))
+            gens.append(
+                tuple(rng.randint(1, 5) if j in support else 0 for j in range(nvars))
+            )
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.05:
+            gens.append((0,) * nvars)
+        top = sum(max(m[j] for m in gens) for j in range(nvars))
+        if top > 14:
+            continue
+        done += 1
+        series = graded_standard_counts(gens, nvars, top)
+        for _ in range(nvars):  # multiply by (1 - t), truncated at t^top
+            series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
+        while len(series) > 1 and series[-1] == 0:
+            series.pop()
+        assert hilbert_numerator(gens, nvars) == series, gens
+
+
+def test_hilbert_numerator_rejects_bad_monomials():
+    with pytest.raises(ValueError, match="does not match nvars"):
+        hilbert_numerator([(1, 0)], 3)
+    with pytest.raises(ValueError, match="does not match nvars"):
+        hilbert_numerator([(1, 0, 0), (0, 1, 0, 0)], 3)
+    assert hilbert_numerator([(LIMIT, 0)], 2) == [1] + [0] * (LIMIT - 1) + [-1]
+    with pytest.raises(ValueError, match=f"exceeds {LIMIT}"):
+        hilbert_numerator([(LIMIT + 1, 0, 0)], 3)
+    with pytest.raises(ValueError, match=f"exceeds {LIMIT}"):
+        dim_degree(IdealBasis((gf("x0", 2),), True, ((0, LIMIT + 1),)))
+
+
 def brute_standard_monomial_count(gens, nvars):
     """Monomials outside an Artinian monomial ideal, by enumerating the box
     under the smallest pure power of each variable."""

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from csmhyp.errors import PolynomialParseError
+from csmhyp.oracles import default_fixtures
 from csmhyp.poly import (
     Polynomial,
     PrimeField,
     QQ,
+    _random_combination,
     euler_check,
     parse_poly,
     random_linear_combination,
@@ -77,6 +83,102 @@ def test_parse_rejects_garbage():
 def test_parse_parentheses_and_powers():
     f = parse_poly("(x0 + x1)^2 - 2*x0*x1", 3)
     assert f == parse_poly("x0^2 + x1^2", 3)
+
+
+def reference_parse(text, nvars):
+    """The polynomial a valid input denotes, by Polynomial arithmetic over
+    Q: Python's parser reads the text with ``^`` as ``**``, which binds
+    like the grammar's ``^`` on valid input, and the tree is evaluated
+    here, a power by repeated multiplication."""
+
+    def constant(c):
+        return Polynomial(nvars, {(0,) * nvars: c}, QQ)
+
+    def ev(node):
+        if isinstance(node, ast.Constant):
+            return constant(node.value)
+        if isinstance(node, ast.Name):
+            return variable(nvars, int(node.id[1:]), QQ)
+        if isinstance(node, ast.UnaryOp):
+            inner = ev(node.operand)
+            return -inner if isinstance(node.op, ast.USub) else inner
+        left = ev(node.left)
+        if isinstance(node.op, ast.Pow):
+            out = constant(1)
+            for _ in range(node.right.value):
+                out = out * left
+            return out
+        right = ev(node.right)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        assert isinstance(node.op, ast.Mult)
+        return left * right
+
+    return ev(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def _workload_inputs(monkeypatch):
+    """Every input of the benchmark's workloads, read from its file."""
+    path = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "workloads.py"
+    )
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return [(c.poly, c.nvars) for make in module.WORKLOADS.values() for c in make()]
+
+
+def test_parse_matches_polynomial_arithmetic(monkeypatch):
+    inputs = [(f.poly, f.n + 1) for f in default_fixtures()]
+    inputs += _workload_inputs(monkeypatch)
+    inputs += [
+        ("0*x0 + x1", 2),
+        ("2^70*x0", 2),
+        ("-2^70*x0 + 3*x1 - 0*x1", 2),
+        ("((x0 + x1)^2)^3 - (x0^2 - x1^2)^3", 2),
+        ("(-(x0 - 2*x1)^2)^2*x2^0", 3),
+        ("x0^0*x1^0*x2 + 0", 3),
+        ("((x0))^1 * (1 + 1)", 1),
+    ]
+    assert len(inputs) > 40
+    for text, nvars in inputs:
+        got = parse_poly(text, nvars)
+        ref = reference_parse(text, nvars)
+        assert got == ref, text
+        assert all(type(c) is Fraction for c in got.terms.values()), text
+
+
+@pytest.mark.parametrize(
+    "text, nvars, message",
+    [
+        ("x0 + y1", 3, "unexpected character 'y' at position 5"),
+        ("x0 + 1.5*x1", 3, "unexpected character '.' at position 6"),
+        ("x0^x1", 3, "exponent must be a nonnegative integer"),
+        ("x0^", 3, "exponent must be a nonnegative integer"),
+        ("x0^-1", 3, "exponent must be a nonnegative integer"),
+        ("x5^2", 3, "unknown variable x5: only x0..x2 are in scope"),
+        ("(x0 + x1", 3, "unbalanced parentheses"),
+        ("x0 +", 3, "unexpected token 'end'"),
+        ("", 3, "unexpected token 'end'"),
+        ("x0 - -x1", 3, "unexpected token '-'"),
+        ("()", 2, "unexpected token ')'"),
+        ("x0**2", 2, "unexpected token '*'"),
+        ("x0 x1", 3, "trailing input at token 'var'"),
+        ("x0)", 3, "trailing input at token ')'"),
+        ("x0^2^3", 3, "trailing input at token '^'"),
+        ("x0 - x0", 3, "polynomial is identically zero"),
+        ("2*(x0 - x0)*x1", 3, "polynomial is identically zero"),
+        ("x0^2 + x1", 3, "polynomial is not homogeneous"),
+        ("x0", 0, "nvars must be at least 1"),
+    ],
+)
+def test_parse_error_messages(text, nvars, message):
+    with pytest.raises(PolynomialParseError) as info:
+        parse_poly(text, nvars)
+    assert str(info.value) == message
 
 
 def test_print_parse_round_trip():
@@ -151,6 +253,39 @@ def test_random_linear_combination_matches_the_scaled_sum():
                 ref = ref + f.scale(ref_rng.randrange(5))
         assert got == ref and list(got.terms) == list(ref.terms)
     assert got_rng.random() == ref_rng.random()
+
+
+def test_unchecked_combination_draws_like_the_checked_one():
+    # Both draws are held to the reference draw: one randrange(p) per
+    # polynomial in order, summed as f.scale(c), the round repeated while
+    # the sum vanishes.  Same polynomial, same term order and the same
+    # rng state after every draw, for partials, for variables, and at
+    # GF(2) and GF(3), where all-zero rounds are common.
+    cases = []
+    for p in (2, 3, 32003):
+        gf = PrimeField(p)
+        xs = [variable(4, k, gf) for k in range(4)]
+        # partials sharing monomials, so that terms cancel at small p
+        F = reduce_mod_p(parse_poly("(x0 + x1 + x2 + x3)^4 - x2*x3^3", 4), p)
+        partials = [q for q in (F.partial(k) for k in range(4)) if not q.is_zero]
+        cases += [(xs, p), (partials, p), (xs[:1], p)]
+    retried = set()
+    for polys, p in cases:
+        rngs = [random.Random(p) for _ in range(3)]
+        for _ in range(40):
+            ref = Polynomial(polys[0].nvars, {}, polys[0].field)
+            while ref.is_zero:
+                for f in polys:
+                    ref = ref + f.scale(rngs[0].randrange(p))
+                if ref.is_zero:
+                    retried.add(p)
+            for got in (
+                _random_combination(polys, p, rngs[1]),
+                random_linear_combination(polys, rngs[2]),
+            ):
+                assert got == ref and list(got.terms) == list(ref.terms)
+            assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+    assert retried >= {2, 3}
 
 
 def test_random_linear_combination_single_poly_never_zero():

@@ -18,7 +18,6 @@ from csmhyp.oracles import segre_linear_subspace
 from csmhyp.poly import (
     PrimeField,
     Polynomial,
-    constant,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,
@@ -307,9 +306,9 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
 
 
 def test_one_groebner_basis_per_prime_for_the_jacobian_only(monkeypatch):
-    # Cuts of dimension two and up go straight into saturate, point and
-    # line cuts need no basis at all; buchberger runs once per prime, on
-    # the nonzero partials of F mod that prime.
+    # Cuts of dimension two and up go straight into saturate, g_0 = 1 is
+    # not cut and the line cut needs no basis at all; buchberger runs once
+    # per prime, on the nonzero partials of F mod that prime.
     import csmhyp.segre as segre_mod
 
     seen = []
@@ -367,8 +366,8 @@ def test_quadric_times_cubic_threefold_at_default_seeds():
 
 
 def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
-    # One trial makes n + 1 cuts; the point and line cuts (i = 0, 1) are
-    # solved on their linear space, so n - 1 of them reach saturate.
+    # One trial sets g_0 = 1 with no cut and reads g_1 on a random line,
+    # so only the n - 1 cuts with i >= 2 reach saturate.
     import csmhyp.segre as segre_mod
 
     calls = []
@@ -431,7 +430,7 @@ def _singular_point(partials, nvars, p):
 
 
 def _pow(f, k):
-    out = constant(f.nvars, 1, f.field)
+    out = Polynomial(f.nvars, {(0,) * f.nvars: 1}, f.field)
     for _ in range(k):
         out = out * f
     return out
