@@ -161,6 +161,8 @@ class Polynomial:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
+            if min(exps, default=0) < 0:
+                raise ValueError(f"exponent vector {exps} has a negative exponent")
             c = field.coerce(c)
             if c != 0:
                 clean[tuple(exps)] = c
@@ -494,10 +496,7 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
     if nvars < 1:
         raise PolynomialParseError("nvars must be at least 1")
     parser = _Parser(_tokenize(text), nvars)
-    try:
-        terms = parser.expr()
-    except IndexError:
-        raise PolynomialParseError("unexpected end of input") from None
+    terms = parser.expr()
     if parser.peek() != "end":
         raise PolynomialParseError(f"trailing input at token {parser.peek()!r}")
     if not terms:

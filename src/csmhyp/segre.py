@@ -14,11 +14,15 @@ and then
 
     s(Y, P^n) = 1 - sum_j g_j * h^j / (1 + e*h)^(j+1),    e = deg F - 1.
 
-g_0 is the degree of P^n, so it is 1 and is not computed.  g_1 needs no
-Groebner basis: on the line through two random points the cut is one
-binary form, and g_1 is its degree once every root it shares with g is
-removed, by univariate gcds mod p.  Only a cut with i >= 2 goes through
-an elimination, straight from its generators.
+g_0 is the degree of P^n, so it is 1 and is not computed.  g_1 and, for
+n >= 3, g_2 need no Groebner basis.  On the line through two random
+points the cut is one binary form, and g_1 is its degree once every root
+it shares with g is removed, by univariate gcds mod p.  On the plane
+through three random points g_2 counts the roots of a resultant: seen
+from the third point, the two curves of the cut meet on the lines where
+Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
+shares with Res(f1, g) is removed.  Every other cut goes through an
+elimination by ``saturate``, straight from its generators.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero and accepted only under the multi-prime, multi-seed
@@ -27,9 +31,11 @@ agreement policy; every trial is recorded for audit.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
-from math import comb
+from math import comb, factorial, prod
+from operator import mul
 
 from .chow import ChowClass
 from .errors import CsmhypError, RandomnessError
@@ -154,15 +160,16 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     )
 
 
-def _evaluate(f: Polynomial, point, p) -> int:
-    """The value of f at a point mod p."""
-    acc = 0
-    for m, c in f.terms.items():
-        for x, k in zip(point, m):
-            if k:
-                c = c * pow(x, k, p)
-        acc += c
-    return acc % p
+def _values(forms, points, p) -> list:
+    """The values mod p of each form at each point, one list per form.
+    Each monomial's value at a point is computed once for all forms, as
+    a plain integer product of powers, and reduced mod p in their sums."""
+    monos = list({m for f in forms for m in f.terms})
+    vals = [[prod(map(pow, x, m)) for m in monos] for x in points]
+    return [
+        [sum(map(mul, c, v)) % p for v in vals]
+        for c in ([f.terms.get(m, 0) for m in monos] for f in forms)
+    ]
 
 
 def _trim(a):
@@ -171,43 +178,117 @@ def _trim(a):
     return a
 
 
-def _on_line(f: Polynomial, a, b, e, p) -> list:
-    """The coefficients, lowest first and trimmed, of f(a + s*b) as a
-    polynomial of degree at most e in s: its values at s = 0..e,
-    interpolated by Newton's divided differences."""
-    ys = [_evaluate(f, [x + s * y for x, y in zip(a, b)], p) for s in range(e + 1)]
-    for j in range(1, e + 1):
-        inv = pow(j, p - 2, p)
-        for k in range(e, j - 1, -1):
-            ys[k] = (ys[k] - ys[k - 1]) * inv % p
-    out = [ys[e]]
-    for k in range(e - 1, -1, -1):  # Horner in the basis prod (s - node)
-        out = [0] + out
-        for j in range(len(out) - 1):
-            out[j] = (out[j] - k * out[j + 1]) % p
-        out[0] = (out[0] + ys[k]) % p
-    return _trim(out)
+@functools.lru_cache(maxsize=16)
+def _lagrange(m, p) -> tuple:
+    """The matrix that takes the values of a polynomial of degree at most
+    m < p at s = 0..m to its coefficients, lowest first.  Column j holds
+    the coefficients of prod_(i != j) (s - i) / (j - i): the product
+    prod_(i <= m) (s - i), divided by s - j and by (-1)^(m-j) j! (m-j)!."""
+    full = [1]
+    for i in range(m + 1):  # full * (s - i)
+        full = [(x - i * y) % p for x, y in zip([0] + full, full + [0])]
+    cols = []
+    for j in range(m + 1):
+        w = pow((-1) ** (m - j) * factorial(j) * factorial(m - j), -1, p)
+        q, acc = [], 0
+        for x in reversed(full[1:]):  # synthetic division by s - j
+            acc = (x + j * acc) % p
+            q.append(acc * w % p)
+        cols.append(q[::-1])
+    return tuple(zip(*cols))
+
+
+@functools.lru_cache(maxsize=16)
+def _extension(m, n, p) -> tuple:
+    """The matrix that takes the values of a polynomial of degree at most
+    m < p at s = 0..m to its values at s = 0..n: row s holds the values
+    at s of the Lagrange basis polynomials of ``_lagrange``."""
+    cols = list(zip(*_lagrange(m, p)))
+    return tuple(
+        tuple(sum(c * pow(s, k, p) for k, c in enumerate(col)) % p for col in cols)
+        for s in range(n + 1)
+    )
+
+
+def _interpolate(ys, p) -> list:
+    """The coefficients, lowest first and trimmed, of the polynomial of
+    degree below len(ys) <= p with the values ys at s = 0, 1, ...."""
+    return _trim([sum(map(mul, row, ys)) % p for row in _lagrange(len(ys) - 1, p)])
 
 
 def _divmod(a, b, p):
     """Quotient and remainder of trimmed coefficient lists, b nonzero."""
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * max(len(a) - db, 0)
     for k in range(len(q) - 1, -1, -1):
         c = q[k] = a[k + db] * inv % p
         if c:
-            for j, v in enumerate(b):
-                a[k + j] = (a[k + j] - c * v) % p
+            a[k : k + db] = [(x - c * y) % p for x, y in zip(a[k : k + db], b)]
     return q, _trim(a[:db])
 
 
-def _gcd(a, b, p):
-    """A gcd of coefficient lists, by Euclid's algorithm."""
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    return a
+def _strip(f, g, p):
+    """f, a nonzero coefficient list, without every root it shares with
+    g, at full multiplicity.  A root of f / gcd(f, g) that g shares is a
+    root of that gcd, so each further gcd is taken with the last one."""
+    while True:
+        h, b = g, f
+        while b:  # Euclid: h = gcd(f, g)
+            h, b = b, _divmod(h, b, p)[1]
+        if len(h) == 1:
+            return f
+        f, g = _divmod(f, h, p)[0], h
+
+
+def _resultants(a, b, p) -> list:
+    """Res(a, b) at every node, for a and b given as coefficient columns,
+    lowest degree first, each holding the coefficient's value at every
+    node, with no zero in the top columns.  Euclid runs on all nodes at
+    once: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    for r = a mod b, and Res(a, c) = c^deg a for a constant c.  A node
+    where a remainder loses more than one degree, unlike the others, is
+    computed again on its own."""
+    res = [1] * len(a[0])
+    odd = set()
+    x, y = a, b
+    while len(y) > 1:
+        m, n = len(x) - 1, len(y) - 1
+        lc = y[-1]
+        odd.update(i for i, v in enumerate(lc) if not v)
+        inv = [pow(v or 1, -1, p) for v in lc]
+        r = list(x)
+        for k in range(m - n, -1, -1):
+            c = [u * v % p for u, v in zip(r.pop(), inv)]
+            for j in range(n):
+                r[k + j] = [(u - q * v) % p for u, q, v in zip(r[k + j], c, y[j])]
+        while r and not any(r[-1]):
+            r.pop()
+        if not r:
+            res = [0] * len(res)
+            break
+        sign = (-1) ** (m & n & 1)
+        res = [sign * t * pow(v, m - len(r) + 1, p) % p for t, v in zip(res, lc)]
+        x, y = y, r
+    else:
+        res = [t * pow(v, len(x) - 1, p) % p for t, v in zip(res, y[0])]
+    for i in odd:
+        res[i] = _resultants([[u[i]] for u in a], [[u[i]] for u in b], p)[0]
+    return res
+
+
+def _independent(points, p) -> bool:
+    """Whether the points are linearly independent mod p, by
+    fraction-free elimination."""
+    rows = list(points)
+    while rows:
+        r = rows.pop()
+        k = next((k for k, x in enumerate(r) if x), None)
+        if k is None:
+            return False
+        rows = [[(r[k] * x - q[k] * y) % p for x, y in zip(q, r)] for q in rows]
+    return True
 
 
 def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
@@ -220,23 +301,66 @@ def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
     root of F|L of multiplicity e - deg F|L, shared with g exactly when
     deg g|L < e as well.
     """
-    k = next((k for k, x in enumerate(a) if x), None)
-    if k is None or all(x * b[k] % p == y * a[k] % p for x, y in zip(a, b)):
+    if not _independent((a, b), p):
         return None
     e = f.degree
-    g_l = _on_line(g, a, b, e, p)
+    line = [[x + s * y for x, y in zip(a, b)] for s in range(e + 1)]
+    f_l, g_l = (_interpolate(ys, p) for ys in _values((f, g), line, p))
     if not g_l:
         return 0
-    f_l = _on_line(f, a, b, e, p)
     if not f_l:
         return None
     at_b = e + 1 - len(f_l)
-    while True:
-        h = _gcd(f_l, g_l, p)
-        if len(h) == 1:
-            break
-        f_l = _divmod(f_l, h, p)[0]
-    return len(f_l) - 1 + (at_b if len(g_l) == e + 1 else 0)
+    return len(_strip(f_l, g_l, p)) - 1 + (at_b if len(g_l) == e + 1 else 0)
+
+
+def _plane_degree(f1, f2, g, a, b, c, p):
+    """``g_2`` of the cut (f1, f2) on the plane through a, b and c,
+    saturated by g; ``None`` when the points are dependent, c lies on
+    one of the three curves, or a resultant vanishes identically.
+
+    The lines through c are the lines s = const of the chart
+    a + s*b + u*c.  R12(s) = Res_u(f1, f2) vanishes on each line through
+    a point where f1 and f2 meet, with their intersection numbers there
+    as its multiplicity (Fulton, Algebraic Curves), so (f1, f2) : g^infty
+    is R12 stripped of every root it shares with R1G(s) = Res_u(f1, g).
+    Both have degree at most e^2 in s and are interpolated from their
+    values at s = 0..e^2, which needs e^2 < p.  The line through c and b
+    is a root of R12 of multiplicity e^2 - deg R12, shared with R1G
+    exactly when deg R1G < e^2 as well.  A line through c that holds a
+    residual point and a point of f1 and g is stripped as well, so an
+    unlucky c, like an unlucky g, can only lower g_2.
+    """
+    if not _independent((a, b, c), p):
+        return None
+    e = g.degree
+    grid = [c] + [
+        [x + s * y + u * z for x, y, z in zip(a, b, c)]
+        for s in range(e + 1)
+        for u in range(e + 1)
+    ]
+    vals = _values((f1, f2, g), grid, p)
+    if not all(v[0] for v in vals):  # the u^e coefficients
+        return None
+    rows = [  # the coefficients in u of f1, f2 and g on the line s
+        [x for v in vals for x in _interpolate(v[i : i + e + 1], p)]
+        for i in range(1, len(grid), e + 1)
+    ]
+    ext = _extension(e, e * e, p)  # each coefficient has degree <= e in s
+    cols = [[sum(map(mul, z, col)) % p for z in ext] for col in zip(*rows)]
+    f1_s, f2_s, g_s = cols[: e + 1], cols[e + 1 : 2 * e + 2], cols[2 * e + 2 :]
+    r12 = _interpolate(_resultants(f1_s, f2_s, p), p)
+    r1g = _interpolate(_resultants(f1_s, g_s, p), p)
+    if not r12 or not r1g:
+        return None
+    at_b = e * e + 1 - len(r12)
+    return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == e * e + 1 else 0)
+
+
+@functools.cache
+def _variables(field, nvars) -> tuple:
+    """The variables x_0..x_(nvars - 1) over field, built once per ring."""
+    return tuple(variable(nvars, k, field) for k in range(nvars))
 
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
@@ -250,16 +374,22 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     disagreement.  A unit residual is the empty scheme, so its g_i is 0.
 
     g_0 is 1, the degree of P^n, and is not computed.  g_1 is read on the
-    line through two random points, by univariate gcds mod p, with the
-    same answer as the elimination; a draw whose points are dependent or
-    whose form vanishes on the line is drawn again.  Every cut with
-    i >= 2 goes straight from its generators into one elimination by
-    ``saturate``.
+    line through two random points, by univariate gcds mod p, and g_2,
+    for 2 < n, on the plane through three, by resultants; both give the
+    elimination's answer on their line or plane, and a draw whose points
+    are dependent or whose forms meet it degenerately is drawn again.
+    The plane cut takes e^2 + 1 interpolation nodes, so it needs
+    e^2 < p; it is left to ``saturate`` when Y has codimension one,
+    since f1 and g then share a curve on every plane, and for the top
+    cut i = n = 2, whose plane is all of P^2.  Every cut with i >= 3, and
+    every cut the plane leaves, goes straight from its generators into
+    one elimination by ``saturate``.
     """
     n = scheme.n
     partials = scheme.partials
-    p = partials[0].field.p
-    xs = [variable(n + 1, k, partials[0].field) for k in range(n + 1)]
+    field = partials[0].field
+    p = field.p
+    plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
     # checks; they take the same values from rng.
@@ -267,12 +397,13 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     g = [1]
     for i in range(1, n + 1):
         for _ in range(DIM_RETRIES):
-            if i == 1:
-                f = _random_combination(partials, p, rng)
-                a, b = ([rng.randrange(p) for _ in range(n + 1)] for _ in range(2))
-                gi = _line_degree(f, base_locus.gens[0], a, b, p)
+            forms = [_random_combination(partials, p, rng) for _ in range(i)]
+            if i == 1 or (i == 2 and plane):
+                points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(i + 1)]
+                cut = _line_degree if i == 1 else _plane_degree
+                gi = cut(*forms, base_locus.gens[0], *points, p)
             else:
-                forms = [_random_combination(partials, p, rng) for _ in range(i)]
+                xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
                 residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
                 dim, gi = dim_degree(residual)

@@ -361,3 +361,14 @@ def test_variable_and_degree_guard():
     assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         _ = mixed.degree
+
+
+def test_negative_exponents_are_rejected():
+    # The Groebner kernel packs exponents into unsigned fields, where a
+    # negative one used to end in struct.error.
+    from csmhyp.groebner import buchberger
+
+    with pytest.raises(ValueError, match=r"exponent vector \(-1, 2\)"):
+        buchberger([Polynomial(2, {(-1, 2): 1}, PrimeField(5))])
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(3, {(1, 0, 0): 1, (0, 2, -1): 3}, QQ)
