@@ -233,10 +233,6 @@ class ClassReport:
     def input(self) -> HypersurfaceInput:
         return HypersurfaceInput(self.n, self.d, self.segre_singular)
 
-    def fulton_thickened(self, k: int) -> ChowClass:
-        """Fulton class of the formal k-thickening of X along Y."""
-        return chern_tangent_pn(self.n) * segre_thickened(self.input, k)
-
     @property
     def all_passed(self) -> bool:
         return all(v.ok for v in self.verification)

@@ -33,7 +33,7 @@ _LEGEND = [
     ("segre_smooth_vanishing", "s(Y) = 0 exactly when the hypersurface is smooth"),
     ("integrality", "every reported class has integer coefficients"),
     ("smooth_coincidence", "c_SM(X) = c_F(X) when the hypersurface is smooth"),
-    ("milnor_affine_oracle", "deg mu = affine Jacobian colength (compute --verify)"),
+    ("milnor_affine_oracle", "deg mu = Milnor count in a generic affine chart (--verify)"),
 ]
 
 
@@ -52,15 +52,6 @@ def _policy_from_args(args) -> TrialPolicy:
     primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES[:2]
     seeds = tuple(args.seed) if args.seed else _default_seeds()
     return TrialPolicy(primes=primes, seeds=seeds)
-
-
-def _chart(args) -> int:
-    """The Milnor oracle's affine chart: ``--chart``, else the last variable."""
-    if args.chart is None:
-        return args.nvars - 1
-    if not 0 <= args.chart < args.nvars:
-        raise ValueError(f"--chart {args.chart} is outside 0..{args.nvars - 1}")
-    return args.chart
 
 
 def _print_class(label: str, c: ChowClass) -> None:
@@ -91,30 +82,20 @@ def _render_report(report, show_legend=True) -> None:
 
 def _cmd_compute(args) -> int:
     policy = _policy_from_args(args)
-    chart = _chart(args)
     poly = parse_poly(args.poly, args.nvars)
     report = charclasses.build_report(poly, policy=policy)
-    verdicts = list(report.verification)
     oracle_note = None
     if args.verify:
-        # the oracle counts one affine chart only
-        if oracles.singular_point_at_infinity(poly, chart, policy.primes[0]):
-            oracle_note = (
-                "affine Milnor oracle: singular point on the chart's "
-                "hyperplane at infinity, skipped"
-            )
+        milnor = oracles.affine_milnor_total(poly, policy.primes)
+        if milnor is None:
+            oracle_note = "affine Milnor oracle: non-isolated singular locus, skipped"
         else:
-            milnor = oracles.affine_milnor_total(poly, chart, policy.primes)
-            if milnor is None:
-                oracle_note = (
-                    "affine Milnor oracle: non-isolated singular locus, skipped"
-                )
-            else:
-                ok = milnor == report.milnor_total
-                verdicts.append(
-                    charclasses.Verification("milnor_affine_oracle", ok)
-                )
-    report = dataclasses.replace(report, verification=tuple(verdicts))
+            verdict = charclasses.Verification(
+                "milnor_affine_oracle", milnor == report.milnor_total
+            )
+            report = dataclasses.replace(
+                report, verification=(*report.verification, verdict)
+            )
     if args.json:
         print(report.to_json())
     else:
@@ -156,38 +137,33 @@ def _cmd_verify(args) -> int:
     if not fixtures:
         print("warning: empty fixture corpus, nothing to verify")
         return 0
-    any_failure = False
     rows = []
     for fix in fixtures:
-        report = charclasses.build_report(fix.parse(), policy=policy)
-        verdicts = oracles.check_fixture(fix, report.to_json_dict())
-        identity_ok = report.all_passed
-        expected_ok = all(ok for _, ok in verdicts)
+        poly = fix.parse()
+        report = charclasses.build_report(poly, policy=policy)
+        checks = oracles.check_fixture(fix, report.to_json_dict())
         if fix.milnor_oracle is not None:
-            got = oracles.affine_milnor_total(fix.parse(), fix.chart, policy.primes)
-            verdicts.append(("milnor_affine_oracle", got == fix.milnor_oracle))
-            expected_ok = expected_ok and got == fix.milnor_oracle
-        ok = identity_ok and expected_ok
-        any_failure = any_failure or not ok
-        rows.append((fix.name, ok, verdicts, report))
+            got = oracles.affine_milnor_total(poly, policy.primes)
+            ok = got == fix.milnor_oracle
+            checks.append(charclasses.Verification("milnor_affine_oracle", ok))
+        failed = [v.name for v in checks + list(report.verification) if not v.ok]
+        rows.append((fix.name, checks, failed))
     if args.json:
         payload = [
             {
                 "name": name,
-                "pass": ok,
-                "checks": [{"name": k, "pass": v} for k, v in verdicts],
+                "pass": not failed,
+                "checks": [v.to_json() for v in checks],
             }
-            for name, ok, verdicts, _ in rows
+            for name, checks, failed in rows
         ]
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         width = max(len(name) for name, *_ in rows)
-        for name, ok, verdicts, report in rows:
-            failed = [k for k, v in verdicts if not v]
-            failed += [v.name for v in report.verification if not v.ok]
-            detail = "" if ok else f"  failing: {', '.join(failed)}"
-            print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}{detail}")
-    return 3 if any_failure else 0
+        for name, _, failed in rows:
+            detail = f"  failing: {', '.join(failed)}" if failed else ""
+            print(f"{name:<{width}}  {'FAIL' if failed else 'pass'}{detail}")
+    return 3 if any(failed for *_, failed in rows) else 0
 
 
 def _cmd_oracle(args) -> int:
@@ -201,9 +177,8 @@ def _cmd_oracle(args) -> int:
         print(f"s(P^{args.m}, P^{args.n}):")
         _print_class("class", c)
     else:  # milnor
-        chart = _chart(args)
         poly = parse_poly(args.poly, args.nvars)
-        value = oracles.affine_milnor_total(poly, chart)
+        value = oracles.affine_milnor_total(poly)
         print("non-isolated" if value is None else value)
     return 0
 
@@ -236,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="also run the affine Milnor oracle cross-check",
     )
-    p_compute.add_argument(
-        "--chart", type=int, default=None,
-        help="affine chart for the Milnor oracle (default: last variable)",
-    )
     add_randomness(p_compute)
     p_compute.set_defaults(func=_cmd_compute)
 
@@ -268,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_linear = oracle_sub.add_parser("linear", help="Segre class of a linear subspace")
     p_linear.add_argument("--n", type=int, required=True)
     p_linear.add_argument("--m", type=int, required=True)
-    p_milnor = oracle_sub.add_parser("milnor", help="affine Jacobian-colength Milnor count")
+    p_milnor = oracle_sub.add_parser(
+        "milnor", help="total Milnor number counted in a generic affine chart"
+    )
     p_milnor.add_argument("poly")
     p_milnor.add_argument("--nvars", type=int, required=True)
-    p_milnor.add_argument("--chart", type=int, default=None)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     return parser

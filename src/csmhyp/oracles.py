@@ -1,19 +1,21 @@
 """Independent baselines: closed-form classes, Segre classes of linear
-subspaces, affine Milnor numbers by Jacobian colength, and the fixture
-corpus used by the verification suite.
+subspaces, total Milnor numbers counted in a generic affine chart, and
+the fixture corpus used by the verification suite.
 
-The affine Milnor oracle dimensions are computed modulo a prime (same
+The affine Milnor oracle's colengths are computed modulo a prime (same
 engine as everything else) and accepted only under multi-prime agreement.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field as dc_field, fields
 
+from .charclasses import Verification
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
-from .groebner import buchberger, dim_degree, standard_monomial_count
+from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
 from .poly import Polynomial, parse_poly, reduce_mod_p, variable
 from .segre import DEFAULT_PRIMES
 
@@ -42,50 +44,69 @@ def segre_linear_subspace(n: int, m: int) -> ChowClass:
 # -- affine Milnor oracle -----------------------------------------------------
 
 
-def affine_milnor_total(F: Polynomial, chart: int, primes=DEFAULT_PRIMES[:2]):
-    """Total Milnor number of the affine part of V(F) in the given chart,
-    as the GF(p) vector-space dimension of the quotient by the affine
-    jacobian ideal (the dehomogenized F together with its partials).
+def _generic_chart(F: Polynomial, p: int) -> Polynomial:
+    """F mod p in the affine chart x_n = 1 after the random change of
+    coordinates x_n -> x_n + sum_{i<n} a_i x_i, drawn from an rng seeded
+    by p alone.
 
-    Valid when every singular point lies in the chart (caller obligation,
-    see ``singular_point_at_infinity``; re-chart otherwise) and, as a
-    Milnor rather than Tjurina count, when the singularities are
-    quasi-homogeneous, true of the whole fixture corpus.  Returns None
-    for a non-isolated singular locus.
+    Only the hyperplane at infinity matters to a Milnor count, and this
+    change moves it to the random hyperplane x_n = sum a_i x_i, which
+    misses every isolated singular point with high probability.
+    """
+    rng = random.Random(f"csmhyp:oracle:{p}")
+    f = reduce_mod_p(F, p)
+    r, n = f.nvars, f.nvars - 1
+    shear = variable(r, n, f.field)
+    for i in range(n):
+        shear = shear + variable(r, i, f.field).scale(rng.randrange(p))
+    powers = [Polynomial(r, {(0,) * r: 1}, f.field)]
+    out = Polynomial(r, {}, f.field)
+    for m, c in f.terms.items():
+        while len(powers) <= m[n]:
+            powers.append(powers[-1] * shear)
+        out = out + Polynomial(r, {m[:n] + (0,): c}, f.field) * powers[m[n]]
+    return out.dehomogenize(n)
+
+
+def affine_milnor_total(F: Polynomial, primes=DEFAULT_PRIMES[:2]):
+    """Total Milnor number of V(F), counted in a generic affine chart.
+
+    The GF(p) colength of the jacobian ideal (df) = (d_1 f..d_n f) of the
+    dehomogenized f sums the Milnor numbers of all critical points of f
+    in the chart; the saturation (df) : f^infty keeps only those off
+    V(f), so the difference of the two colengths sums the Milnor numbers
+    of the singular points of V(F), quasi-homogeneous or not.  Returns
+    None when (df) is not zero-dimensional: a non-isolated singular
+    locus.
     """
     if F.field.kind != "rationals":
         raise ValueError("oracle input must be a polynomial over Q")
-    f = F.dehomogenize(chart)
-    gens_q = [g for g in [f, *(f.partial(i) for i in range(f.nvars))] if not g.is_zero]
+    n = F.nvars - 1
+    if n < 1 or not F.degree:
+        raise ValueError(
+            "the oracle needs a hypersurface of degree >= 1 in P^n, n >= 1"
+        )
 
-    def colength(p):
-        basis = buchberger([reduce_mod_p(g, p) for g in gens_q])
-        return standard_monomial_count(basis.leading_terms, f.nvars)
+    def milnor(p):
+        f = _generic_chart(F, p)
+        jac = buchberger([f.partial(i) for i in range(n)])
+        total = standard_monomial_count(jac.leading_terms, n)
+        if total is None:
+            return None
+        off = saturate(jac, IdealBasis((f,)))
+        return total - standard_monomial_count(off.leading_terms, n)
 
-    values = [colength(p) for p in primes]
+    values = [milnor(p) for p in primes]
     if len(set(values)) == 1:
         return values[0]
     for p in DEFAULT_PRIMES:
         if p not in primes:
-            tie = colength(p)
+            tie = milnor(p)
             if tie in values:
                 return tie
     raise RandomnessError(
         f"affine Milnor dimensions disagree across primes: {values}"
     )
-
-
-def singular_point_at_infinity(F: Polynomial, chart: int, p: int) -> bool:
-    """Whether V(F) has a singular point on the hyperplane x_chart = 0,
-    which the affine Milnor oracle's chart leaves out: whether the
-    partials of F together with x_chart have a projective zero over
-    GF(p).  The partials cut the singular scheme when p does not divide
-    deg F (Euler relation)."""
-    f = reduce_mod_p(F, p)
-    gens = [f.partial(i) for i in range(f.nvars)]
-    gens.append(variable(f.nvars, chart, f.field))
-    dim, _ = dim_degree(buchberger(gens))
-    return dim is not None
 
 
 # -- fixture corpus -----------------------------------------------------------
@@ -96,16 +117,16 @@ class FixtureCase:
     """One named hypersurface with independently derived expected values.
 
     ``expected`` holds any subset of the report fields (classes as
-    codimension-indexed strings); ``chart`` selects the affine chart for
-    the Milnor oracle, or None when its preconditions fail; ``provenance``
-    names the oracle behind each expectation.
+    codimension-indexed strings); ``milnor_oracle`` is the total Milnor
+    number that ``affine_milnor_total`` must reproduce, or None when no
+    value was derived independently; ``provenance`` names the oracle
+    behind each expectation.
     """
 
     name: str
     poly: str
     n: int
     expected: dict = dc_field(default_factory=dict)
-    chart: int | None = None
     milnor_oracle: int | None = None
     provenance: str = ""
 
@@ -118,7 +139,6 @@ class FixtureCase:
             "poly": self.poly,
             "n": self.n,
             "expected": self.expected,
-            "chart": self.chart,
             "milnor_oracle": self.milnor_oracle,
             "provenance": self.provenance,
         }
@@ -128,9 +148,8 @@ def load_fixtures(path) -> list[FixtureCase]:
     """Read a fixture corpus from a JSON list of FixtureCase dicts.
 
     A row without ``name``, ``poly`` or ``n``, with a non-string ``poly``,
-    a non-object ``expected`` or a non-integer ``n``, ``chart`` or
-    ``milnor_oracle``, or with a ``milnor_oracle`` but no ``chart`` in
-    0..n, raises ``ValueError`` naming the row and key.
+    a non-object ``expected`` or a non-integer ``n`` or ``milnor_oracle``,
+    raises ``ValueError`` naming the row and key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -142,21 +161,15 @@ def load_fixtures(path) -> list[FixtureCase]:
         for key in ("name", "poly", "n"):
             if key not in row:
                 raise ValueError(f"{where} lacks the required key {key!r}")
-        chart = row.get("chart")
         milnor = row.get("milnor_oracle")
         for key, want, ok in (
             ("poly", "a string", isinstance(row["poly"], str)),
             ("n", "an integer", type(row["n"]) is int),
-            ("chart", "an integer", chart is None or type(chart) is int),
             ("milnor_oracle", "an integer", milnor is None or type(milnor) is int),
             ("expected", "an object", isinstance(row.get("expected", {}), dict)),
         ):
             if not ok:
                 raise ValueError(f"{where} has {key!r} {row[key]!r}, not {want}")
-        if milnor is not None and chart is None:
-            raise ValueError(f"{where} sets 'milnor_oracle' without a 'chart'")
-        if chart is not None and not 0 <= chart <= row["n"]:
-            raise ValueError(f"{where} has 'chart' {chart} outside 0..{row['n']}")
         known = {f.name: row[f.name] for f in fields(FixtureCase) if f.name in row}
         out.append(FixtureCase(**known))
     return out
@@ -179,7 +192,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 2,
                 "milnor_total": 0,
             },
-            chart=2,
             milnor_oracle=0,
             provenance="smooth conic is P^1, chi=2; degrees (d-1)^i by Bezout",
         ),
@@ -194,7 +206,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 0,
                 "milnor_total": 0,
             },
-            chart=2,
             milnor_oracle=0,
             provenance="smooth plane cubic is a genus-1 curve, chi=0",
         ),
@@ -223,7 +234,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 1,
                 "milnor_total": 1,
             },
-            chart=2,
             milnor_oracle=1,
             provenance=(
                 "nodal cubic is a pinched torus, chi=1; node has Milnor "
@@ -242,7 +252,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 2,
                 "milnor_total": 2,
             },
-            chart=2,
             milnor_oracle=2,
             provenance=(
                 "cuspidal cubic is homeomorphic to S^2, chi=2; cusp has "
@@ -262,7 +271,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 3,
                 "milnor_total": 1,
             },
-            chart=2,
             milnor_oracle=1,
             provenance=(
                 "two P^1 glued at a point: chi=2+2-1=3; crossing point is "
@@ -282,8 +290,7 @@ def default_fixtures() -> list[FixtureCase]:
             },
             provenance=(
                 "triangle of lines: chi=3*2-3=3; three reduced nodes give "
-                "s=3h^2; no single chart contains all three, so the affine "
-                "oracle does not apply"
+                "s=3h^2 and total Milnor number 3"
             ),
         ),
         FixtureCase(
@@ -360,13 +367,11 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 2,
                 "milnor_total": 2,
             },
-            chart=2,
             milnor_oracle=2,
             provenance=(
                 "generic transversal line plus smooth conic: two P^1 glued "
-                "at two points, chi=2+2-2=2; two nodes, both affine in "
-                "chart 2, total Milnor number 2; normal-crossings closed "
-                "form gives s=2h^2"
+                "at two points, chi=2+2-2=2; two nodes, total Milnor "
+                "number 2; normal-crossings closed form gives s=2h^2"
             ),
         ),
         FixtureCase(
@@ -382,7 +387,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 3,
                 "milnor_total": 1,
             },
-            chart=3,
             milnor_oracle=1,
             provenance=(
                 "cone over a conic: resolving the vertex gives chi=4-2+1=3; "
@@ -400,7 +404,6 @@ def default_fixtures() -> list[FixtureCase]:
                 "euler": 4,
                 "milnor_total": 0,
             },
-            chart=3,
             milnor_oracle=0,
             provenance="smooth quadric surface is P^1 x P^1, chi=4",
         ),
@@ -431,8 +434,8 @@ def default_fixtures() -> list[FixtureCase]:
             provenance=(
                 "two P^2 glued along a P^1: chi=3+3-2=4; singular scheme is "
                 "a line, s = h^2/(1+h)^2 by the linear-subspace closed form; "
-                "one-dimensional singular locus, so the affine oracle does "
-                "not apply"
+                "one-dimensional singular locus, so the affine Milnor oracle "
+                "returns None"
             ),
         ),
         FixtureCase(
@@ -470,13 +473,10 @@ def default_fixtures() -> list[FixtureCase]:
     ]
 
 
-def check_fixture(fixture: FixtureCase, report_dict: dict):
-    """Compare a computed report against a fixture's expected values.
-
-    Returns a list of ``(key, ok)`` verdicts, one per expected field.
-    """
-    verdicts = []
-    for key, want in fixture.expected.items():
-        got = report_dict.get(key)
-        verdicts.append((key, got == want))
-    return verdicts
+def check_fixture(fixture: FixtureCase, report_dict: dict) -> list[Verification]:
+    """Compare a computed report against a fixture's expected values:
+    one verdict per expected field, named by its key."""
+    return [
+        Verification(key, report_dict.get(key) == want)
+        for key, want in fixture.expected.items()
+    ]

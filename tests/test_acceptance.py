@@ -129,14 +129,13 @@ def test_acceptance_04_milnor_identity(report_cache):
         ok = ok and all(
             v.ok for v in report.verification if v.name == "milnor_degree_identity"
         )
-    for text, chart, expected in [
-        ("x1^2*x2 - x0^3 - x0^2*x2", 2, 1),
-        ("x1^2*x2 - x0^3", 2, 2),
-        ("x0^2 + x1^2 + x2^2", 3, 1),
+    for text, nvars, expected in [
+        ("x1^2*x2 - x0^3 - x0^2*x2", 3, 1),
+        ("x1^2*x2 - x0^3", 3, 2),
+        ("x0^2 + x1^2 + x2^2", 4, 1),
     ]:
-        nvars = chart + 1
         report = report_cache(text, nvars)
-        oracle = affine_milnor_total(parse_poly(text, nvars), chart)
+        oracle = affine_milnor_total(parse_poly(text, nvars))
         ok = ok and report.milnor_total == oracle == expected
     _verdict("milnor-identity (degree identity + affine oracle)", ok)
 

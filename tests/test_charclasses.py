@@ -265,8 +265,9 @@ def test_build_report_fixture_values():
     assert report.euler == 3
     assert report.milnor_total == 1
     assert report.all_passed
-    assert report.fulton_thickened(0) == fulton(TWO_LINES)
-    assert report.fulton_thickened(-1) == csm(TWO_LINES)
+    c_tm = chern_tangent_pn(report.n)
+    assert c_tm * segre_thickened(report.input, 0) == fulton(TWO_LINES)
+    assert c_tm * segre_thickened(report.input, -1) == csm(TWO_LINES)
 
 
 def test_build_report_smooth_conic():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -122,22 +124,6 @@ def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
     assert_one_error_line(*result)
 
 
-def test_compute_chart_outside_the_variables_exit_2(capsys):
-    result = run_cli(
-        capsys, "compute", "x0*x1", "--nvars", "3", "--verify", "--chart", "7"
-    )
-    assert_one_error_line(*result)
-    assert "--chart 7" in result[2]
-
-
-def test_oracle_milnor_chart_outside_the_variables_exit_2(capsys):
-    for chart in ("-9", "-1", "3"):
-        result = run_cli(
-            capsys, "oracle", "milnor", "x0*x1", "--nvars", "3", "--chart", chart
-        )
-        assert_one_error_line(*result)
-
-
 def test_closed_forms_reject_degree_below_1_and_n_below_1(capsys):
     for argv in (
         ["oracle", "smooth", "--n", "2", "--d", "-2"],
@@ -220,7 +206,7 @@ def test_verify_corrupted_corpus_exits_3(capsys, tmp_path):
     path.write_text(json.dumps(corpus), encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", str(path), "--seed", "101")
     assert code == 3
-    assert "FAIL" in out
+    assert "FAIL  failing: euler" in out
 
 
 def test_verify_empty_corpus_warns_exit_0(capsys, tmp_path):
@@ -242,8 +228,6 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
     bad_rows = [
         ({"poly": "x0*x1", "n": 2}, "'name'"),
         ({"name": "no_poly", "n": 2}, "'poly'"),
-        ({**good, "milnor_oracle": 1}, "'chart'"),
-        ({**good, "milnor_oracle": 1, "chart": 5}, "'chart'"),
     ]
     for row, key in bad_rows:
         path = tmp_path / "bad.json"
@@ -257,10 +241,9 @@ def test_verify_mistyped_fixture_values_exit_2(capsys, tmp_path):
     good = {"name": "two_lines", "poly": "x0*x1", "n": 2}
     bad_rows = [
         ({**good, "n": "2"}, "'n'"),
-        ({**good, "chart": "2"}, "'chart'"),
         ({**good, "poly": 7}, "'poly'"),
         ({**good, "n": True}, "'n'"),
-        ({**good, "chart": 0, "milnor_oracle": "1"}, "'milnor_oracle'"),
+        ({**good, "milnor_oracle": "1"}, "'milnor_oracle'"),
         ({**good, "expected": [1]}, "'expected'"),
     ]
     for row, key in bad_rows:
@@ -293,28 +276,37 @@ def test_oracle_commands(capsys):
     assert out.strip() == "non-isolated"
 
 
-SKIP_AT_INFINITY = (
-    "affine Milnor oracle: singular point on the chart's hyperplane at "
-    "infinity, skipped"
-)
-
-
 @pytest.mark.parametrize(
     "poly, nvars",
     [
-        # the three coordinate lines meet in every chart's complement
+        # the three coordinate lines meet on every coordinate hyperplane
         ("x0*x1*x2", "3"),
         # 12 nodes where two coordinates vanish, some of them with x3 = 0
         ("(x0^2+x1^2+x2^2+x3^2)^2 - 4*x0*x1*x2*x3", "4"),
+        # x^4 + y^5 + x^2 y^2 at (0:0:1): Tjurina number 9, Milnor number 10
+        ("x0^4*x2 + x1^5 + x0^2*x1^2*x2", "3"),
     ],
 )
-def test_compute_verify_skips_the_oracle_with_a_singular_point_at_infinity(
+def test_compute_verify_passes_the_oracle_off_the_coordinate_charts(
     capsys, poly, nvars
 ):
     code, out, _ = run_cli(capsys, "compute", poly, "--nvars", nvars, "--verify")
     assert code == 0
-    assert SKIP_AT_INFINITY in out.splitlines()
-    assert "milnor_affine_oracle" not in out.split("legend:")[0]
+    assert "  [pass] milnor_affine_oracle" in out.splitlines()
+    assert "skipped" not in out
+
+
+def test_compute_verify_checks_a_conic_of_bad_reduction(capsys):
+    # smooth over Q, two lines mod 32003: the oracle's prime tie-break
+    # counts 0 Milnor points, whatever the pipeline reports
+    code, out, _ = run_cli(
+        capsys, "compute", "x0^2 + 2*x0*x1 + 32004*x1^2 + x2^2", "--nvars", "3",
+        "--verify", "--json",
+    )
+    payload = json.loads(out)
+    oracle = {"name": "milnor_affine_oracle", "pass": payload["milnor_total"] == 0}
+    assert oracle in payload["verification"]
+    assert code == (0 if all(v["pass"] for v in payload["verification"]) else 3)
 
 
 def test_compute_verify_oracle_mismatch_exits_3(capsys, monkeypatch):
@@ -416,3 +408,23 @@ def test_verify_json_output(capsys):
     payload = json.loads(out)
     assert all(row["pass"] for row in payload)
     assert {row["name"] for row in payload} >= {"smooth_conic", "quadric_cone"}
+
+
+def _readme_cli_commands():
+    """The argument lists of the ``csmhyp`` lines in the README's CLI block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("csmhyp ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_lines_exit_0(capsys, argv):
+    if any(a.endswith(".json") and not Path(a).exists() for a in argv):
+        pytest.skip("names a fixture file that does not exist")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

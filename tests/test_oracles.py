@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from csmhyp.charclasses import build_report
+from csmhyp.charclasses import Verification, build_report
 from csmhyp.oracles import (
     FixtureCase,
     affine_milnor_total,
@@ -44,25 +44,50 @@ def test_segre_linear_subspace_examples():
 
 def test_affine_milnor_node_and_cusp():
     nodal = parse_poly("x1^2*x2 - x0^3 - x0^2*x2", 3)
-    assert affine_milnor_total(nodal, 2) == 1
+    assert affine_milnor_total(nodal) == 1
     cusp = parse_poly("x1^2*x2 - x0^3", 3)
-    assert affine_milnor_total(cusp, 2) == 2
+    assert affine_milnor_total(cusp) == 2
 
 
 def test_affine_milnor_smooth_and_cone():
     conic = parse_poly("x0^2 + x1^2 + x2^2", 3)
-    assert affine_milnor_total(conic, 2) == 0
+    assert affine_milnor_total(conic) == 0
     cone = parse_poly("x0^2 + x1^2 + x2^2", 4)
-    assert affine_milnor_total(cone, 3) == 1
+    assert affine_milnor_total(cone) == 1
 
 
 def test_affine_milnor_non_isolated():
     double_line = parse_poly("x0^2*x1", 3)
-    assert affine_milnor_total(double_line, 2) is None
+    assert affine_milnor_total(double_line) is None
 
 
 def test_affine_milnor_two_lines():
-    assert affine_milnor_total(parse_poly("x0*x1", 3), 2) == 1
+    assert affine_milnor_total(parse_poly("x0*x1", 3)) == 1
+
+
+@pytest.mark.parametrize(
+    "text, nvars, milnor",
+    [
+        # x^4 + y^5 + x^2 y^2 at (0:0:1) is not quasi-homogeneous: its
+        # Tjurina number is 9, its Milnor number 2*9 - 4 - 5 + 1 = 10
+        # (Kouchnirenko, Newton non-degenerate)
+        ("x0^4*x2 + x1^5 + x0^2*x1^2*x2", 3, 10),
+        # singular points on every coordinate hyperplane
+        ("x0*x1*x2", 3, 3),
+        ("(x0^2+x1^2+x2^2+x3^2)^2 - 4*x0*x1*x2*x3", 4, 12),
+        # smooth conics of bad reduction at 32003, nodal mod 32003
+        ("x0^2 + x1^2 + 32003*x2^2", 3, 0),
+        ("x0^2 + 2*x0*x1 + 32004*x1^2 + x2^2", 3, 0),
+    ],
+)
+def test_affine_milnor_counts_every_singular_point(text, nvars, milnor):
+    assert affine_milnor_total(parse_poly(text, nvars)) == milnor
+
+
+def test_affine_milnor_rejects_a_point_or_a_constant():
+    for text, nvars in (("x0^2", 1), ("1", 3)):
+        with pytest.raises(ValueError, match="hypersurface"):
+            affine_milnor_total(parse_poly(text, nvars))
 
 
 def test_default_fixtures_well_formed():
@@ -81,7 +106,7 @@ def test_fixture_corpus_matches_pipeline():
     for fix in default_fixtures():
         report = build_report(fix.parse(), policy=LIGHT)
         verdicts = check_fixture(fix, report.to_json_dict())
-        bad = [k for k, ok in verdicts if not ok]
+        bad = [v.name for v in verdicts if not v.ok]
         assert not bad, f"{fix.name}: {bad}"
         assert report.all_passed, fix.name
 
@@ -100,7 +125,7 @@ def test_fixture_milnor_oracle_agreement():
     for fix in default_fixtures():
         if fix.milnor_oracle is None:
             continue
-        got = affine_milnor_total(fix.parse(), fix.chart, LIGHT.primes)
+        got = affine_milnor_total(fix.parse(), LIGHT.primes)
         assert got == fix.milnor_oracle, fix.name
 
 
@@ -117,10 +142,6 @@ def test_load_fixtures_names_the_row_and_key(tmp_path):
     path.write_text(json.dumps([{"name": "a", "n": 2}]), encoding="utf-8")
     with pytest.raises(ValueError, match="row 0 lacks the required key 'poly'"):
         load_fixtures(path)
-    row = {"name": "a", "poly": "x0*x1", "n": 2, "milnor_oracle": 1}
-    path.write_text(json.dumps([row]), encoding="utf-8")
-    with pytest.raises(ValueError, match="row 0 sets 'milnor_oracle' without a 'chart'"):
-        load_fixtures(path)
 
 
 def test_check_fixture_flags_corruption():
@@ -134,4 +155,5 @@ def test_check_fixture_flags_corruption():
         provenance=fix.provenance,
     )
     verdicts = check_fixture(corrupted, report.to_json_dict())
-    assert ("euler", False) in verdicts
+    assert Verification("euler", False) in verdicts
+    assert all(v.ok for v in verdicts if v.name != "euler")
