@@ -286,6 +286,7 @@ def test_oracle_commands(capsys):
         # x^4 + y^5 + x^2 y^2 at (0:0:1): Tjurina number 9, Milnor number 10
         ("x0^4*x2 + x1^5 + x0^2*x1^2*x2", "3"),
     ],
+    ids=["three-lines", "quartic-12-nodes", "x4+y5+x2y2"],
 )
 def test_compute_verify_passes_the_oracle_off_the_coordinate_charts(
     capsys, poly, nvars
