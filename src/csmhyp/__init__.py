@@ -40,7 +40,6 @@ from .poly import (
     Polynomial,
     PrimeField,
     QQ,
-    euler_check,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,

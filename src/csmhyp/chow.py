@@ -4,12 +4,9 @@ A class is a truncated polynomial a_0 + a_1*h + ... + a_n*h^n in the
 hyperplane class h, i.e. an element of Z[h]/(h^(n+1)), graded by
 codimension: ``coeffs[i]`` is the codimension-i piece, and the
 dimension-m piece of a class on P^n sits in codimension n - m.
-Coefficients are ``int``; a ``fractions.Fraction`` appears only where a
-division is not exact (the inverse of a class whose constant term is not
-+-1, or a caller passing one in), and a ``Fraction`` with denominator 1
-is stored as its ``int`` numerator, so equal classes store equal
-coefficients.  All arithmetic is exact; no floating point enters this
-module.
+Coefficients are ``int`` and nothing else, so all arithmetic is exact
+and equal classes store equal coefficients.  The units of the ring are
+the classes with constant term +-1, and only those have an inverse.
 
 Besides the ring operations, the module implements the two operations on
 codimension-graded classes that drive every formula downstream: ``dual``
@@ -20,13 +17,11 @@ a degree-d line bundle, then re-truncate).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
 class ChowClass:
-    """An element of Z[h]/(h^(n+1)): ``int`` coefficients, with
-    ``Fraction`` only where a division is not exact.
+    """An element of Z[h]/(h^(n+1)); every coefficient is an ``int``.
 
     Immutable after construction; all operations return new instances, so
     values can be shared freely across concurrent tasks.
@@ -38,10 +33,9 @@ class ChowClass:
         if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
         cs = tuple(coeffs)
-        for c in cs:  # a class of ints, the common case, is kept as it is
+        for c in cs:
             if type(c) is not int:
-                cs = tuple(c if type(c) is int else _exact(c) for c in cs)
-                break
+                raise ValueError(f"coefficient {c!r} is not an int")
         if len(cs) != n + 1:
             raise ValueError(
                 f"expected {n + 1} coefficients for P^{n}, got {len(cs)}"
@@ -81,8 +75,7 @@ class ChowClass:
                     if b:
                         out[i + j] += a * b
             return ChowClass(n, out)
-        k = other if type(other) is int else Fraction(other)
-        return ChowClass(self.n, [a * k for a in self.coeffs])
+        return ChowClass(self.n, [a * other for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -114,16 +107,15 @@ class ChowClass:
     # -- derived operations ---------------------------------------------
 
     def inverse(self) -> "ChowClass":
-        """Truncated multiplicative inverse of a unit (nonzero constant term).
-
-        A constant term of +-1 is its own inverse, so an integral class with
-        one has an integral inverse; only other constant terms divide.
-        """
+        """Truncated multiplicative inverse of a unit (constant term +-1,
+        which is its own inverse)."""
         a = self.coeffs
-        if a[0] == 0:
-            raise ValueError("class is not a unit: codimension-0 coefficient is 0")
+        inv = a[0]
+        if inv not in (1, -1):
+            raise ValueError(
+                f"class is not a unit: codimension-0 coefficient {inv} is not +-1"
+            )
         n = self.n
-        inv = a[0] if a[0] in (1, -1) else Fraction(1) / a[0]
         b = [0] * (n + 1)
         b[0] = inv
         for k in range(1, n + 1):
@@ -151,22 +143,19 @@ class ChowClass:
         ]
         return ChowClass(self.n, out)
 
-    def integral(self) -> int | Fraction:
+    def integral(self) -> int:
         """Degree of the class: the coefficient of h^n."""
         return self.coeffs[self.n]
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     # -- rendering and serialization --------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Codimension-indexed exact rationals, "p/q" or integer form."""
+        """Codimension-indexed coefficients as decimal integer strings."""
         return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, n: int, strings) -> "ChowClass":
-        return cls(n, [Fraction(s) for s in strings])
+        return cls(n, [int(s) for s in strings])
 
     def to_h_string(self) -> str:
         """Human form as a polynomial in h, e.g. ``2h + 3h^2``."""
@@ -199,12 +188,6 @@ class ChowClass:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
-
-
-def _exact(c) -> int | Fraction:
-    """``Fraction(c)``, or its numerator when the denominator is 1."""
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
 
 
 # -- constructors -----------------------------------------------------------

@@ -30,9 +30,6 @@ _LEGEND = [
     ("csm_thickening_route", "Fulton class of the formal (-1)-thickening agrees"),
     ("csm_mu_class_route", "c_F(X) + c(L)^(n-1) (mu^v (x) L) agrees"),
     ("milnor_degree_identity", "deg mu = (-1)^n (chi(X) - chi of a smooth member)"),
-    ("segre_smooth_vanishing", "s(Y) = 0 exactly when the hypersurface is smooth"),
-    ("integrality", "every reported class has integer coefficients"),
-    ("smooth_coincidence", "c_SM(X) = c_F(X) when the hypersurface is smooth"),
     ("milnor_affine_oracle", "deg mu = Milnor count in a generic affine chart (--verify)"),
 ]
 

@@ -147,17 +147,22 @@ class FixtureCase:
 def load_fixtures(path) -> list[FixtureCase]:
     """Read a fixture corpus from a JSON list of FixtureCase dicts.
 
-    A row without ``name``, ``poly`` or ``n``, with a non-string ``poly``,
-    a non-object ``expected`` or a non-integer ``n`` or ``milnor_oracle``,
-    raises ``ValueError`` naming the row and key.
+    A row without ``name``, ``poly`` or ``n``, with a key that is not a
+    ``FixtureCase`` field, a non-string ``poly``, a non-object ``expected``
+    or a non-integer ``n`` or ``milnor_oracle``, raises ``ValueError``
+    naming the row and key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    allowed = {f.name for f in fields(FixtureCase)}
     out = []
     for k, row in enumerate(raw):
         where = f"fixture row {k}"
         if not isinstance(row, dict):
             raise ValueError(f"{where} is not a JSON object")
+        for key in row:
+            if key not in allowed:
+                raise ValueError(f"{where} has the unknown key {key!r}")
         for key in ("name", "poly", "n"):
             if key not in row:
                 raise ValueError(f"{where} lacks the required key {key!r}")
@@ -170,8 +175,7 @@ def load_fixtures(path) -> list[FixtureCase]:
         ):
             if not ok:
                 raise ValueError(f"{where} has {key!r} {row[key]!r}, not {want}")
-        known = {f.name: row[f.name] for f in fields(FixtureCase) if f.name in row}
-        out.append(FixtureCase(**known))
+        out.append(FixtureCase(**row))
     return out
 
 

@@ -298,25 +298,7 @@ def variable(nvars: int, i: int, field) -> Polynomial:
     return Polynomial(nvars, {tuple(1 if k == i else 0 for k in range(nvars)): 1}, field)
 
 
-# -- calculus, checks, and field passage ---------------------------------------
-
-
-def euler_check(f: Polynomial) -> bool:
-    """Whether sum x_i * df/dx_i equals deg(f) * f in the working field.
-
-    Over GF(p) with p dividing deg(f) the relation degenerates to 0 = 0 and
-    certifies nothing, so this returns False there; over Q it is an
-    identity of formal calculus.
-    """
-    if f.is_zero:
-        return False
-    d = f.degree
-    if f.field.kind == "prime" and d % f.field.p == 0:
-        return False
-    acc = Polynomial(f.nvars, {}, f.field)
-    for i in range(f.nvars):
-        acc = acc + variable(f.nvars, i, f.field) * f.partial(i)
-    return acc == f.scale(d)
+# -- random combinations and field passage -------------------------------------
 
 
 def random_linear_combination(polys, rng) -> Polynomial:

@@ -492,18 +492,16 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
 def segre_from_degrees(pd: ProjectiveDegrees) -> ChowClass:
     """Assemble the pushforward of s(Y, P^n) from the projective degrees:
     1 - sum_j g_j h^j / (1 + e h)^(j+1), whose h^k coefficient is
-    [k = 0] - sum_(j <= k) C(k, j) (-e)^(k-j) g_j."""
+    [k = 0] - sum_(j <= k) C(k, j) (-e)^(k-j) g_j.  The codimension-0
+    part 1 - g_0 is 0, since ``ProjectiveDegrees`` refuses g_0 != 1."""
     e, g = pd.e, pd.g
-    acc = ChowClass(
+    return ChowClass(
         pd.n,
         [
             int(k == 0) - sum(comb(k, j) * (-e) ** (k - j) * g[j] for j in range(k + 1))
             for k in range(pd.n + 1)
         ],
     )
-    if acc.coeffs[0] != 0:
-        raise CsmhypError("segre class has a nonzero codimension-0 part: bad degrees")
-    return acc
 
 
 def segre_singular_scheme(

@@ -36,7 +36,6 @@ from csmhyp.chow import (
     line_bundle,
     unit,
 )
-from csmhyp.errors import CsmhypError
 from csmhyp.oracles import smooth_chern_class
 from csmhyp.poly import parse_poly
 from csmhyp.segre import (
@@ -57,7 +56,7 @@ NODAL_CUBIC = HypersurfaceInput(2, 3, ChowClass(2, [0, 0, 1]))
 def _random_input(rng):
     n = rng.randint(1, 5)
     d = rng.randint(1, 5)
-    coeffs = [0] + [Fraction(rng.randint(-6, 6)) for _ in range(n)]
+    coeffs = [0] + [rng.randint(-6, 6) for _ in range(n)]
     return HypersurfaceInput(n, d, ChowClass(n, coeffs))
 
 
@@ -275,8 +274,6 @@ def test_build_report_smooth_conic():
     assert report.csm == report.fulton == smooth_chern_class(2, 2)
     assert report.euler == 2
     assert report.milnor_total == 0
-    names = [v.name for v in report.verification]
-    assert "smooth_coincidence" in names
     assert report.all_passed
 
 
@@ -294,8 +291,11 @@ def test_build_report_quadrifolium():
 
 
 def test_euler_characteristic_rejects_non_integer():
-    with pytest.raises(CsmhypError):
+    # a class with a non-integer degree cannot be built, so it never
+    # reaches euler_characteristic
+    with pytest.raises(ValueError):
         euler_characteristic(ChowClass(2, [0, 0, Fraction(1, 2)]))
+    assert euler_characteristic(ChowClass(2, [0, 0, 3])) == 3
 
 
 def test_report_json_round_trip():

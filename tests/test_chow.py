@@ -18,13 +18,13 @@ from csmhyp.chow import (
 
 
 def _random_class(rng, n, lo=-9, hi=9):
-    return ChowClass(n, [Fraction(rng.randint(lo, hi)) for _ in range(n + 1)])
+    return ChowClass(n, [rng.randint(lo, hi) for _ in range(n + 1)])
 
 
 def _random_unit(rng, n):
     c = _random_class(rng, n)
     coeffs = list(c.coeffs)
-    coeffs[0] = Fraction(rng.choice([1, -1, 2, 3]))
+    coeffs[0] = rng.choice([1, -1])
     return ChowClass(n, coeffs)
 
 
@@ -159,32 +159,39 @@ def test_integral_of_product_is_symmetric():
 
 
 def test_serialization_round_trip():
-    a = ChowClass(3, [Fraction(1, 2), -2, 0, 7])
+    a = ChowClass(3, [1, -2, 0, 7])
     strings = a.to_strings()
-    assert strings == ["1/2", "-2", "0", "7"]
+    assert strings == ["1", "-2", "0", "7"]
     assert ChowClass.from_strings(3, strings) == a
-    for n, strings in [(2, ["1/2", "-1/4", "1/8"]), (1, ["-7/2", "0"])]:
+    for n, strings in [(2, ["-1", "4", "-16"]), (1, ["123456789012345678901", "0"])]:
         assert ChowClass.from_strings(n, strings).to_strings() == strings
 
 
 def test_fraction_coefficients_with_denominator_1_are_stored_as_int():
-    a = ChowClass(1, [Fraction(3), 0])
-    assert a.coeffs == (3, 0)
+    # Z[h]/(h^(n+1)) stores int coefficients only: int input and every
+    # operation keep them int, and anything else, even a Fraction with
+    # denominator 1, is refused rather than normalised
+    a = ChowClass(1, [3, 0])
     assert [type(c) for c in a.coeffs] == [int, int]
-    twin = ChowClass(1, [3, 0])
-    assert a == twin and hash(a) == hash(twin)
-    assert ChowClass(2, [Fraction(4, 2), True, -1.0]).coeffs == (2, 1, -1)
-    assert [type(c) for c in (a * Fraction(1, 3)).coeffs] == [int, int]
-    assert (a * Fraction(1, 2)).coeffs == (Fraction(3, 2), 0)
+    assert [type(c) for c in (a * 2).coeffs] == [int, int]
+    assert ChowClass.from_strings(1, ["3", "0"]) == a
+    for bad in (Fraction(3), Fraction(1, 2), 0.5, 3.0, True):
+        with pytest.raises(ValueError):
+            ChowClass(1, [bad, 0])
+    with pytest.raises(ValueError):
+        ChowClass.from_strings(1, ["1/2", "0"])
 
 
 def test_inverse_of_a_non_unit_constant_term_is_exact():
-    a = ChowClass(2, [2, 1, 0])
-    inv = a.inverse()
-    assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
-    assert inv.to_strings() == ["1/2", "-1/4", "1/8"]
-    assert a * inv == unit(2)
-    assert [type(c) for c in (a * inv).coeffs] == [int, int, int]
+    # only the units +-1 + (h) have an inverse, and it has int coefficients;
+    # a non-unit is refused instead of getting a rational inverse
+    with pytest.raises(ValueError):
+        ChowClass(2, [2, 1, 0]).inverse()
+    for c0 in (1, -1):
+        a = ChowClass(2, [c0, 1, 0])
+        inv = a.inverse()
+        assert [type(c) for c in inv.coeffs] == [int, int, int]
+        assert a * inv == unit(2)
 
 
 def _inverse_by_fractions(coeffs):
@@ -197,30 +204,14 @@ def _inverse_by_fractions(coeffs):
 
 
 def test_int_and_fraction_coefficients_give_the_same_classes():
+    # the int inverse of a unit equals the inverse computed in Q
     rng = random.Random(67)
     for _ in range(80):
         n = rng.randint(0, 6)
-        xs = [rng.randint(-9, 9) for _ in range(n + 1)]
-        ys = [rng.randint(-9, 9) for _ in range(n + 1)]
-        us = [rng.choice([1, -1, 2, 3, -4])] + ys[1:]
-        d = rng.randint(-5, 5)
-        a, aq = ChowClass(n, xs), ChowClass(n, [Fraction(c) for c in xs])
-        b, bq = ChowClass(n, ys), ChowClass(n, [Fraction(c) for c in ys])
-        u, uq = ChowClass(n, us), ChowClass(n, [Fraction(c) for c in us])
+        us = [rng.choice([1, -1])] + [rng.randint(-9, 9) for _ in range(n)]
+        u = ChowClass(n, us)
         assert u.inverse().coeffs == tuple(_inverse_by_fractions(us))
-        pairs = [
-            (a, aq),
-            (a * b, aq * bq),
-            (u.inverse(), uq.inverse()),
-            (u ** -2 * a, uq ** -2 * aq),
-            (a.tensor(d), aq.tensor(d)),
-            (a.dual(), aq.dual()),
-            (a - b * 3, aq - bq * Fraction(3)),
-        ]
-        for x, y in pairs:
-            assert x == y and hash(x) == hash(y)
-            assert [type(c) for c in x.coeffs] == [type(c) for c in y.coeffs]
-            assert x.to_strings() == y.to_strings()
+        assert u ** -2 * u ** 2 == unit(n)
 
 
 def test_rendering():

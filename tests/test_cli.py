@@ -228,6 +228,8 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
     bad_rows = [
         ({"poly": "x0*x1", "n": 2}, "'name'"),
         ({"name": "no_poly", "n": 2}, "'poly'"),
+        ({**good, "milnor_orcale": 5}, "'milnor_orcale'"),
+        ({**good, "chart": 2}, "'chart'"),
     ]
     for row, key in bad_rows:
         path = tmp_path / "bad.json"
@@ -341,13 +343,47 @@ def test_internal_identity_failure_exits_3(capsys, monkeypatch):
     from csmhyp.errors import CsmhypError
 
     def explode(*args, **kwargs):
-        raise CsmhypError("segre class has a nonzero codimension-0 part")
+        raise CsmhypError("smooth hypersurface produced a nonzero Segre class")
 
     monkeypatch.setattr(charclasses, "build_report", explode)
     code, out, err = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
     assert code == 3
     assert out == ""
-    assert err == "error: segre class has a nonzero codimension-0 part\n"
+    assert err == "error: smooth hypersurface produced a nonzero Segre class\n"
+
+
+@pytest.mark.parametrize(
+    "poly,g,message",
+    [
+        # smooth, but g gives s(Y) = h^2 != 0
+        ("x0^2 + x1^2 + x2^2", (1, 1, 0), "nonzero Segre class"),
+        # one node (degree 1), but g gives s(Y) = 0
+        ("x1^2*x2 - x0^3 - x0^2*x2", (1, 2, 4), "leading coefficient 0 is below"),
+    ],
+    ids=["smooth-conic", "nodal-cubic"],
+)
+def test_segre_support_check_refuses_inconsistent_degrees(
+    capsys, monkeypatch, poly, g, message
+):
+    # the Segre support check is what decides "s(Y) = 0 exactly when X is
+    # smooth": degrees that break it end in exit 3 with one error line
+    import dataclasses
+
+    from csmhyp import segre
+
+    real = segre.projective_degrees
+
+    def wrong_g(*args, **kwargs):
+        pd, scheme = real(*args, **kwargs)
+        return dataclasses.replace(pd, g=g), scheme
+
+    monkeypatch.setattr(segre, "projective_degrees", wrong_g)
+    code, out, err = run_cli(capsys, "compute", poly, "--nvars", "3", "--verify")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert message in err and "Traceback" not in err
 
 
 def test_disagreeing_route_is_a_failing_verdict(capsys, monkeypatch):
@@ -375,16 +411,21 @@ def test_disagreeing_route_is_a_failing_verdict(capsys, monkeypatch):
 
 
 def test_legend_names_every_verdict(capsys):
+    # every verdict printed has a legend line, and every legend line that
+    # is not a class label names a verdict these runs print
     from csmhyp.cli import _LEGEND
 
-    printed = set()
+    printed, labels = set(), set()
     for poly in ("x0^2 + x1^2 + x2^2", "x1^2*x2 - x0^3 - x0^2*x2"):
         _, out, _ = run_cli(capsys, "compute", poly, "--nvars", "3", "--verify")
         for line in out.splitlines():
             if line.startswith(("  [pass] ", "  [FAIL] ")):
                 printed.add(line.split()[1])
-    assert {"smooth_coincidence", "milnor_affine_oracle"} <= printed
-    assert printed <= {key for key, _ in _LEGEND}
+            elif line.startswith("  ") and line.split()[1:2] == ["="]:
+                labels.add(line.split()[0])
+    assert labels == {"s(Y)", "c_SM(X)", "c_F(X)", "mu(Y)"}
+    assert "milnor_affine_oracle" in printed
+    assert printed == {key for key, _ in _LEGEND} - labels
 
 
 def test_cross_process_byte_determinism():

@@ -19,7 +19,6 @@ from csmhyp.poly import (
     PrimeField,
     QQ,
     _random_combination,
-    euler_check,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,
@@ -207,23 +206,6 @@ def test_homogeneity_preserved_by_operations():
         assert (f + g).is_homogeneous()
         assert (f * g).is_homogeneous()
         assert f.partial(1).is_homogeneous()
-
-
-def test_euler_check_over_q():
-    assert euler_check(parse_poly("x0*x1*x2", 3))
-    rng = random.Random(29)
-    for _ in range(20):
-        f = random_form(rng, rng.randint(2, 4), rng.randint(1, 5))
-        assert euler_check(f)
-
-
-def test_euler_check_prime_field():
-    p = 5
-    gf = PrimeField(p)
-    f = Polynomial(2, {(p, 0): 1}, gf)  # x0^p: all partials vanish
-    assert not euler_check(f)
-    g = reduce_mod_p(parse_poly("x0^2*x1", 3), p)
-    assert euler_check(g)  # p does not divide 3
 
 
 def test_random_linear_combination_determinism():
