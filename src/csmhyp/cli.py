@@ -29,7 +29,6 @@ _LEGEND = [
     ("csm_residual_binomial_route", "dimensionwise binomial residual formula agrees"),
     ("csm_thickening_route", "Fulton class of the formal (-1)-thickening agrees"),
     ("csm_mu_class_route", "c_F(X) + c(L)^(n-1) (mu^v (x) L) agrees"),
-    ("milnor_degree_identity", "deg mu = (-1)^n (chi(X) - chi of a smooth member)"),
     ("milnor_affine_oracle", "deg mu = Milnor count in a generic affine chart (--verify)"),
 ]
 

@@ -593,23 +593,29 @@ def _divide_out_one_minus_t(num):
     return num, times
 
 
+def _krull_degree(monomials, nvars: int):
+    """Krull dimension and multiplicity of the quotient by the monomial
+    ideal the given monomials generate, read off the Hilbert series
+    N(t)/(1-t)^nvars once N is divided by (1-t) as often as it divides:
+    ``(nvars - times, quotient(1))``, and ``(0, 0)`` for the unit ideal,
+    whose numerator is 0."""
+    num = hilbert_numerator(monomials, nvars)
+    if not any(num):
+        return 0, 0
+    num, cancelled = _divide_out_one_minus_t(num)
+    return nvars - cancelled, sum(num)
+
+
 def standard_monomial_count(monomials, nvars: int):
     """Number of monomials in ``nvars`` variables outside the monomial
     ideal the given monomials generate: the colength of an Artinian
     monomial ideal.
 
-    Read off the Hilbert series N(t)/(1-t)^nvars, which is then the
-    polynomial counting standard monomials by degree.  Returns ``None``
-    when the count is infinite (fewer than ``nvars`` factors cancel, the
-    zero ideal included) and ``0`` for the unit ideal.
+    Returns ``None`` when the count is infinite (the quotient has positive
+    Krull dimension, the zero ideal included) and ``0`` for the unit ideal.
     """
-    num = hilbert_numerator(monomials, nvars)
-    if not any(num):
-        return 0
-    num, cancelled = _divide_out_one_minus_t(num)
-    if cancelled < nvars:
-        return None
-    return sum(num)
+    krull, degree = _krull_degree(monomials, nvars)
+    return None if krull else degree
 
 
 def dim_degree(I: IdealBasis):
@@ -623,12 +629,5 @@ def dim_degree(I: IdealBasis):
         raise ValueError("dim_degree requires a Groebner basis")
     if I.is_zero_ideal():
         raise ValueError("dim_degree of the zero ideal needs ring data; pass generators")
-    nvars = I.nvars
-    num = hilbert_numerator(I.leading_terms, nvars)
-    if not any(num):
-        return None, 0
-    num, cancelled = _divide_out_one_minus_t(num)
-    krull = nvars - cancelled
-    if krull <= 0:
-        return None, 0
-    return krull - 1, sum(num)
+    krull, degree = _krull_degree(I.leading_terms, I.nvars)
+    return (krull - 1, degree) if krull > 0 else (None, 0)

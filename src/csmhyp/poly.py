@@ -1,9 +1,11 @@
 """Exact multivariate polynomial arithmetic over Q and over prime fields.
 
 Monomials are dense exponent tuples of length ``nvars``; a polynomial is a
-mapping from exponent tuples to nonzero field elements (Fraction over Q,
-int in [1, p-1] over GF(p)).  The default monomial order everywhere is
-graded reverse lexicographic.
+mapping from exponent tuples to nonzero ``int`` coefficients, any int over
+Q and one in [1, p-1] over GF(p): the parser admits integers only and no
+operation divides.  Any other coefficient, a ``Fraction``, a float or a
+bool, is refused with ``ValueError``.  The default monomial order
+everywhere is graded reverse lexicographic.
 
 Homogeneity is the normal state of affairs for the geometric pipeline and
 is enforced at the parsing boundary and checked by ``degree``; the class
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 
 from .errors import PolynomialParseError, RandomnessError
 
@@ -53,13 +54,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _integer(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"coefficient {x!r} is not an int")
+    return x
+
+
 class Rationals:
-    """The field Q; coefficients are ``fractions.Fraction``."""
+    """The field Q, holding integer coefficients only."""
 
     kind = "rationals"
 
     def coerce(self, x):
-        return Fraction(x)
+        return _integer(x)
 
     def add(self, a, b):
         return a + b
@@ -69,9 +76,6 @@ class Rationals:
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        return 1 / a
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -101,12 +105,7 @@ class PrimeField:
         self.p = p
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ValueError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, self.p - 2, self.p) % self.p
-        return int(x) % self.p
+        return _integer(x) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -116,11 +115,6 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -490,8 +484,7 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
 
 
 def to_string(f: Polynomial) -> str:
-    """Canonical text form; terms sorted grevlex-descending, parse-compatible
-    whenever all coefficients are integers."""
+    """Canonical text form; terms sorted grevlex-descending, parse-compatible."""
     if f.is_zero:
         return "0"
     parts = []

@@ -25,8 +25,10 @@ shares with Res(f1, g) is removed.  Every other cut goes through an
 elimination by ``saturate``, straight from its generators.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
-characteristic zero and accepted only under the multi-prime, multi-seed
-agreement policy; every trial is recorded for audit.
+characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
+pairs, at primes where F keeps its support and p > 2 deg F, and the first
+g-vector that a second trial repeats is accepted; every trial is recorded
+for audit.
 """
 
 from __future__ import annotations
@@ -40,42 +42,58 @@ from operator import mul
 from .chow import ChowClass
 from .errors import CsmhypError, RandomnessError
 from .groebner import IdealBasis, buchberger, dim_degree, saturate
-from .poly import Polynomial, _random_combination, reduce_mod_p, variable
+from .poly import Polynomial, PrimeField, _random_combination, reduce_mod_p, variable
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
-MAX_TRIALS = 8  # trials per input before giving up
-MAX_DISAGREEMENTS = 4  # disagreeing trials that abort the run
+MAX_TRIALS = 5  # trials per input; five different g-vectors abort the run
 DIM_RETRIES = 4  # fresh cuts per g_i while the residual is positive-dimensional
 
 
 @dataclass(frozen=True)
 class TrialPolicy:
-    """Randomness policy: which primes and seeds to try."""
+    """Randomness policy: the primes and seeds a report's trials run at.
+
+    Each prime is checked for primality and range when the policy is
+    made; ``schedule`` decides which of them serve a given F.
+    """
 
     primes: tuple = DEFAULT_PRIMES[:2]
     seeds: tuple = DEFAULT_SEEDS
 
     def __post_init__(self):
-        # Primality is checked by PrimeField, where each prime is used.
         if not self.primes or not self.seeds:
             raise ValueError("a trial policy needs at least one prime and one seed")
         for p in self.primes:
             if not isinstance(p, int) or p < 2:
                 raise ValueError(f"policy prime {p!r} is not an integer >= 2")
+            PrimeField(p)
 
-    def combos(self):
-        """Deterministic trial order: all seeds at the first prime, then
-        escalation to further primes, then derived fresh seeds."""
-        for p in self.primes:
-            for s in self.seeds:
-                yield (p, s)
-        k = 1
-        while True:
-            for p in self.primes:
-                for s in self.seeds:
-                    yield (p, s + 100003 * k)
-            k += 1
+    def schedule(self, F: Polynomial) -> list:
+        """The first ``MAX_TRIALS`` (prime, seed) pairs of F's trials.
+
+        A prime is usable when p > 2 deg F and p divides no coefficient of
+        F, so that F keeps its support mod p; usable primes keep the
+        policy's order.  The pairs are (p, s + 100003 k) for k = 0, 1, ...,
+        every seed at every usable prime for each k, without repeats.
+        Raises ``ValueError`` when no prime is usable.
+        """
+        d = F.degree
+        primes = [
+            p for p in self.primes if p > 2 * d and all(c % p for c in F.terms.values())
+        ]
+        if not primes:
+            raise ValueError(
+                f"no usable prime in {list(self.primes)}: need p > 2 deg F = "
+                f"{2 * d} and p dividing no coefficient of F"
+            )
+        pairs = dict.fromkeys(
+            (p, s + 100003 * k)
+            for k in range(MAX_TRIALS)
+            for p in primes
+            for s in self.seeds
+        )
+        return list(pairs)[:MAX_TRIALS]
 
 
 @dataclass(frozen=True)
@@ -138,11 +156,6 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
         raise ValueError("jacobian scheme is computed over a prime field")
     d = F.degree
     p = F.field.p
-    if d % p == 0:
-        raise ValueError(
-            f"prime {p} divides deg F = {d}; the partials would not cut the "
-            "singular scheme (Euler relation degenerates); pick another prime"
-        )
     if p <= 2 * d:
         raise ValueError(f"prime {p} is too small for degree {d}: need p > 2d")
     n = F.nvars - 1
@@ -423,68 +436,34 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
 def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy()):
     """Multi-trial projective degrees of the gradient map of F.
 
-    Runs the per-trial computation over the policy's (prime, seed) grid
-    until one g-vector is confirmed by two independent trials (or is the
-    single trial of a one-combo policy).  Disagreeing trials are recorded,
-    never silently dropped; too many disagreements abort with the log.
+    Runs one trial at each (prime, seed) of ``policy.schedule(F)`` and
+    accepts the first g-vector that a second trial repeats.  Every trial
+    is recorded, accepted or not; when all ``MAX_TRIALS`` differ, the run
+    aborts with the log.
 
     Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme
-    data taken from the first accepted trial's prime.
+    data taken from the prime of the first trial that gave the vector.
     """
     if F_rational.field.kind != "rationals":
         raise ValueError("pipeline input must be a polynomial over Q")
-    d = F_rational.degree
-    if all(d % p == 0 for p in policy.primes):
-        raise ValueError(
-            f"every policy prime divides deg F = {d}; no usable prime"
-        )
-    combos = []
-    seen = set()
-    for p, s in policy.combos():
-        if len(combos) >= MAX_TRIALS:
-            break
-        if d % p == 0 or (p, s) in seen:
-            continue
-        seen.add((p, s))
-        combos.append((p, s))
-    single = len(combos) == 1
-
     trials = []
-    results = []
     schemes = {}
-    for prime, seed in combos:
+    for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
-        rng = random.Random(f"csmhyp:{prime}:{seed}")
-        g = _degrees_one_trial(schemes[prime], rng)
+        g = _degrees_one_trial(schemes[prime], random.Random(f"csmhyp:{prime}:{seed}"))
+        first = next((p for p, _, gv in trials if gv == g), None)
         trials.append((prime, seed, g))
-        results.append(g)
-        counts = {}
-        for gv in results:
-            counts[gv] = counts.get(gv, 0) + 1
-        winner, wcount = max(counts.items(), key=lambda kv: kv[1])
-        disagreements = len(results) - wcount
-        if disagreements >= MAX_DISAGREEMENTS:
-            raise RandomnessError(
-                "projective-degree trials disagree persistently",
-                trials=[
-                    TrialRecord(p, s, gv, False).to_json() for p, s, gv in trials
-                ],
-            )
-        if wcount >= 2 or (single and wcount == 1):
-            records = tuple(
-                TrialRecord(p, s, gv, gv == winner) for p, s, gv in trials
-            )
-            first_prime = next(p for p, s, gv in trials if gv == winner)
+        if first is not None:
             pd = ProjectiveDegrees(
-                n=schemes[first_prime].n,
-                e=d - 1,
-                g=winner,
-                trials=records,
+                n=schemes[first].n,
+                e=F_rational.degree - 1,
+                g=g,
+                trials=tuple(TrialRecord(p, s, gv, gv == g) for p, s, gv in trials),
             )
-            return pd, schemes[first_prime]
+            return pd, schemes[first]
     raise RandomnessError(
-        "no projective-degree vector was confirmed twice",
+        "projective-degree trials disagree persistently",
         trials=[TrialRecord(p, s, gv, False).to_json() for p, s, gv in trials],
     )
 

@@ -34,6 +34,7 @@ from csmhyp.chow import (
     hyperplane_power,
     inverse_line_bundle,
     line_bundle,
+    line_bundle_power,
     unit,
 )
 from csmhyp.oracles import smooth_chern_class
@@ -169,31 +170,28 @@ def test_mu_class_examples():
     assert mu_class(NODAL_CUBIC).coeffs == (0, 0, 1)
 
 
-def _milnor(inp, chi):
-    return milnor_total(inp.n, mu_class(inp), fulton(inp), chi)
-
-
 def test_milnor_total_examples():
-    chi = euler_characteristic(csm(NODAL_CUBIC))
-    assert chi == 1
-    milnor, ok = _milnor(NODAL_CUBIC, chi)
-    assert (milnor, ok) == (1, True)
-
     cusp = HypersurfaceInput(2, 3, ChowClass(2, [0, 0, 2]))
-    chi = euler_characteristic(csm(cusp))
-    assert chi == 2
-    milnor, ok = _milnor(cusp, chi)
-    assert (milnor, ok) == (2, True)
-
-    chi = euler_characteristic(csm(QUADRIC_CONE))
-    assert chi == 3
-    milnor, ok = _milnor(QUADRIC_CONE, chi)
-    assert (milnor, ok) == (1, True)
+    for inp, chi, milnor in ((NODAL_CUBIC, 1, 1), (cusp, 2, 2), (QUADRIC_CONE, 3, 1)):
+        assert euler_characteristic(csm(inp)) == chi
+        assert milnor_total(mu_class(inp)) == milnor
 
 
-def test_milnor_identity_detects_wrong_euler():
-    _, ok = _milnor(QUADRIC_CONE, 17)
-    assert not ok
+def test_mu_route_top_coefficient_is_the_milnor_identity():
+    # The piece a_m h^m of mu adds (-1)^m a_m h^m (1 + d h)^(n-1-m) to
+    # c(L)^(n-1) (mu^v tensor L), so its h^n coefficient is (-1)^n a_n:
+    # wherever the mu route agrees, chi = chi_virtual + (-1)^n deg mu.
+    rng = random.Random(73)
+    for _ in range(200):
+        n, d = rng.randint(1, 6), rng.randint(1, 6)
+        mu = ChowClass(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        correction = line_bundle_power(n, d, n - 1) * mu.dual().tensor(d)
+        assert correction.integral() == (-1) ** n * milnor_total(mu), (n, d, mu)
+    for _ in range(60):
+        inp = _random_input(rng)
+        chi = euler_characteristic(csm_via_mu(inp))
+        virtual = fulton(inp).integral()
+        assert chi == virtual + (-1) ** inp.n * milnor_total(mu_class(inp))
 
 
 def test_smooth_singularity_shortcut():

@@ -114,6 +114,36 @@ def test_compute_rejects_a_prime_below_2_exit_2(capsys):
         assert "integer >= 2" in result[2]
 
 
+def test_compute_skips_a_prime_that_divides_a_coefficient(capsys):
+    # mod 32003 the smooth conic loses its x2^2 term and becomes two lines
+    code, out, _ = run_cli(
+        capsys, "compute", "x0^2 + x1^2 + 32003*x2^2", "--nvars", "3", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["euler"], payload["milnor_total"]) == (2, 0)
+    assert {t["prime"] for t in payload["trials"]} == {65537}
+
+
+def test_compute_checks_every_policy_prime_up_front(capsys):
+    result = run_cli(
+        capsys, "compute", "x0*x1", "--nvars", "3",
+        "--prime", "32003", "--prime", "32004",
+    )
+    assert_one_error_line(*result)
+    assert "32004 is not prime" in result[2]
+
+
+def test_compute_skips_a_prime_at_most_twice_the_degree(capsys):
+    quartic = ("compute", "x0^4 + x1^4 + x2^4", "--nvars", "3", "--json")
+    code, out, _ = run_cli(capsys, *quartic, "--prime", "7", "--prime", "32003")
+    assert code == 0
+    assert {t["prime"] for t in json.loads(out)["trials"]} == {32003}
+    result = run_cli(capsys, *quartic, "--prime", "7")
+    assert_one_error_line(*result)
+    assert "no usable prime" in result[2]
+
+
 def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
     # The partials have degree 39999, past the 2^15 - 1 that a packed
     # monomial field holds; the large prime passes the p > 2d check.

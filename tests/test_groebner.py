@@ -88,8 +88,8 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     xf = Polynomial(f.nvars, {tuple(a - b for a, b in zip(lcm, lf)): 1}, f.field)
     xg = Polynomial(g.nvars, {tuple(a - b for a, b in zip(lcm, lg)): 1}, g.field)
-    cf = f.field.inv(f.terms[lf])
-    cg = g.field.inv(g.terms[lg])
+    cf = pow(f.terms[lf], -1, f.field.p)
+    cg = pow(g.terms[lg], -1, g.field.p)
     return xf * f.scale(cf) - xg * g.scale(cg)
 
 
@@ -737,7 +737,7 @@ def _divide_with_certificate(f, basis):
             if all(a <= b for a, b in zip(lt, m)):
                 shift = tuple(a - b for a, b in zip(m, lt))
                 q_term = Polynomial(
-                    f.nvars, {shift: f.field.mul(c, f.field.inv(g.terms[lt]))},
+                    f.nvars, {shift: f.field.mul(c, pow(g.terms[lt], -1, f.field.p))},
                     f.field,
                 )
                 quotients[i] = quotients[i] + q_term

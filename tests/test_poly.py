@@ -147,7 +147,7 @@ def test_parse_matches_polynomial_arithmetic(monkeypatch):
         got = parse_poly(text, nvars)
         ref = reference_parse(text, nvars)
         assert got == ref, text
-        assert all(type(c) is Fraction for c in got.terms.values()), text
+        assert all(type(c) is int for c in got.terms.values()), text
 
 
 @pytest.mark.parametrize(
@@ -298,11 +298,32 @@ def test_reduce_mod_p_examples():
     )
     with pytest.raises(ValueError):
         reduce_mod_p(parse_poly("5*x0^2", 3), 5)
-    half = Polynomial(3, {(1, 1, 0): Fraction(1, 2)}, QQ)
-    assert reduce_mod_p(half, 7).terms == {(1, 1, 0): 4}
-    bad_denominator = Polynomial(3, {(1, 0, 0): Fraction(1, 5)}, QQ)
-    with pytest.raises(ValueError):
-        reduce_mod_p(bad_denominator, 5)
+    assert reduce_mod_p(parse_poly("-x0*x1", 3), 7).terms == {(1, 1, 0): 6}
+    # Coefficients are ints over Q and GF(p) alike; nothing else is taken.
+    for c in (Fraction(1, 2), Fraction(1, 5), Fraction(3), 0.5, 3.0, True):
+        for field in (QQ, PrimeField(5)):
+            with pytest.raises(ValueError, match="is not an int"):
+                Polynomial(3, {(1, 1, 0): c}, field)
+
+
+def test_no_package_module_imports_fractions():
+    # Coefficients are ints in polynomials and in the Chow ring alike.
+    import csmhyp
+
+    package = os.path.dirname(os.path.abspath(csmhyp.__file__))
+    modules = [name for name in os.listdir(package) if name.endswith(".py")]
+    assert "poly.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "fractions" for m in imported), name
 
 
 def test_prime_field_rejects_composites():

@@ -160,7 +160,7 @@ def test_projective_degrees_validation():
 
 
 def test_policy_with_unusable_primes():
-    # a policy whose only prime divides d is rejected up front
+    # a policy whose only prime divides d (so p <= 2d) has no usable prime
     with pytest.raises(ValueError):
         projective_degrees(
             parse_poly("x0^3 + x1^3 + x2^3", 3), TrialPolicy(primes=(3,), seeds=(1,))
@@ -168,8 +168,9 @@ def test_policy_with_unusable_primes():
 
 
 def test_policy_rejects_empty_grids_and_primes_below_2():
-    # An empty seed list would make combos() yield nothing, forever; a
-    # prime of 0 would divide by zero in the degree check.
+    # An empty seed list would leave the schedule without a pair; a prime
+    # of 0 would divide by zero in the support check.  Every prime is
+    # checked for primality and range up front, not only those reached.
     for kwargs in (
         {"seeds": ()},
         {"primes": ()},
@@ -177,6 +178,9 @@ def test_policy_rejects_empty_grids_and_primes_below_2():
         {"primes": (1,)},
         {"primes": (32003, -7)},
         {"primes": (32003.0,)},
+        {"primes": (32003, 32004)},
+        {"primes": (32003, 561)},
+        {"primes": (32003, 10**25)},
     ):
         with pytest.raises(ValueError):
             TrialPolicy(**kwargs)
@@ -287,7 +291,7 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
     with pytest.raises(RandomnessError) as err:
         projective_degrees(parse_poly("x0*x1", 3), TWO_PRIME)
     assert err.value.trials  # audit log travels with the failure
-    assert len(calls) >= 4
+    assert len(calls) == 5
 
 
 def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
@@ -303,6 +307,36 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
     assert pd.g == (1, 1, 0)
     flags = [t.accepted for t in pd.trials]
     assert flags.count(False) == 1 and flags.count(True) == 2
+
+
+def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    outputs = iter([(1, 2, 4), (1, 2, 3), (1, 2, 2), (1, 1, 0), (1, 2, 2)])
+
+    def scripted(scheme, rng):
+        return next(outputs)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
+    assert pd.g == (1, 2, 2)
+    assert [t.accepted for t in pd.trials] == [False, False, True, False, True]
+    assert [(t.prime, t.seed) for t in pd.trials] == [
+        (32003, 101), (32003, 102), (65537, 101), (65537, 102), (32003, 100104)
+    ]
+
+
+def test_schedule_keeps_the_usable_primes_in_policy_order():
+    policy = TrialPolicy(primes=(7, 65537, 11, 32003), seeds=(1, 100004))
+    quartic = parse_poly("x0^4 + x1^4 + 11*x2^4", 3)  # 7 <= 2d, 11 divides 11
+    assert policy.schedule(quartic) == [
+        (65537, 1), (65537, 100004), (32003, 1), (32003, 100004), (65537, 200007)
+    ]
+    assert TrialPolicy(primes=(13,), seeds=(5,)).schedule(quartic) == [
+        (13, 5 + 100003 * k) for k in range(5)
+    ]
+    with pytest.raises(ValueError, match="no usable prime"):
+        TrialPolicy(primes=(7, 11), seeds=(1,)).schedule(quartic)
 
 
 def test_one_groebner_basis_per_prime_for_the_jacobian_only(monkeypatch):
