@@ -11,9 +11,9 @@ terms.
 
 All heavy computation is modular: the engine refuses rational
 coefficients.  Polynomials need not be homogeneous (saturation adjoins an
-auxiliary variable with inhomogeneous relations; the affine Milnor oracle
-divides affine ideals), and every order used here is global, so division
-terminates regardless.
+auxiliary variable with inhomogeneous relations, and both the cuts of the
+projective degrees and the affine Milnor oracle live in an affine chart),
+and every order used here is global, so division terminates regardless.
 
 Inner loops work on raw term dicts ``{packed_monomial: int}`` mod p;
 ``Polynomial`` values are unwrapped, and their exponent tuples packed, at

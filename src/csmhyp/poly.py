@@ -232,9 +232,11 @@ class Polynomial:
         mul = self.field.mul
         return self._wrap({m: mul(v, c) for m, v in self.terms.items()})
 
-    def _wrap(self, terms: dict) -> "Polynomial":
+    def _wrap(self, terms: dict, nvars: int | None = None) -> "Polynomial":
+        """A polynomial over this one's field from checked ``terms``, in
+        this one's ring unless ``nvars`` says otherwise."""
         out = object.__new__(Polynomial)
-        out.nvars = self.nvars
+        out.nvars = self.nvars if nvars is None else nvars
         out.field = self.field
         out.terms = terms
         return out
@@ -274,18 +276,25 @@ class Polynomial:
         return self._wrap(out)
 
     def dehomogenize(self, chart: int) -> "Polynomial":
-        """Set x_chart = 1 and drop that variable (nvars decreases by one)."""
+        """Set x_chart = 1 and drop that variable (nvars decreases by one).
+        Terms that then share a monomial are added, and dropped when they
+        cancel, so inhomogeneous input is dehomogenized correctly too."""
         if not 0 <= chart < self.nvars:
             raise IndexError(f"chart index {chart} out of range")
         out = {}
+        add = self.field.add
         for m, c in self.terms.items():
             mm = m[:chart] + m[chart + 1 :]
-            v = self.field.add(out.get(mm, 0), c)
-            if v:
-                out[mm] = v
-            elif mm in out:
-                del out[mm]
-        return Polynomial(self.nvars - 1, out, self.field)
+            old = out.get(mm)
+            if old is None:
+                out[mm] = c
+            else:
+                v = add(old, c)
+                if v:
+                    out[mm] = v
+                else:
+                    del out[mm]
+        return self._wrap(out, self.nvars - 1)
 
 
 def variable(nvars: int, i: int, field) -> Polynomial:

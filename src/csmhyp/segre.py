@@ -21,8 +21,13 @@ it shares with g is removed, by univariate gcds mod p.  On the plane
 through three random points g_2 counts the roots of a resultant: seen
 from the third point, the two curves of the cut meet on the lines where
 Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
-shares with Res(f1, g) is removed.  Every other cut goes through an
-elimination by ``saturate``, straight from its generators.
+shares with Res(f1, g) is removed.  Every other cut is counted in the
+affine chart x_n = 1: its generators and g are dehomogenized, saturated
+by one elimination with ``saturate``, and g_i is the number of standard
+monomials of the result: the length of the residual at its points off
+the hyperplane x_n = 0.  A residual point on that hyperplane is lost;
+random cuts make that about as rare as an unlucky g, and since it can
+only lower g_i, the agreement policy treats it the same way.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
@@ -41,7 +46,13 @@ from operator import mul
 
 from .chow import ChowClass
 from .errors import CsmhypError, RandomnessError
-from .groebner import IdealBasis, buchberger, dim_degree, saturate
+from .groebner import (
+    IdealBasis,
+    buchberger,
+    dim_degree,
+    saturate,
+    standard_monomial_count,
+)
 from .poly import Polynomial, PrimeField, _random_combination, reduce_mod_p, variable
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
@@ -376,6 +387,28 @@ def _variables(field, nvars) -> tuple:
     return tuple(variable(nvars, k, field) for k in range(nvars))
 
 
+def _chart_degree(forms, base_locus: IdealBasis, n: int):
+    """``g_i`` of the cut by ``forms`` in P^n, saturated by the one
+    generator of ``base_locus``, which is already dehomogenized: the
+    colength of the saturation in the chart x_n = 1.  ``None`` when the
+    residual is positive-dimensional off x_n = 0; 0 when it is empty.
+
+    A zero-dimensional scheme that misses x_n = 0 has the colength of
+    its ideal in that chart as its degree (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, ch. 8), and saturating by g
+    commutes with setting x_n = 1, so every residual point off x_n = 0
+    is counted with its length.  What lies on x_n = 0 is lost: a residual
+    point, or a positive-dimensional residual inside that hyperplane,
+    which then gives a finite count where the projective cut is drawn
+    again.  Either way the count is that of the isolated points that are
+    left, so, like an unlucky g, it can only come out low; for random
+    forms and hyperplanes that happens with probability about 1/p.
+    """
+    cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
+    residual = saturate(cut, base_locus)
+    return standard_monomial_count(residual.leading_terms, n)
+
+
 def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     """One g-vector at one (prime, seed).
 
@@ -392,11 +425,14 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     elimination's answer on their line or plane, and a draw whose points
     are dependent or whose forms meet it degenerately is drawn again.
     The plane cut takes e^2 + 1 interpolation nodes, so it needs
-    e^2 < p; it is left to ``saturate`` when Y has codimension one,
+    e^2 < p; it is left to the elimination when Y has codimension one,
     since f1 and g then share a curve on every plane, and for the top
     cut i = n = 2, whose plane is all of P^2.  Every cut with i >= 3, and
-    every cut the plane leaves, goes straight from its generators into
-    one elimination by ``saturate``.
+    every cut the plane leaves, is counted in the affine chart x_n = 1
+    (``_chart_degree``): its forms, its hyperplanes and g lose x_n, and
+    one elimination by ``saturate`` runs in n variables plus t.  A
+    residual point on x_n = 0 is not counted there, so that g_i, too,
+    can only come out low, with probability about 1/p.
     """
     n = scheme.n
     partials = scheme.partials
@@ -406,7 +442,8 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
     # checks; they take the same values from rng.
-    base_locus = IdealBasis((_random_combination(partials, p, rng),))
+    base = _random_combination(partials, p, rng)
+    base_locus = IdealBasis((base.dehomogenize(n),))  # in the chart x_n = 1
     g = [1]
     for i in range(1, n + 1):
         for _ in range(DIM_RETRIES):
@@ -414,14 +451,11 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
             if i == 1 or (i == 2 and plane):
                 points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(i + 1)]
                 cut = _line_degree if i == 1 else _plane_degree
-                gi = cut(*forms, base_locus.gens[0], *points, p)
+                gi = cut(*forms, base, *points, p)
             else:
                 xs = _variables(field, n + 1)
-                planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
-                residual = saturate(IdealBasis(tuple(forms + planes)), base_locus)
-                dim, gi = dim_degree(residual)
-                if dim:  # positive-dimensional; (None, 0) for the empty scheme
-                    gi = None
+                forms += [_random_combination(xs, p, rng) for _ in range(n - i)]
+                gi = _chart_degree(forms, base_locus, n)
             if gi is not None:
                 g.append(gi)
                 break

@@ -341,6 +341,25 @@ def test_dehomogenize():
     g = f.dehomogenize(2)
     assert g.nvars == 2
     assert g == Polynomial(2, {(0, 2): 1, (3, 0): -1, (2, 0): -1}, QQ)
+    # Inhomogeneous input: terms that meet in the chart are added, and
+    # dropped when they cancel, over Q and over GF(p).
+    gf = PrimeField(5)
+    for f, chart, want in [
+        (Polynomial(2, {(1, 1): 1, (1, 0): 2}, QQ), 1, Polynomial(1, {(1,): 3}, QQ)),
+        (Polynomial(2, {(1, 1): 1, (0, 1): -1}, QQ), 0, Polynomial(1, {}, QQ)),
+        (Polynomial(2, {(1, 1): 3, (1, 0): 4}, gf), 1, Polynomial(1, {(1,): 2}, gf)),
+        (Polynomial(2, {(2, 1): 2, (2, 0): 3, (0, 1): 1}, gf), 1,
+         Polynomial(1, {(0,): 1}, gf)),
+        (Polynomial(3, {(1, 0, 2): 2, (1, 0, 0): 3, (1, 1, 0): 1}, gf), 2,
+         Polynomial(2, {(1, 1): 1}, gf)),
+    ]:
+        g = f.dehomogenize(chart)
+        assert g == want and g.nvars == f.nvars - 1, (f, chart)
+        assert all(g.terms.values()), (f, chart)
+    f = Polynomial(2, {(1, 1): 1}, gf)
+    for chart in (-1, 2):
+        with pytest.raises(IndexError):
+            f.dehomogenize(chart)
 
 
 def test_substitute_linear_identity_and_composition(substitute_linear):

@@ -803,3 +803,105 @@ def test_resultants_match_the_sylvester_determinant():
             a_i, b_i = [c[i] for c in a], [c[i] for c in b]
             want = _sylvester(a_i, b_i, p)
             assert got[i] == want, (p, e, i)
+
+
+# -- chart cuts ----------------------------------------------------------------
+
+CHART_ONLY = [  # the isolated inputs with n = 2, which have no plane cut
+    ("x0^8 + x1^8 + x0^3*x1^3*x2^2 + x1^2*x2^6", 3),
+    ("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3),
+]
+
+
+def _eliminated_cuts(scheme, p):
+    """The i whose cut a trial counts with ``_chart_degree``: every
+    i >= 2 but the plane cut's."""
+    n = scheme.n
+    plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
+    return [i for i in range(2, n + 1) if not (i == 2 and plane)]
+
+
+def test_chart_cuts_match_the_projective_elimination():
+    # Reference: dim_degree(saturate(forms + hyperplanes, g)) in P^n.
+    # The chart count must equal it, be None when the residual is
+    # positive-dimensional, and be 0 when the residual is empty.  It may
+    # only come out lower, or finite for a positive-dimensional residual,
+    # when the residual meets x_n = 0 in its own dimension: the part lost
+    # lies on that hyperplane.  Besides plain draws, each cut gets a
+    # repeated form, which leaves a positive-dimensional residual, and a
+    # point q on x_n = 0 that the forms and hyperplanes are reworked to
+    # pass through, which the chart must lose.  Plain draws lose a point
+    # that way with probability about 1/p, so only p = 11 and 13 may
+    # show it.
+    from csmhyp.groebner import IdealBasis, buchberger, dim_degree, saturate
+    from csmhyp.oracles import default_fixtures
+    from csmhyp.segre import _chart_degree
+
+    inputs = [(c.poly, c.n + 1) for c in default_fixtures()]
+    inputs += NONISOLATED + ISOLATED + CHART_ONLY
+    seen = set()
+    for text, nvars in inputs:
+        F = parse_poly(text, nvars)
+        n = nvars - 1
+        for p in (11, 13, 32003):
+            if p <= 2 * F.degree:
+                continue
+            scheme = jacobian_scheme(reduce_mod_p(F, p))
+            xs = [variable(nvars, k, PrimeField(p)) for k in range(nvars)]
+            rng = random.Random(f"{text}:{p}:chart")
+            for i, kind in itertools.product(
+                _eliminated_cuts(scheme, p), ("plain", "repeat", "at_infinity")
+            ):
+                g = random_linear_combination(scheme.partials, rng)
+                forms = [random_linear_combination(scheme.partials, rng) for _ in range(i)]
+                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                if kind == "repeat":
+                    forms[-1] = forms[0]
+                elif kind == "at_infinity":
+                    q = [rng.randrange(1, p) for _ in range(n)] + [0]
+                    forms = [_through(f, q, p) for f in forms]
+                    planes = [_through(h, q, p) for h in planes]
+                cut = forms + planes
+                if any(f.is_zero for f in cut):
+                    continue
+                residual = saturate(IdealBasis(tuple(cut)), IdealBasis((g,)))
+                dim, deg = dim_degree(residual)
+                got = _chart_degree(cut, IdealBasis((g.dehomogenize(n),)), n)
+                where = (text, p, i, kind)
+                if dim is None:
+                    assert got == 0, where
+                    seen.add((kind, "zero"))
+                elif got == (None if dim else deg):
+                    seen.add((kind, "redraw" if dim else "equal"))
+                else:
+                    # Lost on x_n = 0: a point, or every positive-dimensional
+                    # component of the residual, whose dimension the
+                    # hyperplane then keeps.
+                    assert got is not None and (dim or got < deg), where
+                    assert kind == "at_infinity" or p < 100, where
+                    at_infinity = buchberger([*residual.gens, xs[n]])
+                    assert dim_degree(at_infinity)[0] == dim, where
+                    seen.add((kind, "low" if not dim else "curve lost"))
+    assert ("plain", "equal") in seen and ("plain", "zero") in seen
+    assert ("repeat", "redraw") in seen and ("at_infinity", "low") in seen
+
+
+def test_the_chart_count_can_only_lose_points_at_infinity():
+    # On the smooth conic, the forms x2 and x0 - x1 cut the point
+    # (1:1:0), where g = x0 + 2*x1 does not vanish: the projective count
+    # is 1, but the point lies on x2 = 0, so the chart x2 = 1 counts 0.
+    # The forms x0 and x1 cut (0:0:1), inside the chart, which both
+    # count unless g vanishes there as well.
+    from csmhyp.groebner import IdealBasis, dim_degree, saturate
+    from csmhyp.segre import _chart_degree
+
+    x0, x1, x2 = (variable(3, k, PrimeField(P)) for k in range(3))
+    for forms, g, want in [
+        ((x2, x0 - x1), x0 + x1.scale(2), (1, 0)),
+        ((x0, x1), x0 + x1.scale(2) + x2, (1, 1)),
+        ((x0, x1), x0 + x1.scale(2), (0, 0)),
+    ]:
+        dim, deg = dim_degree(saturate(IdealBasis(forms), IdealBasis((g,))))
+        chart = _chart_degree(forms, IdealBasis((g.dehomogenize(2),)), 2)
+        assert (deg, chart) == want, (forms, g)
+        assert dim == (0 if deg else None)
