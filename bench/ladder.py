@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Per-input wall times of ``csmhyp.build_report``, one ladder per commit.
+
+    python3 bench/ladder.py --label 741e0af
+    python3 bench/ladder.py --label mine --repeats 9 --out /tmp
+
+Run from the root of a checkout: ``csmhyp`` is imported from ``src/`` there,
+and the inputs (``perfbench/workloads.py``) and the host-speed reference
+(``perfbench/run.py``) from ``perfbench/``, which is only read.  For each
+input of the ``corpus``, ``nonisolated`` and ``isolated`` workloads, one
+untimed call fills the caches.  Then ``--repeats`` rounds each time one call
+per input at the default ``TrialPolicy``, so a slow phase of a shared host
+falls on every input alike.  As in perfbench, each call is scaled to the host
+speed at which the reference loop takes ``run.REFERENCE_S``, from samples of
+that loop taken just before and just after it.
+
+``BENCH_<label>.json`` (in ``bench/`` unless ``--out`` says otherwise) holds
+per input the median scaled time and the accepted g-vector, a fingerprint
+that a change to the program's speed must keep.  It needs only the standard
+library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+WORKLOADS = ("corpus", "nonisolated", "isolated")
+
+
+def _perfbench(name: str):
+    """A module of ``perfbench/``, imported from there."""
+    path = os.path.join(ROOT, "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    return importlib.import_module(name)
+
+
+def write_ladder(build_report, cases, label: str, repeats: int, out: str) -> str:
+    """Time ``build_report`` on each (workload, case) and write the ladder;
+    returns its path.  A case has ``name``, ``poly`` and ``nvars``."""
+    if not re.fullmatch(r"[\w.-]+", label):
+        raise ValueError(f"label {label!r} is not a plain file-name part")
+    if repeats < 1:
+        raise ValueError("need at least one timed round")
+    run = _perfbench("run")
+    g = [list(build_report(c.poly, c.nvars).projective_degrees.g) for _, c in cases]
+    times = [[] for _ in cases]
+    before = run.host_sample()
+    for _ in range(repeats):
+        for took, (_, case) in zip(times, cases):
+            start = time.perf_counter()
+            build_report(case.poly, case.nvars)
+            latency = time.perf_counter() - start
+            after = run.host_sample()
+            took.append(latency * 2 * run.REFERENCE_S / (before + after))
+            before = after
+    ladder = {
+        "label": label,
+        "repeats": repeats,
+        "reference_s": run.REFERENCE_S,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "inputs": [
+            {
+                "workload": workload,
+                "input": case.name,
+                "nvars": case.nvars,
+                "median_s": round(statistics.median(took), 7),
+                "g": gv,
+            }
+            for (workload, case), took, gv in zip(cases, times, g)
+        ],
+    }
+    path = os.path.join(out, f"BENCH_{label}.json")
+    with open(path, "w") as fh:
+        json.dump(ladder, fh, indent=1)
+        fh.write("\n")
+    return path
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    parser.add_argument("--repeats", type=int, default=7, help="timed rounds")
+    parser.add_argument("--out", default=HERE, help="directory to write to")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import csmhyp
+
+    workloads = _perfbench("workloads")
+    cases = [(w, case) for w in WORKLOADS for case in workloads.WORKLOADS[w]()]
+    print(write_ladder(csmhyp.build_report, cases, args.label, args.repeats, args.out))
+
+
+if __name__ == "__main__":
+    main()

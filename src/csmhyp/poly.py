@@ -15,6 +15,7 @@ saturation (the extra-variable trick) and by the affine Milnor oracle.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -30,8 +31,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    """Deterministic primality for p < _PRIME_LIMIT."""
+    """Deterministic primality for p < _PRIME_LIMIT, remembered per p:
+    every report builds ``PrimeField`` for its primes again."""
     if p < 2:
         return False
     for a in _MR_BASES:

@@ -21,7 +21,9 @@ it shares with g is removed, by univariate gcds mod p.  On the plane
 through three random points g_2 counts the roots of a resultant: seen
 from the third point, the two curves of the cut meet on the lines where
 Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
-shares with Res(f1, g) is removed.  Every other cut is counted in the
+shares with Res(f1, g) is removed.  Each form is restricted to that
+plane from its values at the (e+1)(e+2)/2 nodes of a triangle, which
+fix a ternary form of degree e.  Every other cut is counted in the
 affine chart x_n = 1: its generators and g are dehomogenized, saturated
 by one elimination with ``saturate``, and g_i is the number of standard
 monomials of the result: the length of the residual at its points off
@@ -41,7 +43,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field as dc_field
-from math import comb, factorial, prod
+from itertools import accumulate
+from math import comb, factorial
 from operator import mul
 
 from .chow import ChowClass
@@ -185,13 +188,42 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
 
 
 def _values(forms, points, p) -> list:
-    """The values mod p of each form at each point, one list per form.
-    Each monomial's value at a point is computed once for all forms, as
-    a plain integer product of powers, and reduced mod p in their sums."""
-    monos = list({m for f in forms for m in f.terms})
-    vals = [[prod(map(pow, x, m)) for m in monos] for x in points]
+    """The values mod p of each form at each point, one list per form;
+    not every form is zero.
+
+    The work runs over all points at once, column by column: the powers
+    of each coordinate up to the highest exponent that occurs, then the
+    values of each monomial as products of those columns, and then one
+    dot product per point and form.  In sorted order a monomial shares
+    the products over its leading exponents with the one before, so only
+    the rest are multiplied.  Everything is exact until the dot products
+    are reduced mod p.
+    """
+    monos = sorted({m for f in forms for m in f.terms})
+    powers = []
+    for xs, top in zip(zip(*points), map(max, zip(*monos))):
+        pw = [None, xs]
+        for _ in range(top - 1):
+            pw.append(list(map(mul, pw[-1], xs)))
+        powers.append(pw)
+    prefix = [None] * (len(powers) + 1)  # the product over x_0..x_(k-1) at k
+    prev = (None,) * len(powers)
+    cols = []
+    for m in monos:
+        k = 0
+        while m[k] == prev[k]:
+            k += 1
+        for j in range(k, len(m)):
+            v, d = prefix[j], m[j]
+            prefix[j + 1] = (
+                v if not d else powers[j][d] if v is None
+                else list(map(mul, v, powers[j][d]))
+            )
+        cols.append(prefix[-1] or [1] * len(points))
+        prev = m
+    rows = list(zip(*cols))
     return [
-        [sum(map(mul, c, v)) % p for v in vals]
+        [sum(map(mul, c, v)) % p for v in rows]
         for c in ([f.terms.get(m, 0) for m in monos] for f in forms)
     ]
 
@@ -223,15 +255,31 @@ def _lagrange(m, p) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _extension(m, n, p) -> tuple:
-    """The matrix that takes the values of a polynomial of degree at most
-    m < p at s = 0..m to its values at s = 0..n: row s holds the values
-    at s of the Lagrange basis polynomials of ``_lagrange``."""
-    cols = list(zip(*_lagrange(m, p)))
-    return tuple(
-        tuple(sum(c * pow(s, k, p) for k, c in enumerate(col)) % p for col in cols)
-        for s in range(n + 1)
+def _triangle(e, p) -> tuple:
+    """``(nodes, newton)`` for restricting a ternary form of degree
+    e < p to a plane: the nodes (s, u) of the triangle s + u <= e, which
+    fix a polynomial P(s, u) of degree at most e, and the matrix that
+    takes P's values at the nodes to the d_im of
+    P = sum_(i + m <= e) d_im C(s, i) u^m, row (m, i) for m = 0..e and
+    then i = 0..e-m.
+
+    Newton's forward differences in s give P as the sum over i of
+    C(s, i) Q_i(u), with Q_i(u) = sum_(k <= i) (-1)^(i-k) C(i, k) P(k, u)
+    of degree at most e - i.  So Q_i is fixed by its values at
+    u = 0..e-i, which lie on the triangle, and d_im is its u^m
+    coefficient, by ``_lagrange(e - i, p)``.
+    """
+    nodes = tuple((k, l) for k in range(e + 1) for l in range(e + 1 - k))
+    lag = [_lagrange(e - i, p) for i in range(e + 1)]
+    newton = tuple(
+        tuple(
+            (-1) ** (i + k) * comb(i, k) * lag[i][m][l] % p if l <= e - i else 0
+            for k, l in nodes
+        )
+        for m in range(e + 1)
+        for i in range(e + 1 - m)
     )
+    return nodes, newton
 
 
 def _interpolate(ys, p) -> list:
@@ -338,6 +386,35 @@ def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
     return len(_strip(f_l, g_l, p)) - 1 + (at_b if len(g_l) == e + 1 else 0)
 
 
+def _on_plane(forms, a, b, c, p) -> list:
+    """For each form f of degree e, e^2 < p, the coefficients in u of
+    f(a + s*b + u*c), lowest first, as columns of their values mod p at
+    s = 0..e^2.
+
+    f(a + s*b + u*c) has degree e in s and u, so it is fixed by its
+    values at the (e+1)(e+2)/2 nodes of the triangle s + u <= e, and
+    ``_triangle`` takes them to its u^m coefficients in the binomial
+    basis C(s, i), of degree e - m: their forward differences at s = 0.
+    Adding each difference to the one below carries them from s to
+    s + 1, exactly and without a product.
+    """
+    e = forms[0].degree
+    nodes, newton = _triangle(e, p)
+    plane = [[x + s * y + u * z for x, y, z in zip(a, b, c)] for s, u in nodes]
+    out = []
+    for v in _values(forms, plane, p):
+        d = [sum(map(mul, row, v)) % p for row in newton]
+        cols, at = [], 0
+        for m in range(e + 1):
+            col = [d[at + e - m]] * (e * e + 1)
+            for x in reversed(d[at : at + e - m]):  # the next lower differences
+                col = list(accumulate(col[:-1], initial=x))
+            cols.append([x % p for x in col])
+            at += e + 1 - m
+        out.append(cols)
+    return out
+
+
 def _plane_degree(f1, f2, g, a, b, c, p):
     """``g_2`` of the cut (f1, f2) on the plane through a, b and c,
     saturated by g; ``None`` when the points are dependent, c lies on
@@ -353,26 +430,16 @@ def _plane_degree(f1, f2, g, a, b, c, p):
     is a root of R12 of multiplicity e^2 - deg R12, shared with R1G
     exactly when deg R1G < e^2 as well.  A line through c that holds a
     residual point and a point of f1 and g is stripped as well, so an
-    unlucky c, like an unlucky g, can only lower g_2.
+    unlucky c, like an unlucky g, can only lower g_2.  The u^e
+    coefficient of f(a + s*b + u*c) is f(c), so ``_on_plane`` tells
+    whether c lies on a curve.
     """
     if not _independent((a, b, c), p):
         return None
     e = g.degree
-    grid = [c] + [
-        [x + s * y + u * z for x, y, z in zip(a, b, c)]
-        for s in range(e + 1)
-        for u in range(e + 1)
-    ]
-    vals = _values((f1, f2, g), grid, p)
-    if not all(v[0] for v in vals):  # the u^e coefficients
+    f1_s, f2_s, g_s = _on_plane((f1, f2, g), a, b, c, p)
+    if not (f1_s[-1][0] and f2_s[-1][0] and g_s[-1][0]):  # f1(c), f2(c), g(c)
         return None
-    rows = [  # the coefficients in u of f1, f2 and g on the line s
-        [x for v in vals for x in _interpolate(v[i : i + e + 1], p)]
-        for i in range(1, len(grid), e + 1)
-    ]
-    ext = _extension(e, e * e, p)  # each coefficient has degree <= e in s
-    cols = [[sum(map(mul, z, col)) % p for z in ext] for col in zip(*rows)]
-    f1_s, f2_s, g_s = cols[: e + 1], cols[e + 1 : 2 * e + 2], cols[2 * e + 2 :]
     r12 = _interpolate(_resultants(f1_s, f2_s, p), p)
     r1g = _interpolate(_resultants(f1_s, g_s, p), p)
     if not r12 or not r1g:

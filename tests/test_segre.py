@@ -805,6 +805,94 @@ def test_resultants_match_the_sylvester_determinant():
             assert got[i] == want, (p, e, i)
 
 
+def _random_form(e, nvars, p, rng, terms):
+    """A nonzero form of degree e with at most ``terms`` random monomials."""
+    monos = [
+        m for m in itertools.product(range(e + 1), repeat=nvars) if sum(m) == e
+    ]
+    support = rng.sample(monos, min(terms, len(monos)))
+    return Polynomial(
+        nvars, {m: rng.randrange(1, p) for m in support}, PrimeField(p)
+    )
+
+
+def _restriction(f, a, b, c, s, p):
+    """The coefficients in u, lowest first, of f(a + s*b + u*c) mod p:
+    each monomial expanded as a product of the linear polynomials
+    (x + s*y) + z*u, one factor per unit of its exponents."""
+    out = [0] * (f.degree + 1)
+    for m, coef in f.terms.items():
+        poly = [coef]
+        for x, y, z, k in zip(a, b, c, m):
+            for _ in range(k):
+                poly = [(x + s * y) * q + z * r for q, r in zip(poly + [0], [0] + poly)]
+        out = [(o + q) % p for o, q in zip(out, poly)]
+    return out
+
+
+def test_plane_restriction_matches_direct_evaluation():
+    # The triangle's values give every u-coefficient of f(a + s*b + u*c)
+    # at every s = 0..e^2, the nodes of the plane cut's resultants.  The
+    # forms have sparse and dense supports; a point has a zero coordinate.
+    from csmhyp.segre import _on_plane
+
+    rng = random.Random(17)
+    for p, e in itertools.product((101, 32003), range(1, 9)):
+        forms = [_random_form(e, 4, p, rng, terms) for terms in (2, 8, 40)]
+        a, b, c = ([rng.randrange(p) for _ in range(4)] for _ in "abc")
+        b[rng.randrange(4)] = 0
+        got = _on_plane(forms, a, b, c, p)
+        for f, cols in zip(forms, got):
+            assert len(cols) == e + 1 and all(len(col) == e * e + 1 for col in cols)
+            for s in range(e * e + 1):
+                want = _restriction(f, a, b, c, s, p)
+                assert [col[s] for col in cols] == want, (p, e, s)
+
+
+def test_plane_cut_evaluates_the_forms_on_the_triangle(monkeypatch):
+    # (e+1)(e+2)/2 values fix a ternary form of degree e, so the plane
+    # cut evaluates f1, f2 and g at exactly that many points, once.
+    from csmhyp import segre
+
+    sizes = []
+    values = segre._values
+
+    def counting(forms, points, p):
+        sizes.append((len(forms), len(points)))
+        return values(forms, points, p)
+
+    monkeypatch.setattr(segre, "_values", counting)
+    rng = random.Random(5)
+    p = 32003
+    for e in range(1, 8):
+        f1, f2, g = (_random_form(e, 4, p, rng, 200) for _ in "ffg")
+        a, b, c = ([rng.randrange(p) for _ in range(4)] for _ in "abc")
+        sizes.clear()
+        segre._plane_degree(f1, f2, g, a, b, c, p)
+        assert sizes == [(3, (e + 1) * (e + 2) // 2)], e
+
+
+def test_values_match_direct_evaluation():
+    # Sparse forms (the four planes x0*x1*x2*x3, its partials, and forms
+    # missing variables), points with zero coordinates, and coordinates
+    # at or above p, which the evaluation reduces only at the end.
+    from csmhyp.segre import _values
+
+    p = 101
+    four = gfpoly("x0*x1*x2*x3", 4, p)
+    forms = [four, *(four.partial(k) for k in range(4))]
+    forms += [gfpoly(t, 4, p) for t in ("x3^5", "x0^2 + 3*x1*x2", "5*x0^4*x2 - x1^3*x3^2")]
+    rng = random.Random(3)
+    points = [
+        [0, 0, 0, 1], [0, 7, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+        [p, 2 * p + 1, 5, 0], [250, 0, 7 * p - 1, 10**6 + 3],
+    ]
+    points += [[rng.randrange(3 * p) for _ in range(4)] for _ in range(6)]
+    got = _values(forms, points, p)
+    assert got == [[_value(f, x, p) for x in points] for f in forms]
+    assert _values(forms[:1], points[:1], p) == [[_value(forms[0], points[0], p)]]
+
+
 # -- chart cuts ----------------------------------------------------------------
 
 CHART_ONLY = [  # the isolated inputs with n = 2, which have no plane cut
