@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Paired timing of two checkouts of csmhyp in one process.
+
+    python3 bench/pair.py BASE HEAD --workload nonisolated
+    python3 bench/pair.py /tmp/parent . --workload corpus --prime 101 --prime 103
+
+``BASE`` and ``HEAD`` are roots of two checkouts; the ``src/csmhyp`` of
+each is imported under its own package name, so both run in this one
+process, on the same host, in the same minutes.  The inputs are those of a
+``perfbench/workloads.py`` workload of the checkout that holds this script.
+``--seed-pairs`` pairs of trial seeds are drawn from ``--seed``; round r
+gives every input the pair r mod ``--seed-pairs`` and the ``--prime``s
+(the default policy's primes when none is given), on both sides.  Within a
+round each input runs on both sides back to back, and which side goes
+first alternates, so a slow phase of a shared host falls on both alike.
+
+Per input it prints the median time of each side and their ratio
+HEAD / BASE, then the ratio of the summed medians.  Every call's report
+(``to_json()``), or the type and text of the error it raised, is compared
+between the sides; the script exits 1 when any differs, else 0.  It needs
+only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import random
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+def load_checkout(root: str, name: str):
+    """The package ``src/csmhyp`` under ``root``, imported as ``name``."""
+    path = os.path.join(os.path.abspath(root), "src", "csmhyp")
+    init = os.path.join(path, "__init__.py")
+    if not os.path.isfile(init):
+        raise SystemExit(f"pair: no csmhyp package under {root}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[path]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def outcome(package, case, primes, seeds):
+    """One ``build_report`` call: its time, and its report or error text."""
+    if primes is None:
+        policy = package.TrialPolicy(seeds=seeds)
+    else:
+        policy = package.TrialPolicy(primes, seeds)
+    start = time.perf_counter()
+    try:
+        text = package.build_report(case.poly, case.nvars, policy).to_json()
+    except Exception as exc:  # an error is an answer too, compared as text
+        text = f"{type(exc).__name__}: {exc}"
+    return time.perf_counter() - start, text
+
+
+def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None) -> int:
+    """Time and compare both packages on every case, printing to ``out``
+    (standard output by default); returns the number of calls whose
+    answers differ."""
+    out = sys.stdout if out is None else out
+    times = {case.name: ([], []) for case in cases}
+    differ = 0
+    for r in range(rounds):
+        seeds = seed_pairs[r % len(seed_pairs)]
+        for j, case in enumerate(cases):
+            sides = [(0, base), (1, head)]
+            if (r + j) % 2:
+                sides.reverse()
+            texts = [None, None]
+            for k, package in sides:
+                took, texts[k] = outcome(package, case, primes, seeds)
+                times[case.name][k].append(took)
+            if texts[0] != texts[1]:
+                differ += 1
+                print(f"DIFFERS {case.name} seeds={seeds}", file=out)
+                print(f"  base: {texts[0]}", file=out)
+                print(f"  head: {texts[1]}", file=out)
+    total = [0.0, 0.0]
+    print(f"{'input':28} {'base_ms':>10} {'head_ms':>10} {'ratio':>7}", file=out)
+    for case in cases:
+        medians = [statistics.median(t) for t in times[case.name]]
+        total = [a + b for a, b in zip(total, medians)]
+        print(
+            f"{case.name:28} {medians[0] * 1e3:10.3f} {medians[1] * 1e3:10.3f} "
+            f"{medians[1] / medians[0]:7.3f}",
+            file=out,
+        )
+    print(f"{'sum of medians':28} {total[0] * 1e3:10.3f} {total[1] * 1e3:10.3f} "
+          f"{total[1] / total[0]:7.3f}", file=out)
+    print(f"{differ} of {rounds * len(cases)} reports differ", file=out)
+    return differ
+
+
+def seed_pairs(count: int, seed: int) -> list:
+    """``count`` pairs of distinct trial seeds, drawn as perfbench draws them."""
+    rng = random.Random(f"pair:{seed}")
+    pairs = []
+    for _ in range(count):
+        first = rng.randrange(1, 1 << 30)
+        pairs.append((first, first + 1 + rng.randrange(1 << 30)))
+    return pairs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="root of the reference checkout")
+    parser.add_argument("head", help="root of the checkout under test")
+    parser.add_argument("--workload", default="nonisolated")
+    parser.add_argument("--rounds", type=int, default=10, help="timed rounds")
+    parser.add_argument("--seed-pairs", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1, help="draws the seed pairs")
+    parser.add_argument("--prime", type=int, action="append", dest="primes")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.seed_pairs < 1:
+        parser.error("need at least one round and one seed pair")
+    base = load_checkout(args.base, "csmhyp_base")
+    head = load_checkout(args.head, "csmhyp_head")
+    # The workloads read fixture texts from csmhyp: this checkout's own.
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    cases = workloads.WORKLOADS[args.workload]()
+    primes = tuple(args.primes) if args.primes else None
+    pairs = seed_pairs(args.seed_pairs, args.seed)
+    return 1 if run_pairs(base, head, cases, primes, pairs, args.rounds) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -64,24 +64,43 @@ class _Layout:
     """Packing of exponent tuples in r graded variables, with the field of
     an eliminated variable t above their degree field.
 
-    ``key`` is the ascending order key, ``pmask`` covers the exponent
-    fields, ``guard`` holds the guard bit of every field, t included, and
-    t's exponent sits at ``tshift``.
+    ``key`` is the ascending order key and ``lcm`` the lcm of two packed
+    monomials, both closures over the layout's constants.  ``pmask``
+    covers the exponent fields, ``guard`` holds the guard bit of every
+    field, t included, and t's exponent sits at ``tshift``.
     """
 
     __slots__ = (
-        "pmask", "guard", "ones", "shifts", "dshift", "tshift", "key",
+        "pmask", "guard", "ones", "shifts", "dshift", "tshift", "key", "lcm",
         "_fields", "_exps", "_nbytes",
     )
 
     def __init__(self, r: int):
         self.pmask = pmask = (1 << (W * r)) - 1
-        self.guard = sum(1 << (W * i + W - 1) for i in range(r + 2))
-        self.ones = sum(1 << (W * i) for i in range(r))
+        self.guard = guard = sum(1 << (W * i + W - 1) for i in range(r + 2))
+        self.ones = ones = sum(1 << (W * i) for i in range(r))
         self.shifts = tuple(W * i for i in range(r))
-        self.dshift = W * r
-        self.tshift = W * (r + 1)
+        self.dshift = dshift = W * r
+        self.tshift = tshift = W * (r + 1)
         self.key = lambda m: m - ((m & pmask) << 1)
+
+        def lcm(a, b):
+            # Fieldwise maximum, with the degree field rebuilt as the sum of
+            # the exponent fields.  Multiplying by ``ones`` sums them into
+            # the top one without carries: every prefix sum is at most the
+            # lcm's degree, which stays below 2^W for two monomials with
+            # clear guard bits.
+            t = ((a | guard) - b) & guard  # guard bit set where a >= b
+            mask = t - (t >> (W - 1))
+            L = (a & mask) | (b & ~mask)
+            low = L & pmask
+            deg = (low * ones >> (dshift - W)) & _FIELD
+            L = low | (deg << dshift) | (L >> tshift << tshift)
+            if L & guard:
+                raise _overflow()
+            return L
+
+        self.lcm = lcm
         # With W = 16 a field is one little-endian unsigned short, so the
         # exponents and the degree pack and unpack as bytes.
         self._fields = struct.Struct(f"<{r + 1}H").pack
@@ -96,25 +115,6 @@ class _Layout:
 
     def unpack(self, m) -> tuple:
         return self._exps((m & self.pmask).to_bytes(self._nbytes, "little"))
-
-    def lcm(self, a, b) -> int:
-        """Fieldwise maximum, with the degree field rebuilt as the sum of
-        the exponent fields.
-
-        Multiplying by ``ones`` sums the exponent fields into the top one
-        without carries: every prefix sum is at most the lcm's degree,
-        which stays below 2^W for two monomials with clear guard bits.
-        """
-        guard = self.guard
-        t = ((a | guard) - b) & guard  # guard bit set where a >= b
-        mask = t - (t >> (W - 1))
-        L = (a & mask) | (b & ~mask)
-        low = L & self.pmask
-        deg = ((low * self.ones) >> (self.dshift - W)) & _FIELD
-        L = low | (deg << self.dshift) | (L >> self.tshift << self.tshift)
-        if L & guard:
-            raise _overflow()
-        return L
 
 
 @functools.cache
@@ -131,7 +131,7 @@ def _monic(d, lead, p):
     c = d[lead]
     if c == 1:
         return d
-    inv = pow(c, p - 2, p)
+    inv = pow(c, -1, p)
     return {m: (v * inv) % p for m, v in d.items()}
 
 
@@ -312,7 +312,12 @@ def _buchberger(gens, lay, p):
         # on that first pair.
         firsts = {}  # lcm -> (key, i, coprime)
         for k, i, L in new:
-            if L not in firsts and all((L - M) & guard for M in firsts):
+            if L in firsts:
+                continue
+            for M in firsts:
+                if not (L - M) & guard:
+                    break
+            else:
                 firsts[L] = (k, i, L == lts[i] + lh)
         for L, (k, i, coprime) in firsts.items():
             if not coprime:

@@ -306,6 +306,8 @@ def variable(nvars: int, i: int, field) -> Polynomial:
 
 # -- random combinations and field passage -------------------------------------
 
+_DRAWS = 64  # rounds a random combination gets before it gives up
+
 
 def random_linear_combination(polys, rng) -> Polynomial:
     """A random GF(p) linear combination of polynomials of one common degree.
@@ -330,21 +332,46 @@ def _random_combination(polys, p, rng) -> Polynomial:
     """``random_linear_combination`` without its checks: ``polys`` is a
     nonempty sequence of nonzero GF(p) forms of one degree.  Draws from
     ``rng`` exactly as the checked function does."""
-    for _ in range(64):
-        acc = {}
-        for f in polys:
-            c = rng.randrange(p)
-            if not c:
-                continue
-            for m, v in f.terms.items():
-                w = (acc.get(m, 0) + c * v) % p
-                if w:
-                    acc[m] = w
-                else:
-                    del acc[m]
+    for _ in range(_DRAWS):
+        acc = _combine(polys, [rng.randrange(p) for _ in polys], p)
         if acc:
             return polys[0]._wrap(acc)
     raise RandomnessError("could not draw a nonzero combination")
+
+
+def _random_row(columns, p, rng) -> list:
+    """The coefficients of a nonzero combination of k polynomials, drawn
+    from ``rng`` exactly as ``_random_combination`` draws them.  Each of
+    ``columns`` holds the k coefficients of one monomial, and a
+    combination counts as zero when it is zero at all of them, so they
+    must hold every monomial that leads a nonzero combination.  k such
+    columns are independent, and then only the zero row vanishes."""
+    k = len(columns[0])
+    independent = len(columns) == k
+    for _ in range(_DRAWS):
+        row = [rng.randrange(p) for _ in range(k)]
+        if (
+            any(row) if independent
+            else any(sum(map(operator.mul, row, col)) % p for col in columns)
+        ):
+            return row
+    raise RandomnessError("could not draw a nonzero combination")
+
+
+def _combine(polys, row, p) -> dict:
+    """The terms of sum_j row[j] * polys[j] mod p, in the order the sum
+    meets them."""
+    acc = {}
+    for f, c in zip(polys, row):
+        if not c:
+            continue
+        for m, v in f.terms.items():
+            w = (acc.get(m, 0) + c * v) % p
+            if w:
+                acc[m] = w
+            else:
+                del acc[m]
+    return acc
 
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:

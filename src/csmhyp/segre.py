@@ -24,12 +24,17 @@ Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
 shares with Res(f1, g) is removed.  Each form is restricted to that
 plane from its values at the (e+1)(e+2)/2 nodes of a triangle, which
 fix a ternary form of degree e.  Every other cut is counted in the
-affine chart x_n = 1: its generators and g are dehomogenized, saturated
-by one elimination with ``saturate``, and g_i is the number of standard
-monomials of the result: the length of the residual at its points off
-the hyperplane x_n = 0.  A residual point on that hyperplane is lost;
-random cuts make that about as rare as an unlucky g, and since it can
-only lower g_i, the agreement policy treats it the same way.
+affine chart x_n = 1.  It is built from row-reduced combinations: its i
+combinations of the partials are brought to an echelon form, each 0 at
+the others' pivots, and it is saturated by g reduced modulo them, which
+differs from g by an element of the cut ideal and so saturates it
+exactly as g does; for the top cut that g is one partial.  The
+generators and g are dehomogenized, saturated by one elimination with
+``saturate``, and g_i is the number of standard monomials of the result:
+the length of the residual at its points off the hyperplane x_n = 0.  A
+residual point on that hyperplane is lost; random cuts make that about
+as rare as an unlucky g, and since it can only lower g_i, the agreement
+policy treats it the same way.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
@@ -56,7 +61,15 @@ from .groebner import (
     saturate,
     standard_monomial_count,
 )
-from .poly import Polynomial, PrimeField, _random_combination, reduce_mod_p, variable
+from .poly import (
+    Polynomial,
+    PrimeField,
+    _combine,
+    _random_combination,
+    _random_row,
+    reduce_mod_p,
+    variable,
+)
 
 DEFAULT_PRIMES = (32003, 65537, 2147483647)
 DEFAULT_SEEDS = (101, 102)
@@ -150,7 +163,9 @@ class ProjectiveDegrees:
 @dataclass(frozen=True)
 class SingularSchemeData:
     """The jacobian scheme of a hypersurface over one working prime;
-    ``partials`` holds the nonzero partial derivatives."""
+    ``partials`` holds the nonzero partial derivatives, and ``columns``
+    their coefficients at each monomial that leads a nonzero combination
+    of them: a combination vanishes iff it vanishes at those monomials."""
 
     d: int
     n: int
@@ -158,12 +173,15 @@ class SingularSchemeData:
     dim_y: object  # int or None for the empty scheme
     deg_y: int
     partials: tuple = ()
+    columns: tuple = ()
 
 
 def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     """The nonzero partials of F over GF(p), with the dimension and degree
     of their common projective zero locus from one Groebner basis; F is
-    smooth when that locus is empty."""
+    smooth when that locus is empty.  The basis's elements of degree
+    d - 1 span the partials, so their leads are the monomials that lead
+    the nonzero combinations of them."""
     if F.is_zero:
         raise ValueError("hypersurface polynomial is zero")
     if F.field.kind != "prime":
@@ -176,7 +194,8 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     partials = tuple(q for q in map(F.partial, range(F.nvars)) if not q.is_zero)
     if not partials:
         raise ValueError("all partial derivatives vanish: degenerate input")
-    dim_y, deg_y = dim_degree(buchberger(partials))
+    basis = buchberger(partials)
+    dim_y, deg_y = dim_degree(basis)
     return SingularSchemeData(
         d=d,
         n=n,
@@ -184,6 +203,11 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
         dim_y=dim_y,
         deg_y=deg_y,
         partials=partials,
+        columns=tuple(
+            tuple(q.terms.get(m, 0) for q in partials)
+            for m in basis.leading_terms
+            if sum(m) == d - 1
+        ),
     )
 
 
@@ -314,6 +338,24 @@ def _strip(f, g, p):
         f, g = _divmod(f, h, p)[0], h
 
 
+def _inverses(vs, p) -> list:
+    """The inverses mod p of vs, with 1 for each 0, by one ``pow``: the
+    inverse of the product of the first k + 1 values, times the product
+    of the first k, is the inverse of value k + 1 (Montgomery, "Speeding
+    the Pollard and elliptic curve methods of factorization", Math.
+    Comp. 48, 1987)."""
+    ws = [v or 1 for v in vs]
+    acc = 1
+    pre = [acc := acc * w % p for w in ws]  # pre[k] = ws[0] * ... * ws[k]
+    inv = pow(acc, -1, p)  # of pre[k] at each k below, from the top down
+    out = [0] * len(ws)
+    for k in range(len(ws) - 1, 0, -1):
+        out[k] = inv * pre[k - 1] % p
+        inv = inv * ws[k] % p
+    out[0] = inv
+    return out
+
+
 def _resultants(a, b, p) -> list:
     """Res(a, b) at every node, for a and b given as coefficient columns,
     lowest degree first, each holding the coefficient's value at every
@@ -329,7 +371,7 @@ def _resultants(a, b, p) -> list:
         m, n = len(x) - 1, len(y) - 1
         lc = y[-1]
         odd.update(i for i, v in enumerate(lc) if not v)
-        inv = [pow(v or 1, -1, p) for v in lc]
+        inv = _inverses(lc, p)
         r = list(x)
         for k in range(m - n, -1, -1):
             c = [u * v % p for u, v in zip(r.pop(), inv)]
@@ -341,7 +383,12 @@ def _resultants(a, b, p) -> list:
             res = [0] * len(res)
             break
         sign = (-1) ** (m & n & 1)
-        res = [sign * t * pow(v, m - len(r) + 1, p) % p for t, v in zip(res, lc)]
+        k = m - len(r) + 1  # deg x - deg r: 1 at the first step, then 2
+        if k == 2:
+            lc = [v * v for v in lc]
+        elif k > 2:
+            lc = [pow(v, k, p) for v in lc]
+        res = [sign * t * v % p for t, v in zip(res, lc)]
         x, y = y, r
     else:
         res = [t * pow(v, len(x) - 1, p) % p for t, v in zip(res, y[0])]
@@ -350,17 +397,33 @@ def _resultants(a, b, p) -> list:
     return res
 
 
-def _independent(points, p) -> bool:
-    """Whether the points are linearly independent mod p, by
-    fraction-free elimination."""
-    rows = list(points)
-    while rows:
-        r = rows.pop()
-        k = next((k for k, x in enumerate(r) if x), None)
-        if k is None:
-            return False
-        rows = [[(r[k] * x - q[k] * y) % p for x, y in zip(q, r)] for q in rows]
-    return True
+def _echelon(rows, p):
+    """An echelon form mod p of ``rows``, given with entries in [0, p),
+    reached without division: its nonzero rows, which span what ``rows``
+    span, each 0 at every other row's pivot, and their pivot columns."""
+    out, pivots = [], []
+    for r in rows:
+        r = _reduced(r, out, pivots, p)
+        for k, x in enumerate(r):
+            if x:
+                out = [
+                    [(x * a - q[k] * b) % p for a, b in zip(q, r)] if q[k] else q
+                    for q in out
+                ]
+                out.append(r)
+                pivots.append(k)
+                break
+    return out, pivots
+
+
+def _reduced(row, echelon, pivots, p) -> list:
+    """A unit times ``row`` less its multiples of the rows of ``_echelon``,
+    so that it is 0 at their pivots."""
+    for q, k in zip(echelon, pivots):
+        c = row[k]
+        if c:
+            row = [(q[k] * a - c * b) % p for a, b in zip(row, q)]
+    return row
 
 
 def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
@@ -373,7 +436,7 @@ def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
     root of F|L of multiplicity e - deg F|L, shared with g exactly when
     deg g|L < e as well.
     """
-    if not _independent((a, b), p):
+    if len(_echelon((a, b), p)[0]) < 2:
         return None
     e = f.degree
     line = [[x + s * y for x, y in zip(a, b)] for s in range(e + 1)]
@@ -434,7 +497,7 @@ def _plane_degree(f1, f2, g, a, b, c, p):
     coefficient of f(a + s*b + u*c) is f(c), so ``_on_plane`` tells
     whether c lies on a curve.
     """
-    if not _independent((a, b, c), p):
+    if len(_echelon((a, b, c), p)[0]) < 3:
         return None
     e = g.degree
     f1_s, f2_s, g_s = _on_plane((f1, f2, g), a, b, c, p)
@@ -446,6 +509,21 @@ def _plane_degree(f1, f2, g, a, b, c, p):
         return None
     at_b = e * e + 1 - len(r12)
     return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == e * e + 1 else 0)
+
+
+def _combination(partials, row, p) -> Polynomial:
+    """sum_j row[j] * partials[j] mod p, which may be zero."""
+    return partials[0]._wrap(_combine(partials, row, p))
+
+
+def _reduced_cut(partials, rows, g_row, p):
+    """The forms of a chart cut and its saturating g, from their rows of
+    coefficients of the partials: the nonzero forms of ``_echelon(rows)``,
+    and g less its multiples of them, which may be 0."""
+    echelon, pivots = _echelon(rows, p)
+    forms = [_combination(partials, r, p) for r in echelon]
+    rest = _combination(partials, _reduced(g_row, echelon, pivots, p), p)
+    return [f for f in forms if not f.is_zero], rest
 
 
 @functools.cache
@@ -494,35 +572,52 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     The plane cut takes e^2 + 1 interpolation nodes, so it needs
     e^2 < p; it is left to the elimination when Y has codimension one,
     since f1 and g then share a curve on every plane, and for the top
-    cut i = n = 2, whose plane is all of P^2.  Every cut with i >= 3, and
-    every cut the plane leaves, is counted in the affine chart x_n = 1
-    (``_chart_degree``): its forms, its hyperplanes and g lose x_n, and
-    one elimination by ``saturate`` runs in n variables plus t.  A
-    residual point on x_n = 0 is not counted there, so that g_i, too,
-    can only come out low, with probability about 1/p.
+    cut i = n = 2, whose plane is all of P^2.
+
+    Every cut with i >= 3, and every cut the plane leaves, is counted in
+    the affine chart x_n = 1 (``_chart_degree``): its forms, its
+    hyperplanes and g lose x_n, and one elimination by ``saturate`` runs
+    in n variables plus t.  A residual point on x_n = 0 is not counted
+    there, so that g_i, too, can only come out low, with probability
+    about 1/p.  The cut is built from row-reduced combinations
+    (``_reduced_cut``): its i combinations and g are drawn as rows of
+    coefficients of the partials, the i rows are brought to an echelon
+    form in which each pivot column is 0 but in its own row, and g is
+    reduced modulo them.  The echelon rows span the same forms, so the
+    cut ideal I is unchanged, and each uses at most n + 2 - i partials.
+    The reduced g differs from g by an element of I, so I : g^infty, and
+    the count, are exactly those of the dense draws; for the top cut,
+    with n + 1 independent partials, g is one partial.  A g that reduces
+    to 0 lies in I, and saturating by 0, like saturating by g, gives the
+    unit ideal, whose g_i is 0.
     """
     n = scheme.n
     partials = scheme.partials
+    columns = scheme.columns
     field = partials[0].field
     p = field.p
     plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
-    # checks; they take the same values from rng.
-    base = _random_combination(partials, p, rng)
-    base_locus = IdealBasis((base.dehomogenize(n),))  # in the chart x_n = 1
+    # checks; they take the same values from rng.  The partials are drawn
+    # as rows of coefficients, which a line or plane cut combines at once.
+    base_row = _random_row(columns, p, rng)
+    base = _combination(partials, base_row, p)
     g = [1]
     for i in range(1, n + 1):
         for _ in range(DIM_RETRIES):
-            forms = [_random_combination(partials, p, rng) for _ in range(i)]
+            rows = [_random_row(columns, p, rng) for _ in range(i)]
             if i == 1 or (i == 2 and plane):
+                forms = [_combination(partials, r, p) for r in rows]
                 points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(i + 1)]
                 cut = _line_degree if i == 1 else _plane_degree
                 gi = cut(*forms, base, *points, p)
             else:
                 xs = _variables(field, n + 1)
-                forms += [_random_combination(xs, p, rng) for _ in range(n - i)]
-                gi = _chart_degree(forms, base_locus, n)
+                planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
+                forms, rest = _reduced_cut(partials, rows, base_row, p)
+                locus = IdealBasis((rest.dehomogenize(n),))
+                gi = _chart_degree(forms + planes, locus, n)
             if gi is not None:
                 g.append(gi)
                 break

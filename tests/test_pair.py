@@ -1,0 +1,71 @@
+"""Paired timing of two checkouts by bench/pair.py, on two conics."""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+import os
+from types import SimpleNamespace
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PAIR = os.path.join(ROOT, "bench", "pair.py")
+CONICS = [
+    SimpleNamespace(name="smooth_conic", poly="x0^2 + x1^2 + x2^2", nvars=3),
+    SimpleNamespace(name="two_lines", poly="x0^2 + x1^2", nvars=3),
+]
+
+
+def _pair():
+    spec = importlib.util.spec_from_file_location("pair", PAIR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_repo_against_itself_differs_nowhere():
+    pair = _pair()
+    base = pair.load_checkout(ROOT, "csmhyp_pair_base")
+    head = pair.load_checkout(ROOT, "csmhyp_pair_head")
+    assert base is not head and base.build_report is not head.build_report
+    assert base.poly.__name__ == "csmhyp_pair_base.poly"
+    seeds = pair.seed_pairs(2, 1)
+    assert len(set(seeds)) == 2 and all(a != b for a, b in seeds)
+    out = io.StringIO()
+    differ = pair.run_pairs(base, head, CONICS, None, seeds, 3, out)
+    lines = out.getvalue().splitlines()
+    assert differ == 0 and lines[-1] == "0 of 6 reports differ"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:3]}
+    assert set(rows) == {"smooth_conic", "two_lines"}
+    for base_ms, head_ms, ratio in rows.values():
+        assert float(base_ms) > 0 and float(head_ms) > 0 and float(ratio) > 0
+    assert lines[3].startswith("sum of medians")
+
+
+def test_a_differing_answer_is_reported(monkeypatch):
+    # The head side raises on the line pair: its error text differs from
+    # the base side's report there, at every primes and seeds.
+    pair = _pair()
+    base = pair.load_checkout(ROOT, "csmhyp_pair_base")
+    head = pair.load_checkout(ROOT, "csmhyp_pair_head")
+    real = head.build_report
+
+    def broken(poly, nvars, policy):
+        if poly == "x0^2 + x1^2":
+            raise head.CsmhypError("broken on purpose")
+        return real(poly, nvars, policy)
+
+    monkeypatch.setattr(head, "build_report", broken)
+    out = io.StringIO()
+    differ = pair.run_pairs(base, head, CONICS, (101, 103), pair.seed_pairs(1, 2), 2, out)
+    text = out.getvalue()
+    assert differ == 2 and "2 of 4 reports differ" in text
+    assert "DIFFERS two_lines" in text and "head: CsmhypError: broken on purpose" in text
+    assert "DIFFERS smooth_conic" not in text
+
+
+def test_main_runs_a_perfbench_workload_and_exits_0(capsys):
+    pair = _pair()
+    assert pair.main([ROOT, ROOT, "--workload", "corpus", "--rounds", "1",
+                      "--seed-pairs", "1", "--prime", "32003", "--prime", "65537"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0 of 18 reports differ"

@@ -18,7 +18,9 @@ from csmhyp.poly import (
     Polynomial,
     PrimeField,
     QQ,
+    _combine,
     _random_combination,
+    _random_row,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,
@@ -268,6 +270,48 @@ def test_unchecked_combination_draws_like_the_checked_one():
                 assert got == ref and list(got.terms) == list(ref.terms)
             assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
     assert retried >= {2, 3}
+
+
+def test_row_draws_like_the_combination():
+    # A row of coefficients is drawn as _random_combination draws its
+    # combination, redraws included, when a combination counts as zero
+    # exactly when it is zero at the leads of a basis of the span: the
+    # same row combines to the same polynomial, and rng ends in the same
+    # state.  The partials include two equal ones, so nonzero rows
+    # vanish, and GF(2) and GF(3) make such rows common.
+    from csmhyp.groebner import buchberger
+
+    class Counting(random.Random):
+        calls = 0
+
+        def randrange(self, *args):
+            self.calls += 1
+            return super().randrange(*args)
+
+    redrawn = set()
+    for p in (2, 3, 32003):
+        gf = PrimeField(p)
+        xs = [variable(4, k, gf) for k in range(4)]
+        F = reduce_mod_p(parse_poly("(x0 + x1 + x2 + x3)^4 - x2*x3^3", 4), p)
+        partials = [q for q in (F.partial(k) for k in range(4)) if not q.is_zero]
+        for polys in (xs, partials, xs[:1]):
+            d = polys[0].degree
+            columns = [
+                tuple(q.terms.get(m, 0) for q in polys)
+                for m in buchberger(polys).leading_terms
+                if sum(m) == d
+            ]
+            ref, rng = random.Random(p), Counting(p)
+            for _ in range(40):
+                want = _random_combination(polys, p, ref)
+                before = rng.calls
+                row = _random_row(columns, p, rng)
+                got = polys[0]._wrap(_combine(polys, row, p))
+                assert got == want and list(got.terms) == list(want.terms)
+                assert ref.getstate() == rng.getstate()
+                if rng.calls - before > len(polys):
+                    redrawn.add(p)
+    assert redrawn >= {2, 3}
 
 
 def test_random_linear_combination_single_poly_never_zero():

@@ -993,3 +993,144 @@ def test_the_chart_count_can_only_lose_points_at_infinity():
         chart = _chart_degree(forms, IdealBasis((g.dehomogenize(2),)), 2)
         assert (deg, chart) == want, (forms, g)
         assert dim == (0 if deg else None)
+
+
+CONES = [  # partials that are linearly dependent: d0 F = d1 F
+    ("(x0+x1)^2*x2 - x2^3", 3),
+    ("(x0+x1+x2)^4 - x2*x3^3", 4),
+]
+
+
+def test_row_reduced_chart_cuts_count_as_the_dense_draws():
+    # A trial builds each chart cut from an echelon form of its i rows of
+    # coefficients and saturates it by g less its multiples of those
+    # rows: the same ideal I, and a g that differs by an element of I,
+    # so the count must be that of the dense forms and g, exactly, at
+    # every prime.  Besides plain draws, each cut gets a repeated row
+    # (rank below i) and a g in the span of the forms, which reduces to
+    # 0 and counts 0 both ways.  Each echelon row is 0 at the others'
+    # pivots and the reduced g at all of them.
+    from csmhyp.groebner import IdealBasis
+    from csmhyp.oracles import default_fixtures
+    from csmhyp.poly import _random_row
+    from csmhyp.segre import _chart_degree, _combination, _reduced_cut
+
+    inputs = [(c.poly, c.n + 1) for c in default_fixtures()]
+    inputs += NONISOLATED + ISOLATED + CHART_ONLY + CONES
+    seen = set()
+    for text, nvars in inputs:
+        F = parse_poly(text, nvars)
+        n = nvars - 1
+        for p in (11, 13, 32003):
+            if p <= 2 * F.degree:
+                continue
+            scheme = jacobian_scheme(reduce_mod_p(F, p))
+            partials, k = scheme.partials, len(scheme.partials)
+            xs = [variable(nvars, j, PrimeField(p)) for j in range(nvars)]
+            rng = random.Random(f"{text}:{p}:rows")
+            for i, kind in itertools.product(
+                _eliminated_cuts(scheme, p), ("plain", "repeat", "in_span")
+            ):
+                g_row = _random_row(scheme.columns, p, rng)
+                rows = [_random_row(scheme.columns, p, rng) for _ in range(i)]
+                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                if kind == "repeat":
+                    rows[-1] = rows[0]
+                elif kind == "in_span":
+                    cs = [rng.randrange(1, p) for _ in rows]
+                    g_row = [sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(k)]
+                dense = [_combination(partials, r, p) for r in rows]
+                g = _combination(partials, g_row, p)
+                want = _chart_degree(dense + planes, IdealBasis((g.dehomogenize(n),)), n)
+                forms, rest = _reduced_cut(partials, rows, g_row, p)
+                got = _chart_degree(forms + planes, IdealBasis((rest.dehomogenize(n),)), n)
+                where = (text, p, i, kind)
+                assert got == want, where
+                assert len(forms) <= i - (kind == "repeat"), where
+                if kind == "in_span":
+                    assert rest.is_zero and got == 0, where
+                size = len(rest.terms)
+                seen.add((kind, "zero" if not size else "one" if size == 1 else "dense"))
+    assert {("plain", "dense"), ("plain", "one"), ("repeat", "dense")} <= seen
+    assert ("in_span", "zero") in seen
+
+
+def test_echelon_rows_span_the_rows_and_clear_the_other_pivots():
+    # Small primes make zero and repeated rows common.
+    from csmhyp.segre import _echelon, _reduced
+
+    rng = random.Random(13)
+    for p, k, i in itertools.product((2, 5, 32003), range(1, 6), range(1, 6)):
+        rows = [[rng.randrange(p) for _ in range(k)] for _ in range(i)]
+        if i > 1 and rng.random() < 0.3:
+            rows[-1] = rows[0]
+        echelon, pivots = _echelon(rows, p)
+        assert len(pivots) == len(set(pivots)) == len(echelon) == _rank(rows, p)
+        for q, col in zip(echelon, pivots):
+            assert all(0 <= x < p for x in q) and q[col]
+            assert all(q[other] == 0 for other in pivots if other != col)
+        # every input row lies in their span, and reduces to 0
+        for r in rows:
+            assert not any(_reduced(r, echelon, pivots, p))
+        assert _rank(echelon + rows, p) == len(echelon)
+        other = [rng.randrange(p) for _ in range(k)]
+        rest = _reduced(other, echelon, pivots, p)
+        assert all(rest[col] == 0 for col in pivots)
+        assert _rank(echelon + [rest], p) == _rank(echelon + [other], p)
+
+
+def _rank(rows, p):
+    """Rank mod p by Gaussian elimination with inverses."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows[rank:] if r[col] % p), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows.insert(rank, piv)
+        inv = pow(piv[col], -1, p)
+        for r in rows[rank + 1 :]:
+            c = r[col] * inv
+            r[:] = [(x - c * y) % p for x, y in zip(r, piv)]
+        rank += 1
+    return rank
+
+
+def test_batched_inverses_map_zero_to_one():
+    # One pow per Euclid step: the inverses of a column of leading
+    # coefficients, with 1 where the column is 0, as pow(v or 1, -1, p).
+    from csmhyp.segre import _inverses
+
+    rng = random.Random(7)
+    for p in (2, 5, 7, 32003, 2147483647):
+        for size in (1, 2, 3, 10, 50):
+            for zeros in (0, 1, size):
+                vs = [rng.randrange(1, p) for _ in range(size)]
+                for j in rng.sample(range(size), zeros):
+                    vs[j] = 0
+                assert _inverses(vs, p) == [pow(v or 1, -1, p) for v in vs], (p, vs)
+
+
+def test_jacobian_scheme_columns_detect_every_vanishing_combination():
+    # A combination of the partials vanishes iff it vanishes at the
+    # leads of the jacobian basis in degree d - 1: one column per
+    # independent partial, fewer for a cone, whose rows (1, -1, 0, ...)
+    # vanish.
+    for (text, nvars), rank in zip(CONES + NONISOLATED[:1], (2, 3, 4)):
+        for p in (11, 13, 32003):
+            scheme = jacobian_scheme(gfpoly(text, nvars, p))
+            k = len(scheme.partials)
+            assert len(scheme.columns) == rank
+            assert all(len(col) == k for col in scheme.columns)
+            monos = {m for q in scheme.partials for m in q.terms}
+            vanished = 0
+            for row in itertools.product((0, 1, p - 1), repeat=k):
+                combo = [
+                    sum(c * q.terms.get(m, 0) for c, q in zip(row, scheme.partials)) % p
+                    for m in monos
+                ]
+                at = [sum(c * x for c, x in zip(row, col)) % p for col in scheme.columns]
+                assert any(combo) == any(at), (text, p, row)
+                vanished += any(row) and not any(combo)
+            assert bool(vanished) == (rank < k), (text, p)
