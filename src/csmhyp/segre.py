@@ -14,10 +14,18 @@ and then
 
     s(Y, P^n) = 1 - sum_j g_j * h^j / (1 + e*h)^(j+1),    e = deg F - 1.
 
-g_0 is the degree of P^n, so it is 1 and is not computed.  g_1 and, for
-n >= 3, g_2 need no Groebner basis.  On the line through two random
-points the cut is one binary form, and g_1 is its degree once every root
-it shares with g is removed, by univariate gcds mod p.  On the plane
+g_0 is the degree of P^n, so it is 1 and is not computed.  When the
+partials span only r < n + 1 forms mod p, as for a cone, the gradient map
+lands in a P^(r-1) and g_i = 0 for every i >= r (Huh, "Milnor numbers of
+projective hypersurfaces and the chromatic polynomial of graphs", JAMS 25
+(2012)): i generic combinations span all the partials, so the cut
+contains the jacobian ideal, and saturating by g, which lies in it,
+leaves the unit ideal.  Those cuts are not drawn; r is the number of
+columns of the jacobian scheme.
+
+g_1 and, for n >= 3, g_2 need no Groebner basis.  On the line through
+two random points the cut is one binary form, and g_1 is its degree once
+every root it shares with g is removed, by univariate gcds mod p.  On the plane
 through three random points g_2 counts the roots of a resultant: seen
 from the third point, the two curves of the cut meet on the lines where
 Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
@@ -165,7 +173,8 @@ class SingularSchemeData:
     """The jacobian scheme of a hypersurface over one working prime;
     ``partials`` holds the nonzero partial derivatives, and ``columns``
     their coefficients at each monomial that leads a nonzero combination
-    of them: a combination vanishes iff it vanishes at those monomials."""
+    of them: a combination vanishes iff it vanishes at those monomials,
+    and there are as many columns as the rank of the partials mod p."""
 
     d: int
     n: int
@@ -564,15 +573,23 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     lower some g_i, and the agreement policy records it as a
     disagreement.  A unit residual is the empty scheme, so its g_i is 0.
 
-    g_0 is 1, the degree of P^n, and is not computed.  g_1 is read on the
-    line through two random points, by univariate gcds mod p, and g_2,
-    for 2 < n, on the plane through three, by resultants; both give the
-    elimination's answer on their line or plane, and a draw whose points
-    are dependent or whose forms meet it degenerately is drawn again.
-    The plane cut takes e^2 + 1 interpolation nodes, so it needs
-    e^2 < p; it is left to the elimination when Y has codimension one,
-    since f1 and g then share a curve on every plane, and for the top
-    cut i = n = 2, whose plane is all of P^2.
+    g_0 is 1, the degree of P^n, and is not computed.  Nor is g_i for
+    i >= r, where r = ``len(scheme.columns)`` is the rank mod p of the
+    partials' span: i generic rows then span all the partials, so the cut
+    ideal contains J, its saturation by g is the unit ideal, and g_i = 0.
+    These are the last cuts of the loop, so the draws of every cut that
+    is computed are unchanged, and no row, point or hyperplane is drawn
+    for them.
+
+    g_1 is read on the line through two random points, by univariate
+    gcds mod p, and g_2, for 2 < n, on the plane through three, by
+    resultants; both give the elimination's answer on their line or
+    plane, and a draw whose points are dependent or whose forms meet it
+    degenerately is drawn again.  The plane cut takes e^2 + 1
+    interpolation nodes, so it needs e^2 < p; it is left to the
+    elimination when Y has codimension one, since f1 and g then share a
+    curve on every plane, and for the top cut i = n = 2, whose plane is
+    all of P^2.
 
     Every cut with i >= 3, and every cut the plane leaves, is counted in
     the affine chart x_n = 1 (``_chart_degree``): its forms, its
@@ -588,14 +605,15 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     The reduced g differs from g by an element of I, so I : g^infty, and
     the count, are exactly those of the dense draws; for the top cut,
     with n + 1 independent partials, g is one partial.  A g that reduces
-    to 0 lies in I, and saturating by 0, like saturating by g, gives the
-    unit ideal, whose g_i is 0.
+    to 0 lies in I, which for i < r takes an unlucky draw, and saturating
+    by 0, like saturating by g, gives the unit ideal, whose g_i is 0.
     """
     n = scheme.n
     partials = scheme.partials
     columns = scheme.columns
     field = partials[0].field
     p = field.p
+    r = len(columns)  # the rank of the partials mod p, at most n + 1
     plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
@@ -604,7 +622,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     base_row = _random_row(columns, p, rng)
     base = _combination(partials, base_row, p)
     g = [1]
-    for i in range(1, n + 1):
+    for i in range(1, r):
         for _ in range(DIM_RETRIES):
             rows = [_random_row(columns, p, rng) for _ in range(i)]
             if i == 1 or (i == 2 and plane):
@@ -626,7 +644,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
                 f"residual scheme stayed positive-dimensional for g_{i} "
                 f"after {DIM_RETRIES} retries"
             )
-    return tuple(g)
+    return tuple(g) + (0,) * (n + 1 - r)
 
 
 def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy()):

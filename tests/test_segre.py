@@ -403,7 +403,9 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
     # One trial sets g_0 = 1 with no cut and reads g_1 on a random line.
     # When 2 < n it reads g_2 on a random plane, unless the singular
     # scheme has codimension one or e^2 >= p; every other cut with
-    # i >= 2 reaches saturate.
+    # 2 <= i < r reaches saturate, where r is the rank of the partials.
+    # x0*x1 and x0^2*x1 have r = 2, so their cuts with i >= 2 are not
+    # drawn.
     import csmhyp.segre as segre_mod
 
     calls = []
@@ -431,9 +433,9 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
     for text, nvars, p, want in [
         ("x0^2*x1 + x1^3", 2, 32003, (0, False)),
         ("x0^2 + x1^2 + x2^2", 3, 32003, (1, False)),  # the top cut i = n = 2
-        ("x0*x1", 3, 32003, (1, False)),
+        ("x0*x1", 3, 32003, (0, False)),
         ("x1^2*x2 - x0^3", 3, 32003, (1, False)),
-        ("x0^2*x1", 4, 32003, (2, False)),  # codimension one
+        ("x0^2*x1", 4, 32003, (0, False)),  # codimension one, r = 2
         ("x0^3 + x1^3 + x2^3 + x3^3", 4, 32003, (1, True)),
         ("x0^3 + x1^3 + x2^3 + x3^3", 4, 7, (1, True)),  # e^2 = 4 < 7
         (fermat_quintic, 4, 17, (1, True)),  # e^2 = 16 < 17
@@ -1134,3 +1136,100 @@ def test_jacobian_scheme_columns_detect_every_vanishing_combination():
                 assert any(combo) == any(at), (text, p, row)
                 vanished += any(row) and not any(combo)
             assert bool(vanished) == (rank < k), (text, p)
+
+
+# -- cuts decided by the rank of the partials ------------------------------------
+
+RANK_BELOW = [  # partials that span r < n + 1 forms
+    ("x0*x1", 3),
+    ("x0*x1", 4),
+    ("x0^2", 3),
+    ("x0^2*x1", 4),
+    ("x0*x1*x2", 4),
+]
+
+
+def test_cuts_at_or_above_the_rank_of_the_partials_count_zero():
+    # For i >= r, i generic rows span all the partials, so the cut
+    # contains the jacobian ideal, and its saturation by g, which lies in
+    # it, is the unit ideal: g_i = 0.  A trial decides these cuts without
+    # drawing them; here the elimination runs on seeded draws, with the
+    # row-reduced forms and g and with the dense ones, and must count 0
+    # at 32003.  At 11 and 13 degenerate rows are common: they may leave
+    # a positive-dimensional residual, but never a positive count.
+    from csmhyp.groebner import IdealBasis
+    from csmhyp.poly import _random_row
+    from csmhyp.segre import _chart_degree, _combination, _reduced_cut
+
+    seen = set()
+    for text, nvars in RANK_BELOW:
+        n = nvars - 1
+        for p in (11, 13, 32003):
+            scheme = jacobian_scheme(gfpoly(text, nvars, p))
+            partials, r = scheme.partials, len(scheme.columns)
+            assert r <= n
+            xs = [variable(nvars, j, PrimeField(p)) for j in range(nvars)]
+            rng = random.Random(f"{text}:{p}:rank")
+            for i, _ in itertools.product(range(r, n + 1), range(5)):
+                g_row = _random_row(scheme.columns, p, rng)
+                rows = [_random_row(scheme.columns, p, rng) for _ in range(i)]
+                planes = [random_linear_combination(xs, rng) for _ in range(n - i)]
+                forms, rest = _reduced_cut(partials, rows, g_row, p)
+                dense = [_combination(partials, row, p) for row in rows]
+                g = _combination(partials, g_row, p)
+                for kind, cut, locus in (("reduced", forms, rest), ("dense", dense, g)):
+                    got = _chart_degree(cut + planes, IdealBasis((locus.dehomogenize(n),)), n)
+                    where = (text, p, i, kind)
+                    if p == 32003:
+                        assert len(forms) == r and got == 0, where
+                    else:
+                        assert got in (0, None), where
+                    seen.add((kind, len(forms) == r, got))
+    assert {("reduced", True, 0), ("dense", True, 0)} <= seen
+    assert ("reduced", False, None) in seen  # degenerate rows were drawn
+
+
+def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
+    # The cuts i >= r come last and are decided before any draw: a trial
+    # draws the rows of g and of the cuts 1 <= i < r, and calls one cut
+    # kernel for each of those, in order, and none for the rest.
+    import csmhyp.segre as segre_mod
+
+    calls = []
+    for name in ("_line_degree", "_plane_degree", "_chart_degree", "saturate", "_random_row"):
+
+        def wrapped(*args, _name=name, _real=getattr(segre_mod, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(segre_mod, name, wrapped)
+
+    inputs = RANK_BELOW + CONES + [("x0^2 + x1^2 + x2^2", 3), ("x0*x1*x2*x3", 4)]
+    for text, nvars in inputs:
+        n = nvars - 1
+        for p in (32003, 65537):
+            scheme = jacobian_scheme(gfpoly(text, nvars, p))
+            r = len(scheme.columns)
+            plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
+            want = ["_random_row"]
+            for i in range(1, r):
+                want += ["_random_row"] * i
+                if i == 1 or (i == 2 and plane):
+                    want.append("_line_degree" if i == 1 else "_plane_degree")
+                else:
+                    want += ["_chart_degree", "saturate"]
+            calls.clear()
+            g = segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"))
+            assert calls == want, (text, p)
+            assert len(g) == nvars and g[r:] == (0,) * (nvars - r), (text, p)
+
+
+def test_a_cone_at_tiny_primes_needs_no_draw_for_its_top_cuts():
+    # Two planes in P^3 meet in a line: chi = 3 + 3 - 2 = 4.  At 11 these
+    # seeds draw degenerate rows for g_2 four times, which used to end in
+    # a RandomnessError; the partials have rank 2, so g_2 = g_3 = 0.
+    from csmhyp.charclasses import build_report
+
+    report = build_report("x0*x1", 4, TrialPolicy((11, 13), (481434895, 1399770677)))
+    assert list(report.projective_degrees.g) == [1, 1, 0, 0]
+    assert report.euler == 4
