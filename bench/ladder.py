@@ -16,8 +16,10 @@ that loop taken just before and just after it.
 
 ``BENCH_<label>.json`` (in ``bench/`` unless ``--out`` says otherwise) holds
 per input the median scaled time and the accepted g-vector, a fingerprint
-that a change to the program's speed must keep.  It needs only the standard
-library.
+that a change to the program's speed must keep.  A committed ladder pair
+measured at different times cannot show a per-input change below about
+25%, even scaled to host speed; use ``bench/pair.py`` for that.  It needs
+only the standard library.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 From a defining homogeneous polynomial this package computes, in exact
 arithmetic: the Segre class of the singular scheme, the
-Chern-Schwartz-MacPherson class (by four provably equal routes), the
-Fulton class, the mu-class, the total Milnor number and the Euler
-characteristic, with built-in cross-validation of every identity.
+Chern-Schwartz-MacPherson class, the Fulton class, the mu-class, the
+total Milnor number and the Euler characteristic.  The paper's other
+formulations of the CSM class are exported for comparison, and an
+affine Milnor oracle can cross-check a report.
 """
 
 from .charclasses import (

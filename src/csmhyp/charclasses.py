@@ -2,22 +2,23 @@
 
 Everything here is exact Chow-ring arithmetic on the triple
 (n, d, s_Y) where d = deg X and s_Y is the pushforward of the Segre class
-of the singular scheme Y.  The Chern-Schwartz-MacPherson class is computed
-along four independent routes that are provably equal:
+of the singular scheme Y.  The paper gives the Chern-Schwartz-MacPherson
+class in four formulations that are equal in Z[h]/(h^(n+1)) for every s_Y:
 
   * compact:    c(TM) * ( s(X) + c(L)^-1 * (s_Y dual tensor L) )
   * binomial:   c(TM) * s(X minus Y)  via the residual binomial sum
   * thickening: c(TM) * s(X(k)) evaluated formally at k = -1
   * mu-class:   c_F(X) + c(L)^(dim X) * (mu dual tensor L)
 
-with c(L) = 1 + d*h and c(TM) = (1 + h)^(n+1).  ``classes_from_segre``
-evaluates all four and compares each of the other three with the compact
-route; every comparison is a verdict in the report, and a failing one
-(an internal bug, not a data condition) carries the difference.
+with c(L) = 1 + d*h and c(TM) = (1 + h)^(n+1).  The pipeline evaluates
+the compact one; the other three are library functions that the tests
+compare against it, since no input can make them disagree and only a
+code bug could.
 
 The report builder at the bottom runs the full Groebner pipeline and
-bundles classes, Euler characteristic, total Milnor number and the
-verification verdicts into one serializable object.
+bundles classes, Euler characteristic and total Milnor number into one
+serializable object.  Its verdicts come only from oracles run on the
+input (``compute --verify``).
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ def milnor_total(mu: ChowClass) -> int:
     """Total Milnor number of X in P^n as the degree of its mu-class.
 
     It obeys milnor == (-1)^n (chi(X) - chi_virtual), with chi_virtual the
-    degree of the Fulton class, whenever the mu-class route agrees: the
-    h^n coefficient of c(L)^(n-1) (mu^v tensor L) is (-1)^n deg mu, since
-    each lower piece a_m h^m of mu contributes (-1)^m a_m h^m
-    (1 + d h)^(n-1-m), of degree below n.
+    degree of the Fulton class, by the mu-class formulation of the CSM
+    class: the h^n coefficient of c(L)^(n-1) (mu^v tensor L) is
+    (-1)^n deg mu, since each lower piece a_m h^m of mu contributes
+    (-1)^m a_m h^m (1 + d h)^(n-1-m), of degree below n.
     """
     return mu.integral()
 
@@ -197,7 +198,6 @@ def segre_singular_nc(n: int, degrees) -> ChowClass:
 class Verification:
     name: str
     ok: bool
-    difference: ChowClass | None = None
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.ok}
@@ -205,7 +205,7 @@ class Verification:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Computed output bundle for one hypersurface, plus verdicts."""
+    """Computed output bundle for one hypersurface, plus oracle verdicts."""
 
     n: int
     d: int
@@ -249,25 +249,10 @@ class ClassReport:
 
 
 def classes_from_segre(n: int, d: int, s_y: ChowClass):
-    """CSM, Fulton and mu classes for a given Segre input, plus one
-    verdict per alternative CSM route.
-
-    Returns ``(csm, fulton, mu, verdicts)``.  Each route is compared
-    exactly with the compact route ``csm``; a disagreement is a failing
-    verdict carrying the difference, never an exception.
-    """
+    """CSM (compact formulation), Fulton and mu classes for a given Segre
+    input, as ``(csm, fulton, mu)``."""
     inp = HypersurfaceInput(n, d, s_y)
-    c_csm = csm(inp)
-    c_tm = chern_tangent_pn(n)
-    verdicts = []
-    for name, c in (
-        ("csm_residual_binomial_route", c_tm * s_x_minus_y_binomial(inp)),
-        ("csm_thickening_route", csm_via_thickening(inp)),
-        ("csm_mu_class_route", csm_via_mu(inp)),
-    ):
-        ok = c == c_csm
-        verdicts.append(Verification(name, ok, None if ok else c - c_csm))
-    return c_csm, fulton(inp), mu_class(inp), verdicts
+    return csm(inp), fulton(inp), mu_class(inp)
 
 
 def build_report(
@@ -292,7 +277,7 @@ def build_report(
     if d < 1:
         raise ValueError(f"a hypersurface needs degree >= 1; got degree {d}")
     s_y, pd, scheme = segre_singular_scheme(F, policy)
-    c_csm, c_fulton, c_mu, checks = classes_from_segre(n, d, s_y)
+    c_csm, c_fulton, c_mu = classes_from_segre(n, d, s_y)
     return ClassReport(
         n=n,
         d=d,
@@ -305,5 +290,4 @@ def build_report(
         mu=c_mu,
         euler=euler_characteristic(c_csm),
         milnor_total=milnor_total(c_mu),
-        verification=tuple(checks),
     )

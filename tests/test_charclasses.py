@@ -143,16 +143,10 @@ def test_csm_four_routes_on_fixtures():
         assert chern_tangent_pn(inp.n) * s_x_minus_y_binomial(inp) == reference
 
 
-def test_classes_from_segre_gives_one_verdict_per_route():
+def test_classes_from_segre_gives_the_compact_csm_fulton_and_mu():
     for inp in (SMOOTH_CONIC, TWO_LINES, QUADRIC_CONE, NODAL_CUBIC):
-        c, c_f, mu, verdicts = classes_from_segre(inp.n, inp.d, inp.s_y)
-        assert (c, c_f, mu) == (csm(inp), fulton(inp), mu_class(inp))
-        assert [v.name for v in verdicts] == [
-            "csm_residual_binomial_route",
-            "csm_thickening_route",
-            "csm_mu_class_route",
-        ]
-        assert all(v.ok and v.difference is None for v in verdicts)
+        got = classes_from_segre(inp.n, inp.d, inp.s_y)
+        assert got == (csm(inp), fulton(inp), mu_class(inp))
 
 
 def test_csm_four_routes_on_random_inputs():
