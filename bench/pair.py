@@ -3,6 +3,7 @@
 
     python3 bench/pair.py BASE HEAD --workload nonisolated
     python3 bench/pair.py /tmp/parent . --workload corpus --prime 101 --prime 103
+    python3 bench/pair.py /tmp/parent . --workload corpus --ignore trials
 
 ``BASE`` and ``HEAD`` are roots of two checkouts; the ``src/csmhyp`` of
 each is imported under its own package name, so both run in this one
@@ -17,14 +18,18 @@ first alternates, so a slow phase of a shared host falls on both alike.
 Per input it prints the median time of each side and their ratio
 HEAD / BASE, then the ratio of the summed medians.  Every call's report
 (``to_json()``), or the type and text of the error it raised, is compared
-between the sides; the script exits 1 when any differs, else 0.  It needs
-only the standard library.
+between the sides; the script exits 1 when any differs, else 0.  Each
+``--ignore KEY`` leaves the top-level report key KEY out of the
+comparison, so that a deliberate change of one part of the output, such as
+the ``trials`` records, still gets timed and the rest still compared.  It
+needs only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import random
 import statistics
@@ -50,24 +55,29 @@ def load_checkout(root: str, name: str):
     return module
 
 
-def outcome(package, case, primes, seeds):
-    """One ``build_report`` call: its time, and its report or error text."""
+def outcome(package, case, primes, seeds, ignore=()):
+    """One ``build_report`` call: its time, and its report as in
+    ``to_json()`` less the top-level keys in ``ignore``, or its error
+    text."""
     if primes is None:
         policy = package.TrialPolicy(seeds=seeds)
     else:
         policy = package.TrialPolicy(primes, seeds)
     start = time.perf_counter()
     try:
-        text = package.build_report(case.poly, case.nvars, policy).to_json()
+        report = package.build_report(case.poly, case.nvars, policy)
     except Exception as exc:  # an error is an answer too, compared as text
-        text = f"{type(exc).__name__}: {exc}"
-    return time.perf_counter() - start, text
+        return time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
+    took = time.perf_counter() - start
+    kept = {k: v for k, v in report.to_json_dict().items() if k not in ignore}
+    return took, json.dumps(kept, sort_keys=True, separators=(",", ":"))
 
 
-def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None) -> int:
+def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None, ignore=()) -> int:
     """Time and compare both packages on every case, printing to ``out``
-    (standard output by default); returns the number of calls whose
-    answers differ."""
+    (standard output by default), with the report keys in ``ignore`` left
+    out of the comparison; returns the number of calls whose answers
+    differ."""
     out = sys.stdout if out is None else out
     times = {case.name: ([], []) for case in cases}
     differ = 0
@@ -79,7 +89,7 @@ def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None) -> int:
                 sides.reverse()
             texts = [None, None]
             for k, package in sides:
-                took, texts[k] = outcome(package, case, primes, seeds)
+                took, texts[k] = outcome(package, case, primes, seeds, ignore)
                 times[case.name][k].append(took)
             if texts[0] != texts[1]:
                 differ += 1
@@ -121,6 +131,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="draws the seed pairs")
     parser.add_argument("--prime", type=int, action="append", dest="primes")
+    parser.add_argument(
+        "--ignore", action="append", default=[], metavar="KEY",
+        help="a top-level report key to leave out of the comparison (repeatable)",
+    )
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.seed_pairs < 1:
         parser.error("need at least one round and one seed pair")
@@ -134,7 +148,8 @@ def main(argv=None) -> int:
     cases = workloads.WORKLOADS[args.workload]()
     primes = tuple(args.primes) if args.primes else None
     pairs = seed_pairs(args.seed_pairs, args.seed)
-    return 1 if run_pairs(base, head, cases, primes, pairs, args.rounds) else 0
+    differ = run_pairs(base, head, cases, primes, pairs, args.rounds, ignore=args.ignore)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -46,9 +46,13 @@ policy treats it the same way.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
-pairs, at primes where F keeps its support and p > 2 deg F, and the first
-g-vector that a second trial repeats is accepted; every trial is recorded
-for audit.
+pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
+can only read low, and some g_i have a proven upper bound at the trial's
+prime: e^i below the codimension c of Y, e^c - deg Y at c, and 0 from
+the rank of the partials on.  A trial that meets such a bound certifies
+that g_i, and later trials draw only the cuts still open.  The vector is
+accepted once nothing is open, or once two trials agree on every open
+coordinate; every trial is recorded for audit.
 """
 
 from __future__ import annotations
@@ -133,6 +137,11 @@ class TrialPolicy:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial: its prime and seed, its g-vector, and whether that is the
+    accepted vector.  ``g`` is a full vector: it carries the values that
+    earlier trials certified, which this trial took without drawing their
+    cuts."""
+
     prime: int
     seed: int
     g: tuple
@@ -563,8 +572,10 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
     return standard_monomial_count(residual.leading_terms, n)
 
 
-def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
-    """One g-vector at one (prime, seed).
+def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:
+    """One g-vector at one (prime, seed).  ``certified`` maps each i whose
+    g_i an earlier trial certified (``_upper_bounds``) to that value: the
+    vector takes it, and no row, point or hyperplane is drawn for it.
 
     Each cut is saturated by one random combination g of the partials,
     instead of by the whole jacobian ideal J.  The two saturations agree
@@ -622,7 +633,10 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
     base_row = _random_row(columns, p, rng)
     base = _combination(partials, base_row, p)
     g = [1]
-    for i in range(1, r):
+    for i in range(1, n + 1):
+        if i in certified or i >= r:
+            g.append(certified.get(i, 0))
+            continue
         for _ in range(DIM_RETRIES):
             rows = [_random_row(columns, p, rng) for _ in range(i)]
             if i == 1 or (i == 2 and plane):
@@ -644,15 +658,49 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng) -> tuple:
                 f"residual scheme stayed positive-dimensional for g_{i} "
                 f"after {DIM_RETRIES} retries"
             )
-    return tuple(g) + (0,) * (n + 1 - r)
+    return tuple(g)
+
+
+def _upper_bounds(scheme: SingularSchemeData) -> list:
+    """The proven upper bound of each g_i at the scheme's prime, or None
+    where there is none.  With c the codimension of Y (n + 1 when Y is
+    empty) and r the rank of the partials:
+
+    - e^i for i < c: s(Y, P^n) vanishes below codimension c, which is
+      g_i = e^i there, and every cut can only read low;
+    - e^c - deg_y at i = c: the h^c coefficient of s(Y, P^n) is
+      e^c - g_c, the sum of the Samuel multiplicities of Y along its top
+      components, and each is at least their length (Fulton,
+      *Intersection Theory*, Ex. 4.3.4);
+    - 0 for i >= r, where g_i is 0 (see ``_degrees_one_trial``).
+
+    A cut can only read low, so a trial whose g_i meets its bound has the
+    exact g_i at that prime.
+    """
+    n, e, r = scheme.n, scheme.d - 1, len(scheme.columns)
+    c = n + 1 if scheme.is_smooth else n - scheme.dim_y
+    return [
+        0 if i >= r
+        else e**i if i < c
+        else e**c - scheme.deg_y if i == c
+        else None
+        for i in range(n + 1)
+    ]
 
 
 def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy()):
     """Multi-trial projective degrees of the gradient map of F.
 
-    Runs one trial at each (prime, seed) of ``policy.schedule(F)`` and
-    accepts the first g-vector that a second trial repeats.  Every trial
-    is recorded, accepted or not; when all ``MAX_TRIALS`` differ, the run
+    Runs one trial at each (prime, seed) of ``policy.schedule(F)``.  After
+    each trial, every g_i that meets its upper bound at that trial's
+    prime (``_upper_bounds``) is certified: it is exact there, and every
+    later trial takes it without drawing its cut.  The coordinates not
+    certified are open.  A trial's vector is accepted at once when none
+    is left open, and otherwise once an earlier trial agrees with it on
+    every open coordinate.  A value above its bound stays open; the
+    range check of ``ProjectiveDegrees`` and the checks of
+    ``segre_singular_scheme`` refuse it.  Every trial is recorded,
+    accepted or not; when ``MAX_TRIALS`` pass without acceptance, the run
     aborts with the log.
 
     Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme
@@ -662,13 +710,20 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
         raise ValueError("pipeline input must be a polynomial over Q")
     trials = []
     schemes = {}
+    certified = {}
     for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
-        g = _degrees_one_trial(schemes[prime], random.Random(f"csmhyp:{prime}:{seed}"))
-        first = next((p for p, _, gv in trials if gv == g), None)
+        rng = random.Random(f"csmhyp:{prime}:{seed}")
+        g = _degrees_one_trial(schemes[prime], rng, certified)
         trials.append((prime, seed, g))
-        if first is not None:
+        bounds = _upper_bounds(schemes[prime])
+        certified.update((i, gi) for i, gi in enumerate(g) if gi == bounds[i])
+        still_open = [i for i in range(len(g)) if i not in certified]
+        if not still_open or any(
+            all(gv[i] == g[i] for i in still_open) for _, _, gv in trials[:-1]
+        ):
+            first = next(p for p, _, gv in trials if gv == g)
             pd = ProjectiveDegrees(
                 n=schemes[first].n,
                 e=F_rational.degree - 1,

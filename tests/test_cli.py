@@ -185,8 +185,9 @@ def test_pinned_randomness_is_byte_identical(capsys):
 
 
 def test_seed_env_var_sets_default(capsys, monkeypatch):
+    # Four planes keep g_3 open after one trial, so both seeds run.
     monkeypatch.setenv("CSMHYP_SEED", "4242")
-    code, out, _ = run_cli(capsys, "compute", "x0*x1", "--nvars", "3", "--json")
+    code, out, _ = run_cli(capsys, "compute", "x0*x1*x2*x3", "--nvars", "4", "--json")
     assert code == 0
     payload = json.loads(out)
     assert {t["seed"] for t in payload["trials"]} == {4242, 4243}

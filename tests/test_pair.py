@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import io
 import os
@@ -66,6 +67,32 @@ def test_a_differing_answer_is_reported(monkeypatch):
 def test_main_runs_a_perfbench_workload_and_exits_0(capsys):
     pair = _pair()
     assert pair.main([ROOT, ROOT, "--workload", "corpus", "--rounds", "1",
-                      "--seed-pairs", "1", "--prime", "32003", "--prime", "65537"]) == 0
+                      "--seed-pairs", "1", "--prime", "32003", "--prime", "65537",
+                      "--ignore", "trials", "--ignore", "verification"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "0 of 18 reports differ"
+
+
+def test_an_ignored_key_is_left_out_of_the_comparison(monkeypatch):
+    # The head side drops its trial records: they differ unless the
+    # comparison leaves `trials` out, and nothing else does.
+    pair = _pair()
+    base = pair.load_checkout(ROOT, "csmhyp_pair_base")
+    head = pair.load_checkout(ROOT, "csmhyp_pair_head")
+    real = head.build_report
+
+    def no_trials(poly, nvars, policy):
+        report = real(poly, nvars, policy)
+        pd = dataclasses.replace(report.projective_degrees, trials=())
+        return dataclasses.replace(report, projective_degrees=pd)
+
+    monkeypatch.setattr(head, "build_report", no_trials)
+    seeds = pair.seed_pairs(1, 3)
+    out = io.StringIO()
+    assert pair.run_pairs(base, head, CONICS, None, seeds, 1, out) == 2
+    assert '"trials":[]' in out.getvalue()
+    out = io.StringIO()
+    assert pair.run_pairs(base, head, CONICS, None, seeds, 1, out, ignore=["trials"]) == 0
+    assert out.getvalue().splitlines()[-1] == "0 of 2 reports differ"
+    out = io.StringIO()
+    assert pair.run_pairs(base, head, CONICS, None, seeds, 1, out, ignore=["euler"]) == 2

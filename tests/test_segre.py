@@ -114,7 +114,8 @@ def test_degrees_double_line_plus_line():
 
 
 def test_degrees_record_trials():
-    pd, _ = projective_degrees(parse_poly("x0*x1", 3), TWO_PRIME)
+    # g_3 of four planes has no upper bound to meet, so a second trial runs.
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert len(pd.trials) == 2
     assert all(t.accepted for t in pd.trials)
     assert {t.seed for t in pd.trials} == {101, 102}
@@ -194,8 +195,8 @@ def test_no_trial_records_a_g0_other_than_1(monkeypatch):
     vectors = []
     real = segre_mod._degrees_one_trial
 
-    def recording(scheme, rng):
-        vectors.append(real(scheme, rng))
+    def recording(scheme, rng, certified):
+        vectors.append(real(scheme, rng, certified))
         return vectors[-1]
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", recording)
@@ -282,14 +283,15 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
 
     calls = []
 
-    def flaky(scheme, rng):
+    def flaky(scheme, rng, certified):
         calls.append(1)
-        # never confirm the same vector twice
-        return (1, len(calls) % 7, 0)
+        # never confirm the same vector twice, and g_1, g_2 below their
+        # bounds 3 and 9 - 6, so that nothing but g_0 is certified
+        return (1, 2, 2, len(calls))
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", flaky)
     with pytest.raises(RandomnessError) as err:
-        projective_degrees(parse_poly("x0*x1", 3), TWO_PRIME)
+        projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert err.value.trials  # audit log travels with the failure
     assert len(calls) == 5
 
@@ -297,13 +299,15 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
 def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
     import csmhyp.segre as segre_mod
 
+    # Three lines: g_1 <= 2 and g_2 <= 4 - 3, so these vectors certify
+    # nothing but g_0.
     outputs = iter([(1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 0)])
 
-    def scripted(scheme, rng):
+    def scripted(scheme, rng, certified):
         return next(outputs)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
-    pd, _ = projective_degrees(parse_poly("x0*x1", 3), TWO_PRIME)
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
     assert pd.g == (1, 1, 0)
     flags = [t.accepted for t in pd.trials]
     assert flags.count(False) == 1 and flags.count(True) == 2
@@ -312,18 +316,115 @@ def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
 def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
     import csmhyp.segre as segre_mod
 
-    outputs = iter([(1, 2, 4), (1, 2, 3), (1, 2, 2), (1, 1, 0), (1, 2, 2)])
+    # Four planes: g_1 <= 3 and g_2 <= 9 - 6, so these vectors certify
+    # nothing but g_0.
+    outputs = iter(
+        [(1, 2, 2, 4), (1, 2, 2, 3), (1, 2, 2, 2), (1, 1, 0, 0), (1, 2, 2, 2)]
+    )
 
-    def scripted(scheme, rng):
+    def scripted(scheme, rng, certified):
         return next(outputs)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
-    pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
-    assert pd.g == (1, 2, 2)
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
+    assert pd.g == (1, 2, 2, 2)
     assert [t.accepted for t in pd.trials] == [False, False, True, False, True]
     assert [(t.prime, t.seed) for t in pd.trials] == [
         (32003, 101), (32003, 102), (65537, 101), (65537, 102), (32003, 100104)
     ]
+
+
+def test_upper_bounds_of_the_projective_degrees():
+    import csmhyp.segre as segre_mod
+
+    # e^i below c = codim Y, e^c - deg_y at c, 0 from the rank r on, and
+    # no bound above c below r.
+    for text, nvars, want in [
+        ("x0^2 + x1^2 + x2^2", 3, [1, 1, 1]),  # smooth: every e^i
+        ("x0*x1", 3, [1, 1, 0]),  # r = 2
+        ("x0*x1*x2", 3, [1, 2, 1]),  # three points: 4 - 3
+        ("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3, [1, 5, 9]),  # 25 - 16
+        ("x0*x1*x2*x3", 4, [1, 3, 3, None]),  # six lines: 9 - 6
+        ("x0^2 + x1^2 + x2^2", 4, [1, 1, 1, 0]),  # a cone, r = 3
+    ]:
+        scheme = jacobian_scheme(gfpoly(text, nvars))
+        assert segre_mod._upper_bounds(scheme) == want, text
+
+
+def test_a_vector_that_meets_every_bound_takes_one_trial():
+    # The smooth conic meets e^i everywhere; the node of the cubic is
+    # quasi-homogeneous, so g_2 = e^2 - deg_y.
+    for text in ("x0^2 + x1^2 + x2^2", "x1^2*x2 - x0^3 - x0^2*x2"):
+        pd, _ = projective_degrees(parse_poly(text, 3), TWO_PRIME)
+        assert len(pd.trials) == 1 and pd.trials[0].accepted, text
+
+
+def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    calls = []
+    for name in ("_line_degree", "_plane_degree", "_chart_degree"):
+
+        def wrapped(*args, _name=name, _real=getattr(segre_mod, name)):
+            calls[-1].append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(segre_mod, name, wrapped)
+    real = segre_mod._degrees_one_trial
+
+    def trial(scheme, rng, certified):
+        calls.append([])
+        return real(scheme, rng, certified)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", trial)
+    # The quadrifolium's g_2 = 8 stays below 25 - 16, so only its top
+    # cut is drawn again.
+    pd, _ = projective_degrees(
+        parse_poly("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3), TWO_PRIME
+    )
+    assert pd.g == (1, 5, 8) and [t.accepted for t in pd.trials] == [True, True]
+    assert calls == [["_line_degree", "_chart_degree"], ["_chart_degree"]]
+    # Four planes certify g_1 = 3 and g_2 = 9 - 6; g_3 has no bound.
+    calls.clear()
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 1) and len(pd.trials) == 2
+    assert calls == [["_line_degree", "_plane_degree", "_chart_degree"], ["_chart_degree"]]
+
+
+def test_a_trial_that_meets_a_bound_overrules_a_low_one(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    # Three lines: g_2 <= 4 - 3.  The second trial certifies the whole
+    # vector, and the first, low at g_2, is not accepted.
+    outputs = iter([(1, 2, 0), (1, 2, 1)])
+    seen = []
+
+    def scripted(scheme, rng, certified):
+        seen.append(dict(certified))
+        return next(outputs)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
+    assert pd.g == (1, 2, 1)
+    assert [t.accepted for t in pd.trials] == [False, True]
+    assert seen == [{}, {0: 1, 1: 2}]
+
+
+def test_a_trial_above_a_bound_stays_open_and_is_refused(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    # Three lines: g_2 = 2 is above 4 - 3, so it is not certified, two
+    # trials agree on it, and the Segre check refuses the vector.
+    calls = []
+
+    def scripted(scheme, rng, certified):
+        calls.append(1)
+        return (1, 2, 2)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    with pytest.raises(CsmhypError, match="below the degree 3"):
+        segre_singular_scheme(parse_poly("x0*x1*x2", 3), TWO_PRIME)
+    assert len(calls) == 2
 
 
 def test_schedule_keeps_the_usable_primes_in_policy_order():
@@ -426,7 +527,7 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
         # the first trial of the default policy at p: seed 101
         scheme = jacobian_scheme(reduce_mod_p(parse_poly(text, nvars), p))
         calls.clear()
-        segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"))
+        segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"), {})
         return calls.count("saturate"), "_plane_degree" in calls
 
     fermat_quintic = "x0^5 + x1^5 + x2^5 + x3^5"
@@ -1219,7 +1320,7 @@ def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
                 else:
                     want += ["_chart_degree", "saturate"]
             calls.clear()
-            g = segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"))
+            g = segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"), {})
             assert calls == want, (text, p)
             assert len(g) == nvars and g[r:] == (0,) * (nvars - r), (text, p)
 
