@@ -55,17 +55,22 @@ def load_checkout(root: str, name: str):
     return module
 
 
+def policy(package, primes, seeds):
+    """``package``'s ``TrialPolicy`` with these seeds, at ``primes`` or,
+    when that is None, at the default primes."""
+    if primes is None:
+        return package.TrialPolicy(seeds=seeds)
+    return package.TrialPolicy(primes, seeds)
+
+
 def outcome(package, case, primes, seeds, ignore=()):
     """One ``build_report`` call: its time, and its report as in
     ``to_json()`` less the top-level keys in ``ignore``, or its error
     text."""
-    if primes is None:
-        policy = package.TrialPolicy(seeds=seeds)
-    else:
-        policy = package.TrialPolicy(primes, seeds)
+    trial_policy = policy(package, primes, seeds)
     start = time.perf_counter()
     try:
-        report = package.build_report(case.poly, case.nvars, policy)
+        report = package.build_report(case.poly, case.nvars, trial_policy)
     except Exception as exc:  # an error is an answer too, compared as text
         return time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
     took = time.perf_counter() - start

@@ -31,6 +31,9 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+sys.path.insert(0, HERE)
+import pair  # bench/pair.py, beside this script
+
 WORKLOADS = ("corpus", "nonisolated")
 # Policy name -> its primes; None keeps the default policy's primes.
 POLICIES = {"default": None, "1009-1013": (1009, 1013), "101-103": (101, 103)}
@@ -45,10 +48,7 @@ def count(package, cases, policies, seed_pairs, mismatches) -> list:
     for name, primes in policies.items():
         wrong, raised = [], []
         for seeds in seed_pairs:
-            if primes is None:
-                policy = package.TrialPolicy(seeds=seeds)
-            else:
-                policy = package.TrialPolicy(primes, seeds)
+            policy = pair.policy(package, primes, seeds)
             for _, case in cases:
                 where = {"input": case.name, "seeds": list(seeds)}
                 try:
@@ -99,9 +99,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.seed_pairs < 1:
         parser.error("need at least one seed pair")
-    sys.path.insert(0, HERE)
-    import pair
-
     package = pair.load_checkout(args.checkout, "csmhyp_trust")
     # The workloads read fixture texts from csmhyp: this checkout's own.
     sys.path.insert(0, os.path.join(ROOT, "src"))

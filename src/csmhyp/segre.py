@@ -50,7 +50,8 @@ pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
 can only read low, and some g_i have a proven upper bound at the trial's
 prime: e^i below the codimension c of Y, e^c - deg Y at c, and 0 from
 the rank of the partials on.  A trial that meets such a bound certifies
-that g_i, and later trials draw only the cuts still open.  The vector is
+that g_i at its prime, and later trials at that prime draw only the cuts
+still open; a trial at another prime draws every cut.  The vector is
 accepted once nothing is open, or once two trials agree on every open
 coordinate; every trial is recorded for audit.
 """
@@ -137,10 +138,13 @@ class TrialPolicy:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial: its prime and seed, its g-vector, and whether that is the
-    accepted vector.  ``g`` is a full vector: it carries the values that
-    earlier trials certified, which this trial took without drawing their
-    cuts."""
+    """One trial: its prime and seed, its g-vector, and whether the
+    acceptance rests on it.  ``g`` is a full vector: it carries the values
+    that earlier trials at the same prime certified, which this trial took
+    without drawing their cuts.  ``accepted`` is true for the trial whose
+    vector was accepted and, when that vector still had open coordinates,
+    for each earlier trial that agrees with it on all of them; such a
+    trial may differ on a coordinate that was certified later."""
 
     prime: int
     seed: int
@@ -574,8 +578,9 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:
     """One g-vector at one (prime, seed).  ``certified`` maps each i whose
-    g_i an earlier trial certified (``_upper_bounds``) to that value: the
-    vector takes it, and no row, point or hyperplane is drawn for it.
+    g_i an earlier trial at this prime certified (``_upper_bounds``) to
+    that value: the vector takes it, and no row, point or hyperplane is
+    drawn for it.
 
     Each cut is saturated by one random combination g of the partials,
     instead of by the whole jacobian ideal J.  The two saturations agree
@@ -693,11 +698,13 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
 
     Runs one trial at each (prime, seed) of ``policy.schedule(F)``.  After
     each trial, every g_i that meets its upper bound at that trial's
-    prime (``_upper_bounds``) is certified: it is exact there, and every
-    later trial takes it without drawing its cut.  The coordinates not
-    certified are open.  A trial's vector is accepted at once when none
-    is left open, and otherwise once an earlier trial agrees with it on
-    every open coordinate.  A value above its bound stays open; the
+    prime (``_upper_bounds``) is certified: it is exact at that prime,
+    and every later trial at the same prime takes it without drawing its
+    cut.  A trial at another prime draws it again, so a bound met at an
+    unlucky prime does not carry over.  The coordinates not certified at
+    the trial's prime are open.  A trial's vector is accepted at once
+    when none is left open, and otherwise once an earlier trial agrees
+    with it on every open coordinate.  A value above its bound stays open; the
     range check of ``ProjectiveDegrees`` and the checks of
     ``segre_singular_scheme`` refuse it.  Every trial is recorded,
     accepted or not; when ``MAX_TRIALS`` pass without acceptance, the run
@@ -710,25 +717,30 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
         raise ValueError("pipeline input must be a polynomial over Q")
     trials = []
     schemes = {}
-    certified = {}
+    certified = {}  # prime -> {i: g_i certified at that prime}
     for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
         rng = random.Random(f"csmhyp:{prime}:{seed}")
-        g = _degrees_one_trial(schemes[prime], rng, certified)
+        exact = certified.setdefault(prime, {})
+        g = _degrees_one_trial(schemes[prime], rng, exact)
         trials.append((prime, seed, g))
         bounds = _upper_bounds(schemes[prime])
-        certified.update((i, gi) for i, gi in enumerate(g) if gi == bounds[i])
-        still_open = [i for i in range(len(g)) if i not in certified]
-        if not still_open or any(
-            all(gv[i] == g[i] for i in still_open) for _, _, gv in trials[:-1]
-        ):
+        exact.update((i, gi) for i, gi in enumerate(g) if gi == bounds[i])
+        still_open = [i for i in range(len(g)) if i not in exact]
+        agree = [
+            bool(still_open) and all(gv[i] == g[i] for i in still_open)
+            for _, _, gv in trials[:-1]
+        ] + [True]
+        if not still_open or any(agree[:-1]):
             first = next(p for p, _, gv in trials if gv == g)
             pd = ProjectiveDegrees(
                 n=schemes[first].n,
                 e=F_rational.degree - 1,
                 g=g,
-                trials=tuple(TrialRecord(p, s, gv, gv == g) for p, s, gv in trials),
+                trials=tuple(
+                    TrialRecord(p, s, gv, ok) for (p, s, gv), ok in zip(trials, agree)
+                ),
             )
             return pd, schemes[first]
     raise RandomnessError(

@@ -67,8 +67,7 @@ def test_a_differing_answer_is_reported(monkeypatch):
 def test_main_runs_a_perfbench_workload_and_exits_0(capsys):
     pair = _pair()
     assert pair.main([ROOT, ROOT, "--workload", "corpus", "--rounds", "1",
-                      "--seed-pairs", "1", "--prime", "32003", "--prime", "65537",
-                      "--ignore", "trials", "--ignore", "verification"]) == 0
+                      "--seed-pairs", "1", "--prime", "32003", "--prime", "65537"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "0 of 18 reports differ"
 

@@ -410,6 +410,48 @@ def test_a_trial_that_meets_a_bound_overrules_a_low_one(monkeypatch):
     assert seen == [{}, {0: 1, 1: 2}]
 
 
+def test_an_earlier_trial_that_agrees_on_the_open_coordinates_is_accepted(
+    monkeypatch,
+):
+    import csmhyp.segre as segre_mod
+
+    # Four planes: the first trial is low at g_2 <= 9 - 6, the second
+    # certifies it, and the two agree on g_3, the one open coordinate.
+    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1)])
+    seen = []
+
+    def scripted(scheme, rng, certified):
+        seen.append(dict(certified))
+        return next(outputs)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 1)
+    assert [t.accepted for t in pd.trials] == [True, True]
+    assert seen == [{}, {0: 1, 1: 3}]
+
+
+def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    # Four planes, one seed: the trials alternate 32003 and 65537.  What
+    # 32003 certified is not given to 65537, and comes back at 32003.
+    outputs = iter([(1, 3, 3, 4), (1, 3, 3, 5), (1, 3, 3, 5)])
+    seen = []
+
+    def scripted(scheme, rng, certified):
+        seen.append(dict(certified))
+        return next(outputs)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    one_seed = TrialPolicy(primes=(32003, 65537), seeds=(101,))
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), one_seed)
+    assert pd.g == (1, 3, 3, 5)
+    assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
+    assert [t.accepted for t in pd.trials] == [False, True, True]
+    assert seen == [{}, {}, {0: 1, 1: 3, 2: 3}]
+
+
 def test_a_trial_above_a_bound_stays_open_and_is_refused(monkeypatch):
     import csmhyp.segre as segre_mod
 
