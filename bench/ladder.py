@@ -3,14 +3,17 @@
 
     python3 bench/ladder.py --label 741e0af
     python3 bench/ladder.py --label mine --repeats 9 --out /tmp
+    python3 bench/ladder.py --label mine-dense --workload dense
 
 Run from the root of a checkout: ``csmhyp`` is imported from ``src/`` there,
 and the inputs (``perfbench/workloads.py``) and the host-speed reference
 (``perfbench/run.py``) from ``perfbench/``, which is only read.  For each
-input of the ``corpus``, ``nonisolated`` and ``isolated`` workloads, one
-untimed call fills the caches.  Then ``--repeats`` rounds each time one call
-per input at the default ``TrialPolicy``, so a slow phase of a shared host
-falls on every input alike.  As in perfbench, each call is scaled to the host
+input of the ``--workload``s (by default ``corpus``, ``nonisolated`` and
+``isolated``; ``dense`` is every one of their inputs in general position,
+as ``bench/pair.py`` composes them), one untimed call fills the caches.
+Then ``--repeats`` rounds each time one call per input at the default
+``TrialPolicy``, so a slow phase of a shared host falls on every input
+alike.  As in perfbench, each call is scaled to the host
 speed at which the reference loop takes ``run.REFERENCE_S``, from samples of
 that loop taken just before and just after it.
 
@@ -36,6 +39,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+sys.path.insert(0, HERE)
+import pair  # bench/pair.py, beside this script
+
 WORKLOADS = ("corpus", "nonisolated", "isolated")
 
 
@@ -98,12 +104,20 @@ def main(argv=None) -> None:
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--repeats", type=int, default=7, help="timed rounds")
     parser.add_argument("--out", default=HERE, help="directory to write to")
+    parser.add_argument(
+        "--workload", action="append", dest="workloads",
+        choices=WORKLOADS + ("dense",), help="a workload to time (repeatable)",
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import csmhyp
 
     workloads = _perfbench("workloads")
-    cases = [(w, case) for w in WORKLOADS for case in workloads.WORKLOADS[w]()]
+    cases = [
+        (w, case)
+        for w in args.workloads or WORKLOADS
+        for case in pair.workload_cases(workloads, w)
+    ]
     print(write_ladder(csmhyp.build_report, cases, args.label, args.repeats, args.out))
 
 

@@ -4,11 +4,16 @@
     python3 bench/pair.py BASE HEAD --workload nonisolated
     python3 bench/pair.py /tmp/parent . --workload corpus --prime 101 --prime 103
     python3 bench/pair.py /tmp/parent . --workload corpus --ignore trials
+    python3 bench/pair.py /tmp/parent . --workload dense --rounds 5
 
 ``BASE`` and ``HEAD`` are roots of two checkouts; the ``src/csmhyp`` of
 each is imported under its own package name, so both run in this one
 process, on the same host, in the same minutes.  The inputs are those of a
-``perfbench/workloads.py`` workload of the checkout that holds this script.
+``perfbench/workloads.py`` workload of the checkout that holds this script,
+or, for ``dense``, every input of those workloads in general position
+(``dense``): the benchmark's inputs are sparse and aligned with the
+coordinates, and their cuts cost far less than the same inputs' after a
+change of coordinates.
 ``--seed-pairs`` pairs of trial seeds are drawn from ``--seed``; round r
 gives every input the pair r mod ``--seed-pairs`` and the ``--prime``s
 (the default policy's primes when none is given), on both sides.  Within a
@@ -28,13 +33,16 @@ needs only the standard library.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
 import random
+import re
 import statistics
 import sys
 import time
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -117,6 +125,56 @@ def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None, ignore=()
     return differ
 
 
+def _invertible(rows) -> bool:
+    """Whether a square integer matrix has det != 0, by elimination over Q."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    for k in range(len(rows)):
+        j = next((j for j in range(k, len(rows)) if rows[j][k]), None)
+        if j is None:
+            return False
+        rows[k], rows[j] = rows[j], rows[k]
+        pivot = rows[k]
+        rows[k + 1 :] = [
+            [a - row[k] / pivot[k] * b for a, b in zip(row, pivot)]
+            for row in rows[k + 1 :]
+        ]
+    return True
+
+
+def dense(cases) -> list:
+    """``cases`` in general position: each polynomial composed with the
+    change of coordinates x_i -> sum_j M[i][j] x_j and expanded.  M has
+    entries in [-2, 2] drawn by ``random.Random(case name)``, drawn again
+    until det M != 0, so the g-vector and every expected value stay."""
+    from csmhyp.poly import parse_poly, to_string  # this checkout's own
+
+    out = []
+    for case in cases:
+        rng = random.Random(case.name)
+        size = range(case.nvars)
+        while True:
+            m = [[rng.randint(-2, 2) for _ in size] for _ in size]
+            if _invertible(m):
+                break
+        forms = [
+            "(" + "".join(f"{c:+d}*x{j}" for j, c in enumerate(row) if c) + ")"
+            for row in m
+        ]
+        text = re.sub(r"x(\d+)", lambda v: forms[int(v.group(1))], case.poly)
+        poly = to_string(parse_poly(text, case.nvars))
+        out.append(dataclasses.replace(case, poly=poly))
+    return out
+
+
+def workload_cases(workloads, name: str) -> list:
+    """The inputs of workload ``name`` of ``workloads`` (a
+    ``perfbench/workloads.py``), or, for ``dense``, every input of its
+    workloads in general position (``dense``)."""
+    if name == "dense":
+        return dense([c for make in workloads.WORKLOADS.values() for c in make()])
+    return workloads.WORKLOADS[name]()
+
+
 def seed_pairs(count: int, seed: int) -> list:
     """``count`` pairs of distinct trial seeds, drawn as perfbench draws them."""
     rng = random.Random(f"pair:{seed}")
@@ -150,7 +208,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
-    cases = workloads.WORKLOADS[args.workload]()
+    cases = workload_cases(workloads, args.workload)
     primes = tuple(args.primes) if args.primes else None
     pairs = seed_pairs(args.seed_pairs, args.seed)
     differ = run_pairs(base, head, cases, primes, pairs, args.rounds, ignore=args.ignore)

@@ -49,8 +49,14 @@ characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
 pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
 can only read low, and some g_i have a proven upper bound at the trial's
 prime: e^i below the codimension c of Y, e^c - deg Y at c, and 0 from
-the rank of the partials on.  A trial that meets such a bound certifies
-that g_i at its prime, and later trials at that prime draw only the cuts
+the rank of the partials on.  Above c the bound is log-concavity: g_i is
+the intersection number (pr_1^* h)^(n-i) (pr_2^* h)^i of two nef classes
+on the closure of the graph of the gradient map, so
+g_i g_(i-2) <= g_(i-1)^2 (Khovanskii-Teissier; Lazarsfeld, *Positivity
+I*, Sec. 1.6; in Huh's terms, JAMS 25 (2012), the g_i are mixed
+multiplicities), and g_(i-1)^2 // g_(i-2) bounds g_i once g_(i-2) > 0 and
+g_(i-1) are certified.  A trial that meets such a bound certifies that
+g_i at its prime, and later trials at that prime draw only the cuts
 still open; a trial at another prime draws every cut.  The vector is
 accepted once nothing is open, or once two trials agree on every open
 coordinate; every trial is recorded for audit.
@@ -578,9 +584,9 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:
     """One g-vector at one (prime, seed).  ``certified`` maps each i whose
-    g_i an earlier trial at this prime certified (``_upper_bounds``) to
-    that value: the vector takes it, and no row, point or hyperplane is
-    drawn for it.
+    g_i an earlier trial at this prime certified (see
+    ``projective_degrees``) to that value: the vector takes it, and no
+    row, point or hyperplane is drawn for it.
 
     Each cut is saturated by one random combination g of the partials,
     instead of by the whole jacobian ideal J.  The two saturations agree
@@ -680,7 +686,9 @@ def _upper_bounds(scheme: SingularSchemeData) -> list:
     - 0 for i >= r, where g_i is 0 (see ``_degrees_one_trial``).
 
     A cut can only read low, so a trial whose g_i meets its bound has the
-    exact g_i at that prime.
+    exact g_i at that prime.  The bound above c, g_(i-1)^2 // g_(i-2) by
+    log-concavity, rests on certified values, not on the scheme, so
+    ``projective_degrees`` applies it.
     """
     n, e, r = scheme.n, scheme.d - 1, len(scheme.columns)
     c = n + 1 if scheme.is_smooth else n - scheme.dim_y
@@ -700,15 +708,18 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     each trial, every g_i that meets its upper bound at that trial's
     prime (``_upper_bounds``) is certified: it is exact at that prime,
     and every later trial at the same prime takes it without drawing its
-    cut.  A trial at another prime draws it again, so a bound met at an
-    unlucky prime does not carry over.  The coordinates not certified at
-    the trial's prime are open.  A trial's vector is accepted at once
-    when none is left open, and otherwise once an earlier trial agrees
-    with it on every open coordinate.  A value above its bound stays open; the
-    range check of ``ProjectiveDegrees`` and the checks of
-    ``segre_singular_scheme`` refuse it.  Every trial is recorded,
-    accepted or not; when ``MAX_TRIALS`` pass without acceptance, the run
-    aborts with the log.
+    cut.  Then, for i = 2..n upward, g_i is certified when g_(i-2) > 0 and
+    g_(i-1) are and g_i = g_(i-1)^2 // g_(i-2), the bound of
+    log-concavity (see the module docstring), so that a g_i certified so
+    bounds g_(i+1) in the same pass.  A trial at another prime draws every
+    cut again, so a bound met at an unlucky prime does not carry over.
+    The coordinates not certified at the trial's prime are open.  A
+    trial's vector is accepted at once when none is left open, and
+    otherwise once an earlier trial agrees with it on every open
+    coordinate.  A value above its bound stays open; the range check of
+    ``ProjectiveDegrees`` and the checks of ``segre_singular_scheme``
+    refuse it.  Every trial is recorded, accepted or not; when
+    ``MAX_TRIALS`` pass without acceptance, the run aborts with the log.
 
     Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme
     data taken from the prime of the first trial that gave the vector.
@@ -727,6 +738,10 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
         trials.append((prime, seed, g))
         bounds = _upper_bounds(schemes[prime])
         exact.update((i, gi) for i, gi in enumerate(g) if gi == bounds[i])
+        for i in range(2, len(g)):  # log-concavity: g_i <= g_(i-1)^2 / g_(i-2)
+            bound = g[i - 1] ** 2 // g[i - 2] if exact.get(i - 2) else None
+            if i - 1 in exact and g[i] == bound:
+                exact[i] = g[i]
         still_open = [i for i in range(len(g)) if i not in exact]
         agree = [
             bool(still_open) and all(gv[i] == g[i] for i in still_open)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+
 import pytest
 
 from csmhyp.charclasses import build_report
@@ -50,3 +54,17 @@ def _substitute_linear(f: Polynomial, matrix) -> Polynomial:
 def substitute_linear():
     """Linear coordinate change, for the projective-invariance tests."""
     return _substitute_linear
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's inputs and expected values, ``perfbench/workloads.py``,
+    read from its file."""
+    path = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "workloads.py"
+    )
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module

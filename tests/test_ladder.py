@@ -43,3 +43,14 @@ def test_ladder_writes_a_median_and_a_g_vector_per_input(tmp_path):
     assert [row["g"] for row in data["inputs"]] == [[1, 1, 1], [1, 1, 0]]
     with pytest.raises(ValueError):
         ladder.write_ladder(build_report, cases, "../up", 1, str(tmp_path))
+
+
+def test_main_times_the_chosen_workload(tmp_path, capsys):
+    ladder = _ladder()
+    ladder.main(["--label", "one", "--workload", "nonisolated", "--repeats", "1",
+                 "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip()
+    with open(path) as fh:
+        rows = json.load(fh)["inputs"]
+    assert len(rows) == 6 and {row["workload"] for row in rows} == {"nonisolated"}
+    assert rows[0]["input"] == "roman_steiner" and rows[0]["g"] == [1, 3, 6, 4]

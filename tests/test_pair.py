@@ -8,6 +8,9 @@ import io
 import os
 from types import SimpleNamespace
 
+from csmhyp.charclasses import build_report
+from csmhyp.poly import parse_poly
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PAIR = os.path.join(ROOT, "bench", "pair.py")
 CONICS = [
@@ -95,3 +98,24 @@ def test_an_ignored_key_is_left_out_of_the_comparison(monkeypatch):
     assert out.getvalue().splitlines()[-1] == "0 of 2 reports differ"
     out = io.StringIO()
     assert pair.run_pairs(base, head, CONICS, None, seeds, 1, out, ignore=["euler"]) == 2
+
+
+def test_dense_inputs_keep_their_g_vectors(bench_workloads):
+    # Each input is composed with its own seeded matrix in general
+    # position: the text gains terms, and the g-vector stays.
+    pair = _pair()
+    cases = {c.name: c for make in bench_workloads.WORKLOADS.values() for c in make()}
+    subset = [cases["nodal_cubic"], cases["four_planes"]]
+    moved = pair.dense(subset)
+    assert moved == pair.dense(subset)
+    assert [c.name for c in moved] == ["nodal_cubic", "four_planes"]
+    for case, dense_case in zip(subset, moved):
+        assert dense_case.expected == case.expected
+        sparse_terms = parse_poly(case.poly, case.nvars).terms
+        assert len(parse_poly(dense_case.poly, case.nvars).terms) > len(sparse_terms)
+        g = build_report(dense_case.poly, case.nvars).projective_degrees.g
+        assert g == build_report(case.poly, case.nvars).projective_degrees.g
+        assert list(g) == case.expected["projective_degrees"]
+    assert [c.name for c in pair.workload_cases(bench_workloads, "dense")] == list(cases)
+    assert pair._invertible([[0, 1], [1, 0]])
+    assert not pair._invertible([[1, 2, 0], [2, 4, 0], [0, 0, 1]])

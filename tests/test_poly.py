@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import ast
-import importlib.util
 import os
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -120,21 +118,11 @@ def reference_parse(text, nvars):
     return ev(ast.parse(text.replace("^", "**"), mode="eval").body)
 
 
-def _workload_inputs(monkeypatch):
-    """Every input of the benchmark's workloads, read from its file."""
-    path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "workloads.py"
-    )
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
-    spec.loader.exec_module(module)
-    return [(c.poly, c.nvars) for make in module.WORKLOADS.values() for c in make()]
-
-
-def test_parse_matches_polynomial_arithmetic(monkeypatch):
+def test_parse_matches_polynomial_arithmetic(bench_workloads):
     inputs = [(f.poly, f.n + 1) for f in default_fixtures()]
-    inputs += _workload_inputs(monkeypatch)
+    inputs += [
+        (c.poly, c.nvars) for make in bench_workloads.WORKLOADS.values() for c in make()
+    ]
     inputs += [
         ("0*x0 + x1", 2),
         ("2^70*x0", 2),

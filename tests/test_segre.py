@@ -8,13 +8,15 @@ from the engine under test.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from csmhyp.chow import ChowClass
 from csmhyp.errors import CsmhypError, RandomnessError
-from csmhyp.oracles import segre_linear_subspace
+from csmhyp.oracles import default_fixtures, segre_linear_subspace
 from csmhyp.poly import (
     PrimeField,
     Polynomial,
@@ -33,6 +35,7 @@ from csmhyp.segre import (
 )
 
 P = 32003
+GOLDEN = Path(__file__).parent / "golden"
 LIGHT = TrialPolicy(primes=(P,), seeds=(101,))
 TWO_PRIME = TrialPolicy(primes=(32003, 65537), seeds=(101, 102))
 
@@ -359,7 +362,8 @@ def test_a_vector_that_meets_every_bound_takes_one_trial():
         assert len(pd.trials) == 1 and pd.trials[0].accepted, text
 
 
-def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
+def _record_cuts(monkeypatch) -> list:
+    """Per trial, the list of the cut kernels it calls, in order."""
     import csmhyp.segre as segre_mod
 
     calls = []
@@ -377,6 +381,11 @@ def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
         return real(scheme, rng, certified)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", trial)
+    return calls
+
+
+def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
+    calls = _record_cuts(monkeypatch)
     # The quadrifolium's g_2 = 8 stays below 25 - 16, so only its top
     # cut is drawn again.
     pd, _ = projective_degrees(
@@ -384,7 +393,7 @@ def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
     )
     assert pd.g == (1, 5, 8) and [t.accepted for t in pd.trials] == [True, True]
     assert calls == [["_line_degree", "_chart_degree"], ["_chart_degree"]]
-    # Four planes certify g_1 = 3 and g_2 = 9 - 6; g_3 has no bound.
+    # Four planes certify g_1 = 3 and g_2 = 9 - 6; g_3 = 1 stays below 9 // 3.
     calls.clear()
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert pd.g == (1, 3, 3, 1) and len(pd.trials) == 2
@@ -467,6 +476,135 @@ def test_a_trial_above_a_bound_stays_open_and_is_refused(monkeypatch):
     with pytest.raises(CsmhypError, match="below the degree 3"):
         segre_singular_scheme(parse_poly("x0*x1*x2", 3), TWO_PRIME)
     assert len(calls) == 2
+
+
+def _log_concave_without_internal_zeros(g) -> bool:
+    support = [i for i, gi in enumerate(g) if gi]
+    return all(g[i] ** 2 >= g[i - 1] * g[i + 1] for i in range(1, len(g) - 1)) and (
+        support == list(range(support[0], support[-1] + 1))
+    )
+
+
+def test_every_expected_g_vector_is_log_concave_with_no_internal_zeros(
+    bench_workloads,
+):
+    # The premise of the log-concave bound, on every g-vector the repo
+    # expects: the fixtures, the benchmark's workloads and the goldens
+    # (those of `compute`; verify.json holds verdicts only).
+    vectors = [f.expected.get("projective_degrees") for f in default_fixtures()]
+    vectors += [
+        c.expected.get("projective_degrees")
+        for make in bench_workloads.WORKLOADS.values()
+        for c in make()
+    ]
+    vectors += [
+        json.loads(path.read_text())["projective_degrees"]
+        for path in GOLDEN.glob("compute_*.json")
+    ]
+    vectors = [g for g in vectors if g is not None]
+    assert len(vectors) >= 18 + 6 + 5
+    assert not _log_concave_without_internal_zeros([1, 0, 1])
+    assert not _log_concave_without_internal_zeros([1, 2, 0, 1])
+    assert not _log_concave_without_internal_zeros([1, 1, 2])
+    for g in vectors:
+        assert _log_concave_without_internal_zeros(g), g
+
+
+def test_log_concavity_gives_four_nonisolated_inputs_one_trial(
+    monkeypatch, bench_workloads
+):
+    calls = _record_cuts(monkeypatch)
+    # g_3 meets g_2^2 // g_1 (and g_4 = g_3^2 // g_2) on four inputs;
+    # roman_steiner (4 < 36 // 3) and four_planes (1 < 9 // 3) keep g_3 open.
+    for case in bench_workloads.nonisolated_cases():
+        calls.clear()
+        pd, _ = projective_degrees(parse_poly(case.poly, case.nvars), TrialPolicy())
+        assert list(pd.g) == case.expected["projective_degrees"], case.name
+        if case.name in ("roman_steiner", "four_planes"):
+            assert len(pd.trials) == 2 and calls[1] == ["_chart_degree"], case.name
+        else:
+            assert len(pd.trials) == 1 and pd.trials[0].accepted, case.name
+
+
+DOUBLE_QUADRIC = "(x0^2+x1^2+x2^2+x3^2+x4^2)^2 + x4^4"  # g = (1, 3, 3, 3, 3)
+DOUBLE_CONIC = "(x0^2+x1^2+x2^2-x3^2)^2 + x3^4"  # g = (1, 3, 3, 3)
+
+
+def _scripted(monkeypatch, outputs) -> list:
+    """Trials that read ``outputs`` in turn; returns the list that collects
+    the certified values each trial is given."""
+    import csmhyp.segre as segre_mod
+
+    outputs = iter(outputs)
+    seen = []
+
+    def scripted(scheme, rng, certified):
+        seen.append(dict(certified))
+        return next(outputs)
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
+    return seen
+
+
+def test_log_concavity_certifies_g3_then_g4_in_one_pass(monkeypatch):
+    import csmhyp.segre as segre_mod
+
+    # No bound of the scheme covers g_3 or g_4 above c = 2.
+    scheme = jacobian_scheme(gfpoly(DOUBLE_QUADRIC, 5))
+    assert segre_mod._upper_bounds(scheme) == [1, 3, 3, None, None]
+    # g_3 = 9 // 3 is certified, and bounds g_4 by 9 // 3 in the same pass.
+    seen = _scripted(monkeypatch, [(1, 3, 3, 3, 3)])
+    pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 3, 3) and len(pd.trials) == 1 and seen == [{}]
+    # A low g_4 stays open; the certified g_3 goes to the next trial.
+    seen = _scripted(monkeypatch, [(1, 3, 3, 3, 2), (1, 3, 3, 3, 3)])
+    pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 3, 3)
+    assert [t.accepted for t in pd.trials] == [False, True]
+    assert seen == [{}, {0: 1, 1: 3, 2: 3, 3: 3}]
+    # A low g_3 certifies neither g_3 nor g_4 above it, though g_4 meets
+    # g_3^2 // g_2 = 4 // 3.
+    seen = _scripted(monkeypatch, [(1, 3, 3, 2, 1), (1, 3, 3, 3, 3)])
+    pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 3, 3) and seen == [{}, {0: 1, 1: 3, 2: 3}]
+
+
+def test_a_reading_below_the_log_concave_bound_stays_open(monkeypatch):
+    seen = _scripted(monkeypatch, [(1, 3, 3, 2), (1, 3, 3, 3)])
+    pd, _ = projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 3)
+    assert [t.accepted for t in pd.trials] == [False, True]
+    assert seen == [{}, {0: 1, 1: 3, 2: 3}]
+
+
+def test_a_reading_above_the_log_concave_bound_is_not_certified(monkeypatch):
+    # g_3 = 4 > 9 // 3 stays open: two trials agree on it, as on any
+    # open coordinate, and neither is given it.
+    seen = _scripted(monkeypatch, [(1, 3, 3, 4), (1, 3, 3, 4)])
+    pd, _ = projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
+    assert pd.g == (1, 3, 3, 4)
+    assert [t.accepted for t in pd.trials] == [True, True]
+    assert seen == [{}, {0: 1, 1: 3, 2: 3}]
+    # Two planes and a quadric: g_2 <= 9 - 5 and g_3 <= 16 // 3 = 5, so 6,
+    # 16 / 3 rounded up, stays open.
+    seen = _scripted(monkeypatch, [(1, 3, 4, 6), (1, 3, 4, 6)])
+    pd, _ = projective_degrees(parse_poly("x0*x1*(x0^2+x1^2+x2^2+x3^2)", 4), TWO_PRIME)
+    assert len(pd.trials) == 2 and seen == [{}, {0: 1, 1: 3, 2: 4}]
+
+
+def test_log_concave_certificates_stay_at_their_prime(monkeypatch):
+    # One seed: the trials alternate 32003 and 65537.  The g_3 that 32003
+    # certified by log-concavity is not given to 65537, and comes back at
+    # 32003.
+    seen = _scripted(
+        monkeypatch, [(1, 3, 3, 3, 2), (1, 3, 3, 3, 1), (1, 3, 3, 3, 3)]
+    )
+    one_seed = TrialPolicy(primes=(32003, 65537), seeds=(101,))
+    pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), one_seed)
+    assert pd.g == (1, 3, 3, 3, 3)
+    assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
+    assert [t.accepted for t in pd.trials] == [False, False, True]
+    assert seen == [{}, {}, {0: 1, 1: 3, 2: 3, 3: 3}]
 
 
 def test_schedule_keeps_the_usable_primes_in_policy_order():
