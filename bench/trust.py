@@ -17,7 +17,9 @@ from the expected value (``perfbench/run.py``'s ``mismatches``); a call
 that raises ends in a typed error and a nonzero exit, and is counted
 apart.  ``TRUST_<label>.json`` (in ``bench/`` unless ``--out`` says
 otherwise) holds per policy the number of reports, of wrong ones and of
-raises, and each wrong or raising report by input and seeds.  It needs
+raises, and each wrong or raising report by input and seeds; a raise
+carries its error type and the first line of its message, which names
+the check that refused the report.  It needs
 only the standard library.
 """
 
@@ -54,7 +56,8 @@ def count(package, cases, policies, seed_pairs, mismatches) -> list:
                 try:
                     report = package.build_report(case.poly, case.nvars, policy)
                 except Exception as exc:  # a typed error is an answer, not a crash
-                    raised.append({**where, "error": type(exc).__name__})
+                    first = str(exc).partition("\n")[0]
+                    raised.append({**where, "error": type(exc).__name__, "message": first})
                     continue
                 bad = mismatches(case.expected, report.to_json_dict())
                 if bad:

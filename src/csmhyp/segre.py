@@ -47,19 +47,14 @@ policy treats it the same way.
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
 pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
-can only read low, and some g_i have a proven upper bound at the trial's
-prime: e^i below the codimension c of Y, e^c - deg Y at c, and 0 from
-the rank of the partials on.  Above c the bound is log-concavity: g_i is
-the intersection number (pr_1^* h)^(n-i) (pr_2^* h)^i of two nef classes
-on the closure of the graph of the gradient map, so
-g_i g_(i-2) <= g_(i-1)^2 (Khovanskii-Teissier; Lazarsfeld, *Positivity
-I*, Sec. 1.6; in Huh's terms, JAMS 25 (2012), the g_i are mixed
-multiplicities), and g_(i-1)^2 // g_(i-2) bounds g_i once g_(i-2) > 0 and
-g_(i-1) are certified.  A trial that meets such a bound certifies that
-g_i at its prime, and later trials at that prime draw only the cuts
-still open; a trial at another prime draws every cut.  The vector is
-accepted once nothing is open, or once two trials agree on every open
-coordinate; every trial is recorded for audit.
+can only read low.  g_i = 0 from the rank of the partials on, and
+``_certify`` holds every other proven upper bound on g_i at the trial's
+prime; each reading that meets its bound is certified, and one above it
+refutes the vector (exit 3).  Later trials at that prime draw only the
+cuts still open; a trial at another prime draws every cut.  The vector
+is accepted once nothing is open, or once two trials agree on every
+open coordinate and none lies below the codimension of Y, where only
+certification settles a reading; every trial is recorded for audit.
 """
 
 from __future__ import annotations
@@ -100,8 +95,9 @@ DIM_RETRIES = 4  # fresh cuts per g_i while the residual is positive-dimensional
 class TrialPolicy:
     """Randomness policy: the primes and seeds a report's trials run at.
 
-    Each prime is checked for primality and range when the policy is
-    made; ``schedule`` decides which of them serve a given F.
+    Each prime is checked for primality and range, and each seed for
+    being an ``int``, when the policy is made; ``schedule`` decides which
+    of the primes serve a given F.
     """
 
     primes: tuple = DEFAULT_PRIMES[:2]
@@ -114,6 +110,9 @@ class TrialPolicy:
             if not isinstance(p, int) or p < 2:
                 raise ValueError(f"policy prime {p!r} is not an integer >= 2")
             PrimeField(p)
+        for s in self.seeds:
+            if not isinstance(s, int) or isinstance(s, bool):
+                raise ValueError(f"policy seed {s!r} is not an integer")
 
     def schedule(self, F: Polynomial) -> list:
         """The first ``MAX_TRIALS`` (prime, seed) pairs of F's trials.
@@ -168,7 +167,10 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ProjectiveDegrees:
-    """The vector (g_0, ..., g_n) of projective degrees of the gradient map."""
+    """The vector (g_0, ..., g_n) of projective degrees of the gradient map.
+
+    The range check 0 <= g_i <= e^i validates this public constructor;
+    the pipeline's vectors have already passed ``_certify``."""
 
     n: int
     e: int
@@ -202,6 +204,11 @@ class SingularSchemeData:
     deg_y: int
     partials: tuple = ()
     columns: tuple = ()
+
+    @property
+    def codim(self) -> int:
+        """The codimension c of Y in P^n, n + 1 when Y is empty."""
+        return self.n + 1 if self.is_smooth else self.n - self.dim_y
 
 
 def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
@@ -584,9 +591,10 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:
     """One g-vector at one (prime, seed).  ``certified`` maps each i whose
-    g_i an earlier trial at this prime certified (see
-    ``projective_degrees``) to that value: the vector takes it, and no
-    row, point or hyperplane is drawn for it.
+    g_i is already settled at this prime to its value: the g_i = 0 from
+    the rank of the partials on (``_rank_zeros``), and each g_i an earlier
+    trial certified (``_certify``).  The vector takes that value, and no
+    row, point or hyperplane is drawn for it; every other cut is drawn.
 
     Each cut is saturated by one random combination g of the partials,
     instead of by the whole jacobian ideal J.  The two saturations agree
@@ -594,14 +602,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     as a point of the zero-dimensional residual; an unlucky draw can only
     lower some g_i, and the agreement policy records it as a
     disagreement.  A unit residual is the empty scheme, so its g_i is 0.
-
-    g_0 is 1, the degree of P^n, and is not computed.  Nor is g_i for
-    i >= r, where r = ``len(scheme.columns)`` is the rank mod p of the
-    partials' span: i generic rows then span all the partials, so the cut
-    ideal contains J, its saturation by g is the unit ideal, and g_i = 0.
-    These are the last cuts of the loop, so the draws of every cut that
-    is computed are unchanged, and no row, point or hyperplane is drawn
-    for them.
+    g_0 is 1, the degree of P^n, and is not computed.
 
     g_1 is read on the line through two random points, by univariate
     gcds mod p, and g_2, for 2 < n, on the plane through three, by
@@ -627,7 +628,8 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     The reduced g differs from g by an element of I, so I : g^infty, and
     the count, are exactly those of the dense draws; for the top cut,
     with n + 1 independent partials, g is one partial.  A g that reduces
-    to 0 lies in I, which for i < r takes an unlucky draw, and saturating
+    to 0 lies in I, which below the rank r of the partials (see
+    ``_rank_zeros``) takes an unlucky draw, and saturating
     by 0, like saturating by g, gives the unit ideal, whose g_i is 0.
     """
     n = scheme.n
@@ -635,8 +637,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     columns = scheme.columns
     field = partials[0].field
     p = field.p
-    r = len(columns)  # the rank of the partials mod p, at most n + 1
-    plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
+    plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.codim != 1
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
     # checks; they take the same values from rng.  The partials are drawn
@@ -645,8 +646,8 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     base = _combination(partials, base_row, p)
     g = [1]
     for i in range(1, n + 1):
-        if i in certified or i >= r:
-            g.append(certified.get(i, 0))
+        if i in certified:
+            g.append(certified[i])
             continue
         for _ in range(DIM_RETRIES):
             rows = [_random_row(columns, p, rng) for _ in range(i)]
@@ -672,57 +673,82 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     return tuple(g)
 
 
-def _upper_bounds(scheme: SingularSchemeData) -> list:
-    """The proven upper bound of each g_i at the scheme's prime, or None
-    where there is none.  With c the codimension of Y (n + 1 when Y is
-    empty) and r the rank of the partials:
+def _rank_zeros(scheme: SingularSchemeData) -> dict:
+    """g_i = 0 for every i >= r, where r = ``len(scheme.columns)`` is the
+    rank mod p of the partials' span: i generic rows then span all the
+    partials, so the cut ideal contains J, its saturation by g is the unit
+    ideal, and g_i = 0.  These are the last cuts of a trial, so leaving
+    them undrawn changes the draws of no other cut."""
+    return dict.fromkeys(range(len(scheme.columns), scheme.n + 1), 0)
+
+
+def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
+    """Add to ``exact``, the map i -> g_i certified at the scheme's prime,
+    every g_i that trial vector g proves there; raise ``CsmhypError`` when
+    g breaks a proven bound.
+
+    Each g_i has at most one upper bound at the prime, with e = deg F - 1
+    and c = ``scheme.codim``:
 
     - e^i for i < c: s(Y, P^n) vanishes below codimension c, which is
-      g_i = e^i there, and every cut can only read low;
+      g_i = e^i there;
     - e^c - deg_y at i = c: the h^c coefficient of s(Y, P^n) is
       e^c - g_c, the sum of the Samuel multiplicities of Y along its top
       components, and each is at least their length (Fulton,
       *Intersection Theory*, Ex. 4.3.4);
-    - 0 for i >= r, where g_i is 0 (see ``_degrees_one_trial``).
+    - g_(i-1)^2 // g_(i-2) for i > c, once g_(i-2) > 0 and g_(i-1) are
+      certified: g_i is the intersection number
+      (pr_1^* h)^(n-i) (pr_2^* h)^i of two nef classes on the closure of
+      the graph of the gradient map, so g_i g_(i-2) <= g_(i-1)^2
+      (Khovanskii-Teissier; Lazarsfeld, *Positivity I*, Sec. 1.6; in
+      Huh's terms, JAMS 25 (2012), the g_i are mixed multiplicities).
 
-    A cut can only read low, so a trial whose g_i meets its bound has the
-    exact g_i at that prime.  The bound above c, g_(i-1)^2 // g_(i-2) by
-    log-concavity, rests on certified values, not on the scheme, so
-    ``projective_degrees`` applies it.
+    The pass runs upward, so a g_i certified here bounds g_(i+1) in the
+    same pass.  A cut can only read low, so each reading has one of three
+    outcomes: it meets its bound and is certified, it is above it and the
+    vector is refuted at once (exit 3: the prime or the scheme is wrong),
+    or it is below it and stays open.  Below c, where e^i is the proven
+    value, an open reading is only ever settled by certification:
+    ``projective_degrees`` accepts no vector by agreement while one is
+    open there.
     """
-    n, e, r = scheme.n, scheme.d - 1, len(scheme.columns)
-    c = n + 1 if scheme.is_smooth else n - scheme.dim_y
-    return [
-        0 if i >= r
-        else e**i if i < c
-        else e**c - scheme.deg_y if i == c
-        else None
-        for i in range(n + 1)
-    ]
+    e, c = scheme.d - 1, scheme.codim
+    for i, gi in enumerate(g):
+        if i < c:
+            bound = e**i
+        elif i == c:
+            bound = e**c - scheme.deg_y
+        elif exact.get(i - 2) and i - 1 in exact:
+            bound = exact[i - 1] ** 2 // exact[i - 2]
+        else:
+            continue
+        if gi > bound:
+            raise CsmhypError(
+                f"projective degree g_{i} = {gi} is above its bound {bound} "
+                f"at prime {scheme.partials[0].field.p}"
+            )
+        if gi == bound:
+            exact[i] = gi
 
 
 def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy()):
     """Multi-trial projective degrees of the gradient map of F.
 
-    Runs one trial at each (prime, seed) of ``policy.schedule(F)``.  After
-    each trial, every g_i that meets its upper bound at that trial's
-    prime (``_upper_bounds``) is certified: it is exact at that prime,
-    and every later trial at the same prime takes it without drawing its
-    cut.  Then, for i = 2..n upward, g_i is certified when g_(i-2) > 0 and
-    g_(i-1) are and g_i = g_(i-1)^2 // g_(i-2), the bound of
-    log-concavity (see the module docstring), so that a g_i certified so
-    bounds g_(i+1) in the same pass.  A trial at another prime draws every
-    cut again, so a bound met at an unlucky prime does not carry over.
-    The coordinates not certified at the trial's prime are open.  A
-    trial's vector is accepted at once when none is left open, and
-    otherwise once an earlier trial agrees with it on every open
-    coordinate.  A value above its bound stays open; the range check of
-    ``ProjectiveDegrees`` and the checks of ``segre_singular_scheme``
-    refuse it.  Every trial is recorded, accepted or not; when
-    ``MAX_TRIALS`` pass without acceptance, the run aborts with the log.
+    Runs one trial at each (prime, seed) of ``policy.schedule(F)``.  A
+    prime's certified map starts with ``_rank_zeros`` when its scheme is
+    built, and after each trial ``_certify`` adds every g_i that meets its
+    bound or refutes the vector.  Every later trial at the same prime
+    takes the certified values without drawing their cuts; a trial at
+    another prime draws every cut again, so a bound met at an unlucky
+    prime does not carry over.  The coordinates not certified at the
+    trial's prime are open.  A trial's vector is accepted at once when
+    none is left open, and otherwise once an earlier trial agrees with it
+    on every open coordinate, provided none lies below the codimension of
+    Y.  Every trial is recorded, accepted or not; when ``MAX_TRIALS`` pass
+    without acceptance, the run aborts with the log.
 
-    Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme
-    data taken from the prime of the first trial that gave the vector.
+    Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme of
+    the accepting trial's prime.
     """
     if F_rational.field.kind != "rationals":
         raise ValueError("pipeline input must be a polynomial over Q")
@@ -732,34 +758,29 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
+            certified[prime] = _rank_zeros(schemes[prime])
+        scheme, exact = schemes[prime], certified[prime]
         rng = random.Random(f"csmhyp:{prime}:{seed}")
-        exact = certified.setdefault(prime, {})
-        g = _degrees_one_trial(schemes[prime], rng, exact)
+        g = _degrees_one_trial(scheme, rng, exact)
         trials.append((prime, seed, g))
-        bounds = _upper_bounds(schemes[prime])
-        exact.update((i, gi) for i, gi in enumerate(g) if gi == bounds[i])
-        for i in range(2, len(g)):  # log-concavity: g_i <= g_(i-1)^2 / g_(i-2)
-            bound = g[i - 1] ** 2 // g[i - 2] if exact.get(i - 2) else None
-            if i - 1 in exact and g[i] == bound:
-                exact[i] = g[i]
+        _certify(scheme, g, exact)
         still_open = [i for i in range(len(g)) if i not in exact]
         agree = [
             bool(still_open) and all(gv[i] == g[i] for i in still_open)
             for _, _, gv in trials[:-1]
         ] + [True]
-        if not still_open or any(agree[:-1]):
-            first = next(p for p, _, gv in trials if gv == g)
+        if not still_open or (still_open[0] >= scheme.codim and any(agree[:-1])):
             pd = ProjectiveDegrees(
-                n=schemes[first].n,
+                n=scheme.n,
                 e=F_rational.degree - 1,
                 g=g,
                 trials=tuple(
                     TrialRecord(p, s, gv, ok) for (p, s, gv), ok in zip(trials, agree)
                 ),
             )
-            return pd, schemes[first]
+            return pd, scheme
     raise RandomnessError(
-        "projective-degree trials disagree persistently",
+        f"no projective-degree vector accepted after {len(trials)} trials",
         trials=[TrialRecord(p, s, gv, False).to_json() for p, s, gv in trials],
     )
 
@@ -784,31 +805,9 @@ def segre_singular_scheme(
 ):
     """Full Segre pipeline: jacobian scheme, projective degrees, class.
 
-    Returns ``(segre, ProjectiveDegrees, SingularSchemeData)``.  Checks
-    the support constraint: the class vanishes in codimensions below the
-    codimension of Y (and vanishes identically iff Y is empty), and its
-    leading coefficient is at least the degree of Y.
-    """
+    Returns ``(segre, ProjectiveDegrees, SingularSchemeData)``.  The class
+    vanishes below the codimension c of Y, identically when Y is empty,
+    and its h^c coefficient is at least deg Y: ``_certify`` proves those
+    bounds on the degrees it is built from."""
     pd, scheme = projective_degrees(F_rational, policy)
-    s = segre_from_degrees(pd)
-    if scheme.is_smooth:
-        if any(c != 0 for c in s.coeffs):
-            raise CsmhypError("smooth hypersurface produced a nonzero Segre class")
-    else:
-        codim = scheme.n - scheme.dim_y
-        if any(s.coeffs[k] != 0 for k in range(codim)):
-            raise CsmhypError(
-                "Segre class has components below the codimension of the "
-                "singular scheme: inconsistent projective degrees"
-            )
-        if s.coeffs[codim] < scheme.deg_y:
-            # The leading coefficient of s(Y) sums the Samuel multiplicities
-            # of Y along its top-dimensional components (Fulton, Intersection
-            # Theory, Ex. 4.3.4); deg_y sums their lengths.  In a regular
-            # local ring multiplicity >= length, with equality where Y is a
-            # local complete intersection, so only a smaller value is wrong.
-            raise CsmhypError(
-                f"Segre leading coefficient {s.coeffs[codim]} is below "
-                f"the degree {scheme.deg_y} of the singular scheme"
-            )
-    return s, pd, scheme
+    return segre_from_degrees(pd), pd, scheme

@@ -273,7 +273,8 @@ def test_build_report_quadrifolium():
     # rational sextic: chi = 2 - (4 - 1) for the 4-branch point at the
     # origin; mu = 13 there plus two cusps (mu = 2) at the circular points.
     # The leading Segre coefficient is the multiplicity of Y (17), above
-    # its length (16, the Tjurina total): the support check must allow it.
+    # its length (16, the Tjurina total): the bound g_2 <= 25 - 16 of
+    # segre._certify must allow it.
     report = build_report("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3)
     assert report.projective_degrees.g == (1, 5, 8)
     assert report.segre_singular.coeffs[2] == 17

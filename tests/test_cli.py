@@ -374,47 +374,46 @@ def test_internal_identity_failure_exits_3(capsys, monkeypatch):
     from csmhyp.errors import CsmhypError
 
     def explode(*args, **kwargs):
-        raise CsmhypError("smooth hypersurface produced a nonzero Segre class")
+        raise CsmhypError("projective degree g_2 = 4 is above its bound 3 at prime 32003")
 
     monkeypatch.setattr(charclasses, "build_report", explode)
     code, out, err = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
     assert code == 3
     assert out == ""
-    assert err == "error: smooth hypersurface produced a nonzero Segre class\n"
+    assert err == "error: projective degree g_2 = 4 is above its bound 3 at prime 32003\n"
 
 
 @pytest.mark.parametrize(
-    "poly,g,message",
+    "poly,nvars,g,code,message",
     [
-        # smooth, but g gives s(Y) = h^2 != 0
-        ("x0^2 + x1^2 + x2^2", (1, 1, 0), "nonzero Segre class"),
-        # one node (degree 1), but g gives s(Y) = 0
-        ("x1^2*x2 - x0^3 - x0^2*x2", (1, 2, 4), "leading coefficient 0 is below"),
+        # smooth, but every trial reads g_2 = 0 below c = 3, which only a
+        # certified e^2 settles: the trials run out
+        ("x0^2 + x1^2 + x2^2", 3, (1, 1, 0), 4, "randomness exhausted"),
+        # one node (degree 1), so g_2 <= 4 - 1
+        ("x1^2*x2 - x0^3 - x0^2*x2", 3, (1, 2, 4), 3, "g_2 = 4 is above its bound 3"),
+        # singular along a conic: g_3 <= 9 // 3 once g_1 and g_2 are certified
+        ("(x0^2+x1^2+x2^2-x3^2)^2 + x3^4", 4, (1, 3, 3, 4), 3,
+         "g_3 = 4 is above its bound 3"),
     ],
-    ids=["smooth-conic", "nodal-cubic"],
+    ids=["smooth-conic", "nodal-cubic", "double-conic"],
 )
 def test_segre_support_check_refuses_inconsistent_degrees(
-    capsys, monkeypatch, poly, g, message
+    capsys, monkeypatch, poly, nvars, g, code, message
 ):
-    # the Segre support check is what decides "s(Y) = 0 exactly when X is
-    # smooth": degrees that break it end in exit 3 with one error line
-    import dataclasses
-
+    # Degrees that would give s(Y) a component below the codimension of
+    # Y, or a leading coefficient below deg Y, or that break log-concavity,
+    # are never accepted: a reading above a bound ends in exit 3 with one
+    # error line, and one that stays low below c exhausts the trials.
     from csmhyp import segre
 
-    real = segre.projective_degrees
-
-    def wrong_g(*args, **kwargs):
-        pd, scheme = real(*args, **kwargs)
-        return dataclasses.replace(pd, g=g), scheme
-
-    monkeypatch.setattr(segre, "projective_degrees", wrong_g)
-    code, out, err = run_cli(capsys, "compute", poly, "--nvars", "3", "--verify")
-    assert code == 3
+    monkeypatch.setattr(segre, "_degrees_one_trial", lambda scheme, rng, certified: g)
+    got, out, err = run_cli(capsys, "compute", poly, "--nvars", str(nvars), "--verify")
+    assert got == code
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert err.startswith(("error:", "randomness exhausted")), err
     assert message in err and "Traceback" not in err
+    if code == 3:
+        assert len(err.splitlines()) == 1, err
 
 
 def test_a_report_carries_no_verdict_without_verify(capsys):

@@ -38,6 +38,7 @@ P = 32003
 GOLDEN = Path(__file__).parent / "golden"
 LIGHT = TrialPolicy(primes=(P,), seeds=(101,))
 TWO_PRIME = TrialPolicy(primes=(32003, 65537), seeds=(101, 102))
+QUADRIFOLIUM = "(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2"  # g = (1, 5, 8)
 
 
 def gfpoly(text, nvars, p=P):
@@ -174,9 +175,14 @@ def test_policy_with_unusable_primes():
 def test_policy_rejects_empty_grids_and_primes_below_2():
     # An empty seed list would leave the schedule without a pair; a prime
     # of 0 would divide by zero in the support check.  Every prime is
-    # checked for primality and range up front, not only those reached.
+    # checked for primality and range up front, not only those reached,
+    # and every seed for being an int: a string would fail inside
+    # ``schedule``, and a float would run and be recorded as given.
     for kwargs in (
         {"seeds": ()},
+        {"seeds": ("7",)},
+        {"seeds": (1.5,)},
+        {"seeds": (101, True)},
         {"primes": ()},
         {"primes": (0,)},
         {"primes": (1,)},
@@ -275,7 +281,7 @@ def test_segre_zero_iff_smooth():
 def test_segre_support_constraint():
     # codimension of the singular scheme bounds the support of the class
     s, _, scheme = segre_singular_scheme(parse_poly("x0^2*x1", 4), LIGHT)
-    codim = scheme.n - scheme.dim_y
+    codim = scheme.codim
     assert codim == 1
     assert all(s.coeffs[k] == 0 for k in range(codim))
     assert s.coeffs[codim] == scheme.deg_y
@@ -302,27 +308,27 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
 def test_disagreement_then_confirmation_marks_rejected_trials(monkeypatch):
     import csmhyp.segre as segre_mod
 
-    # Three lines: g_1 <= 2 and g_2 <= 4 - 3, so these vectors certify
-    # nothing but g_0.
-    outputs = iter([(1, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 0)])
+    # The quadrifolium: g_1 = 5 is certified, and g_2 <= 25 - 16 at c = 2
+    # stays open.  The second trial disagrees on it; the third, at the
+    # other prime, agrees with the first.
+    outputs = iter([(1, 5, 8), (1, 5, 7), (1, 5, 8)])
 
     def scripted(scheme, rng, certified):
         return next(outputs)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
-    pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
-    assert pd.g == (1, 1, 0)
-    flags = [t.accepted for t in pd.trials]
-    assert flags.count(False) == 1 and flags.count(True) == 2
+    pd, _ = projective_degrees(parse_poly(QUADRIFOLIUM, 3), TWO_PRIME)
+    assert pd.g == (1, 5, 8)
+    assert [t.accepted for t in pd.trials] == [True, False, True]
 
 
 def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
     import csmhyp.segre as segre_mod
 
-    # Four planes: g_1 <= 3 and g_2 <= 9 - 6, so these vectors certify
-    # nothing but g_0.
+    # Four planes: g_1 = 3 is certified; g_2 <= 9 - 6 at c = 2 reads low,
+    # so g_3 has no bound, and both stay open.
     outputs = iter(
-        [(1, 2, 2, 4), (1, 2, 2, 3), (1, 2, 2, 2), (1, 1, 0, 0), (1, 2, 2, 2)]
+        [(1, 3, 2, 4), (1, 3, 2, 3), (1, 3, 2, 2), (1, 3, 1, 0), (1, 3, 2, 2)]
     )
 
     def scripted(scheme, rng, certified):
@@ -330,7 +336,7 @@ def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
-    assert pd.g == (1, 2, 2, 2)
+    assert pd.g == (1, 3, 2, 2)
     assert [t.accepted for t in pd.trials] == [False, False, True, False, True]
     assert [(t.prime, t.seed) for t in pd.trials] == [
         (32003, 101), (32003, 102), (65537, 101), (65537, 102), (32003, 100104)
@@ -340,18 +346,30 @@ def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
 def test_upper_bounds_of_the_projective_degrees():
     import csmhyp.segre as segre_mod
 
-    # e^i below c = codim Y, e^c - deg_y at c, 0 from the rank r on, and
-    # no bound above c below r.
-    for text, nvars, want in [
+    # e^i below c = codim Y, e^c - deg_y at c, g_(i-1)^2 // g_(i-2) above
+    # c once both are certified, and 0 from the rank r on, which is
+    # certified before any trial.  A vector at every bound is certified
+    # whole; one above any bound is refuted.
+    for text, nvars, bounds in [
         ("x0^2 + x1^2 + x2^2", 3, [1, 1, 1]),  # smooth: every e^i
         ("x0*x1", 3, [1, 1, 0]),  # r = 2
         ("x0*x1*x2", 3, [1, 2, 1]),  # three points: 4 - 3
-        ("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3, [1, 5, 9]),  # 25 - 16
-        ("x0*x1*x2*x3", 4, [1, 3, 3, None]),  # six lines: 9 - 6
+        (QUADRIFOLIUM, 3, [1, 5, 9]),  # 25 - 16
+        ("x0*x1*x2*x3", 4, [1, 3, 3, 3]),  # six lines: 9 - 6, then 9 // 3
         ("x0^2 + x1^2 + x2^2", 4, [1, 1, 1, 0]),  # a cone, r = 3
     ]:
         scheme = jacobian_scheme(gfpoly(text, nvars))
-        assert segre_mod._upper_bounds(scheme) == want, text
+        zeros = segre_mod._rank_zeros(scheme)
+        assert zeros == {i: 0 for i in range(len(scheme.columns), nvars)}, text
+        exact = dict(zeros)
+        segre_mod._certify(scheme, tuple(bounds), exact)
+        assert exact == dict(enumerate(bounds)), text
+        for i in set(range(nvars)) - set(zeros):
+            high = bounds[:i] + [bounds[i] + 1] + bounds[i + 1 :]
+            with pytest.raises(
+                CsmhypError, match=f"g_{i} = {high[i]} is above its bound {bounds[i]} "
+            ):
+                segre_mod._certify(scheme, tuple(high), dict(zeros))
 
 
 def test_a_vector_that_meets_every_bound_takes_one_trial():
@@ -444,8 +462,9 @@ def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
     import csmhyp.segre as segre_mod
 
     # Four planes, one seed: the trials alternate 32003 and 65537.  What
-    # 32003 certified is not given to 65537, and comes back at 32003.
-    outputs = iter([(1, 3, 3, 4), (1, 3, 3, 5), (1, 3, 3, 5)])
+    # 32003 certified is not given to 65537, and comes back at 32003.  g_2
+    # reads low at c = 2, so g_3 has no bound, and both stay open.
+    outputs = iter([(1, 3, 2, 1), (1, 3, 1, 1), (1, 3, 1, 1)])
     seen = []
 
     def scripted(scheme, rng, certified):
@@ -455,17 +474,16 @@ def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
     one_seed = TrialPolicy(primes=(32003, 65537), seeds=(101,))
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), one_seed)
-    assert pd.g == (1, 3, 3, 5)
+    assert pd.g == (1, 3, 1, 1)
     assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
     assert [t.accepted for t in pd.trials] == [False, True, True]
-    assert seen == [{}, {}, {0: 1, 1: 3, 2: 3}]
+    assert seen == [{}, {}, {0: 1, 1: 3}]
 
 
-def test_a_trial_above_a_bound_stays_open_and_is_refused(monkeypatch):
+def test_a_trial_above_a_bound_is_refused_at_once(monkeypatch):
     import csmhyp.segre as segre_mod
 
-    # Three lines: g_2 = 2 is above 4 - 3, so it is not certified, two
-    # trials agree on it, and the Segre check refuses the vector.
+    # Three lines: g_2 = 2 is above 4 - 3, which refutes the first trial.
     calls = []
 
     def scripted(scheme, rng, certified):
@@ -473,9 +491,21 @@ def test_a_trial_above_a_bound_stays_open_and_is_refused(monkeypatch):
         return (1, 2, 2)
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
-    with pytest.raises(CsmhypError, match="below the degree 3"):
+    with pytest.raises(CsmhypError, match="g_2 = 2 is above its bound 1 at prime 32003"):
         segre_singular_scheme(parse_poly("x0*x1*x2", 3), TWO_PRIME)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_a_reading_low_below_the_codimension_is_never_accepted_by_agreement(
+    monkeypatch,
+):
+    # Below c, e^i is the proven value: trials that agree on a low g_1 of
+    # three lines (c = 2) settle nothing, and the run is exhausted.
+    seen = _scripted(monkeypatch, [(1, 1, 1)] * 5)
+    with pytest.raises(RandomnessError) as err:
+        projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
+    assert len(err.value.trials) == 5 and len(seen) == 5
+    assert [t["accepted"] for t in err.value.trials] == [False] * 5
 
 
 def _log_concave_without_internal_zeros(g) -> bool:
@@ -549,9 +579,12 @@ def _scripted(monkeypatch, outputs) -> list:
 def test_log_concavity_certifies_g3_then_g4_in_one_pass(monkeypatch):
     import csmhyp.segre as segre_mod
 
-    # No bound of the scheme covers g_3 or g_4 above c = 2.
+    # Above c = 2 a bound needs certified values: with g_2 low, nothing
+    # bounds g_3 or g_4.
     scheme = jacobian_scheme(gfpoly(DOUBLE_QUADRIC, 5))
-    assert segre_mod._upper_bounds(scheme) == [1, 3, 3, None, None]
+    exact = {}
+    segre_mod._certify(scheme, (1, 3, 2, 9, 27), exact)
+    assert exact == {0: 1, 1: 3}
     # g_3 = 9 // 3 is certified, and bounds g_4 by 9 // 3 in the same pass.
     seen = _scripted(monkeypatch, [(1, 3, 3, 3, 3)])
     pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
@@ -578,18 +611,29 @@ def test_a_reading_below_the_log_concave_bound_stays_open(monkeypatch):
 
 
 def test_a_reading_above_the_log_concave_bound_is_not_certified(monkeypatch):
-    # g_3 = 4 > 9 // 3 stays open: two trials agree on it, as on any
-    # open coordinate, and neither is given it.
-    seen = _scripted(monkeypatch, [(1, 3, 3, 4), (1, 3, 3, 4)])
+    # g_2 = 2 reads low at c = 2, so g_3 = 4, above 3^2 // 3, has no
+    # bound: it stays open, two trials agree on it, as on any open
+    # coordinate, and neither is given it.
+    seen = _scripted(monkeypatch, [(1, 3, 2, 4), (1, 3, 2, 4)])
     pd, _ = projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
-    assert pd.g == (1, 3, 3, 4)
+    assert pd.g == (1, 3, 2, 4)
     assert [t.accepted for t in pd.trials] == [True, True]
-    assert seen == [{}, {0: 1, 1: 3, 2: 3}]
+    assert seen == [{}, {0: 1, 1: 3}]
+
+
+def test_a_reading_above_the_log_concave_bound_is_refuted(monkeypatch):
+    # g_3 = 4 > 9 // 3 once g_1 and g_2 are certified: the first trial is
+    # refuted, so no second trial runs to agree with it.
+    seen = _scripted(monkeypatch, [(1, 3, 3, 4), (1, 3, 3, 4)])
+    with pytest.raises(CsmhypError) as err:
+        projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
+    assert str(err.value) == "projective degree g_3 = 4 is above its bound 3 at prime 32003"
+    assert seen == [{}]
     # Two planes and a quadric: g_2 <= 9 - 5 and g_3 <= 16 // 3 = 5, so 6,
-    # 16 / 3 rounded up, stays open.
-    seen = _scripted(monkeypatch, [(1, 3, 4, 6), (1, 3, 4, 6)])
-    pd, _ = projective_degrees(parse_poly("x0*x1*(x0^2+x1^2+x2^2+x3^2)", 4), TWO_PRIME)
-    assert len(pd.trials) == 2 and seen == [{}, {0: 1, 1: 3, 2: 4}]
+    # 16 / 3 rounded up, is refuted.
+    _scripted(monkeypatch, [(1, 3, 4, 6)])
+    with pytest.raises(CsmhypError, match="g_3 = 6 is above its bound 5 "):
+        projective_degrees(parse_poly("x0*x1*(x0^2+x1^2+x2^2+x3^2)", 4), TWO_PRIME)
 
 
 def test_log_concave_certificates_stay_at_their_prime(monkeypatch):
@@ -707,7 +751,8 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
         # the first trial of the default policy at p: seed 101
         scheme = jacobian_scheme(reduce_mod_p(parse_poly(text, nvars), p))
         calls.clear()
-        segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"), {})
+        rng = random.Random(f"csmhyp:{p}:101")
+        segre_mod._degrees_one_trial(scheme, rng, segre_mod._rank_zeros(scheme))
         return calls.count("saturate"), "_plane_degree" in calls
 
     fermat_quintic = "x0^5 + x1^5 + x2^5 + x3^5"
@@ -1491,7 +1536,7 @@ def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
         for p in (32003, 65537):
             scheme = jacobian_scheme(gfpoly(text, nvars, p))
             r = len(scheme.columns)
-            plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.dim_y != n - 1
+            plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.codim != 1
             want = ["_random_row"]
             for i in range(1, r):
                 want += ["_random_row"] * i
@@ -1500,7 +1545,8 @@ def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
                 else:
                     want += ["_chart_degree", "saturate"]
             calls.clear()
-            g = segre_mod._degrees_one_trial(scheme, random.Random(f"csmhyp:{p}:101"), {})
+            rng = random.Random(f"csmhyp:{p}:101")
+            g = segre_mod._degrees_one_trial(scheme, rng, segre_mod._rank_zeros(scheme))
             assert calls == want, (text, p)
             assert len(g) == nvars and g[r:] == (0,) * (nvars - r), (text, p)
 
@@ -1514,3 +1560,16 @@ def test_a_cone_at_tiny_primes_needs_no_draw_for_its_top_cuts():
     report = build_report("x0*x1", 4, TrialPolicy((11, 13), (481434895, 1399770677)))
     assert list(report.projective_degrees.g) == [1, 1, 0, 0]
     assert report.euler == 4
+
+
+def test_four_planes_at_small_primes_wait_for_a_certified_g1():
+    # Both trials at 101 read g_1 = 2 below c = 2 and agree on it.
+    # Agreement below c settles nothing, so the trial at 103 runs and
+    # certifies g_1 = 3 and g_2 = 9 - 6.
+    from csmhyp.charclasses import build_report
+
+    policy = TrialPolicy((101, 103), (481434895, 1399770677))
+    report = build_report("x0*x1*x2*x3", 4, policy)
+    assert report.projective_degrees.g == (1, 3, 3, 1)
+    assert report.euler == 4
+    assert [t.prime for t in report.projective_degrees.trials] == [101, 101, 103]

@@ -35,8 +35,9 @@ def mismatches(expected, got):
 
 
 def test_a_low_trial_that_repeats_counts_as_wrong(monkeypatch):
-    # Every trial of a quartic reads g_3 as 0: g_3 of four planes has no
-    # bound to meet, so two trials agree on it and the report is wrong.
+    # Every trial of a quartic reads g_3 as 0: for four planes that is
+    # below its bound 9 // 3, so it stays open, two trials agree on it and
+    # the report is wrong.
     trust = _trust()
     real = segre_mod._degrees_one_trial
 
@@ -60,6 +61,24 @@ def test_a_low_trial_that_repeats_counts_as_wrong(monkeypatch):
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", real)
     table = trust.count(csmhyp, TWO_INPUTS, policies, seeds, mismatches)
     assert [(row["wrong"], row["raised"]) for row in table] == [(0, 0), (0, 0)]
+
+
+def test_a_raise_is_recorded_with_the_first_line_of_its_message(monkeypatch):
+    # Every trial of a quartic reads g_1 one above its bound e = 3.
+    trust = _trust()
+    real = segre_mod._degrees_one_trial
+
+    def high(scheme, rng, certified):
+        g = real(scheme, rng, certified)
+        return (g[0], g[1] + 1) + g[2:] if scheme.d == 4 else g
+
+    monkeypatch.setattr(segre_mod, "_degrees_one_trial", high)
+    table = trust.count(csmhyp, TWO_INPUTS, {"default": None}, [(1, 2)], mismatches)
+    assert (table[0]["wrong"], table[0]["raised"]) == (0, 1)
+    assert table[0]["raised_reports"] == [{
+        "input": "four_planes", "seeds": [1, 2], "error": "CsmhypError",
+        "message": "projective degree g_1 = 4 is above its bound 3 at prime 32003",
+    }]
 
 
 def test_main_writes_a_table_per_policy(tmp_path, capsys):
