@@ -15,12 +15,12 @@ A report that ``build_report`` returns is what ``csmhyp compute`` prints
 with exit 0.  It is wrong when a field that the workload checks differs
 from the expected value (``perfbench/run.py``'s ``mismatches``); a call
 that raises ends in a typed error and a nonzero exit, and is counted
-apart.  ``TRUST_<label>.json`` (in ``bench/`` unless ``--out`` says
-otherwise) holds per policy the number of reports, of wrong ones and of
-raises, and each wrong or raising report by input and seeds; a raise
-carries its error type and the first line of its message, which names
-the check that refused the report.  It needs
-only the standard library.
+apart.  ``TRUST_<label>.json``, in the directory ``--out DIR``
+(``bench/`` by default), holds per policy the number of reports, of
+wrong ones and of raises, and each wrong or raising report by input and
+seeds; a raise carries its error type and the first line of its message,
+which names the check that refused the report.  It needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def main(argv=None) -> None:
     parser.add_argument("--checkout", default=ROOT, help="root of the checkout to run")
     parser.add_argument("--seed-pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1, help="draws the seed pairs")
-    parser.add_argument("--out", default=HERE, help="directory to write to")
+    parser.add_argument(
+        "--out", default=HERE, metavar="DIR",
+        help="directory that TRUST_<label>.json is written to (default: bench/)",
+    )
     args = parser.parse_args(argv)
     if args.seed_pairs < 1:
         parser.error("need at least one seed pair")

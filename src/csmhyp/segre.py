@@ -14,47 +14,48 @@ and then
 
     s(Y, P^n) = 1 - sum_j g_j * h^j / (1 + e*h)^(j+1),    e = deg F - 1.
 
-g_0 is the degree of P^n, so it is 1 and is not computed.  When the
-partials span only r < n + 1 forms mod p, as for a cone, the gradient map
-lands in a P^(r-1) and g_i = 0 for every i >= r (Huh, "Milnor numbers of
-projective hypersurfaces and the chromatic polynomial of graphs", JAMS 25
-(2012)): i generic combinations span all the partials, so the cut
-contains the jacobian ideal, and saturating by g, which lies in it,
-leaves the unit ideal.  Those cuts are not drawn; r is the number of
-columns of the jacobian scheme.
+g_0 is the degree of P^n, so it is 1 and is not computed.  Nor is g_1:
+the h^1 coefficient of s(Y, P^n) is e - g_1, which Y fixes, so
+g_1 = e - deg Y when Y has codimension one and e otherwise (``_certify``
+holds the proof).  When the partials span only r < n + 1 forms mod p, as
+for a cone, the gradient map lands in a P^(r-1) and g_i = 0 for every
+i >= r (Huh, "Milnor numbers of projective hypersurfaces and the
+chromatic polynomial of graphs", JAMS 25 (2012)): i generic combinations
+span all the partials, so the cut contains the jacobian ideal, and
+saturating by g, which lies in it, leaves the unit ideal.  Those cuts are
+not drawn either; r is the number of columns of the jacobian scheme.
 
-g_1 and, for n >= 3, g_2 need no Groebner basis.  On the line through
-two random points the cut is one binary form, and g_1 is its degree once
-every root it shares with g is removed, by univariate gcds mod p.  On the plane
-through three random points g_2 counts the roots of a resultant: seen
-from the third point, the two curves of the cut meet on the lines where
-Res(f1, f2) vanishes, and g_2 is what is left of it once every root it
-shares with Res(f1, g) is removed.  Each form is restricted to that
-plane from its values at the (e+1)(e+2)/2 nodes of a triangle, which
-fix a ternary form of degree e.  Every other cut is counted in the
-affine chart x_n = 1.  It is built from row-reduced combinations: its i
-combinations of the partials are brought to an echelon form, each 0 at
-the others' pivots, and it is saturated by g reduced modulo them, which
-differs from g by an element of the cut ideal and so saturates it
-exactly as g does; for the top cut that g is one partial.  The
-generators and g are dehomogenized, saturated by one elimination with
-``saturate``, and g_i is the number of standard monomials of the result:
-the length of the residual at its points off the hyperplane x_n = 0.  A
-residual point on that hyperplane is lost; random cuts make that about
-as rare as an unlucky g, and since it can only lower g_i, the agreement
-policy treats it the same way.
+For n >= 3, g_2 needs no Groebner basis.  On the plane through three
+random points g_2 counts the roots of a resultant: seen from the third
+point, the two curves of the cut meet on the lines where Res(f1, f2)
+vanishes, and g_2 is what is left of it once every root it shares with
+Res(f1, g) is removed.  Each form is restricted to that plane from its
+values at the (e+1)(e+2)/2 nodes of a triangle, which fix a ternary
+form of degree e.  Every other cut is counted in the affine chart
+x_n = 1.  It is built from row-reduced combinations: its i combinations
+of the partials are brought to an echelon form, each 0 at the others'
+pivots, and it is saturated by g reduced modulo them, which differs
+from g by an element of the cut ideal and so saturates it exactly as g
+does; for the top cut that g is one partial.  The generators and g are
+dehomogenized, saturated by one elimination with ``saturate``, and g_i
+is the number of standard monomials of the result: the length of the
+residual at its points off the hyperplane x_n = 0.  A residual point on
+that hyperplane is lost; random cuts make that about as rare as an
+unlucky g, and since it can only lower g_i, the agreement policy treats
+it the same way.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
 pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
-can only read low.  g_i = 0 from the rank of the partials on, and
-``_certify`` holds every other proven upper bound on g_i at the trial's
-prime; each reading that meets its bound is certified, and one above it
-refutes the vector (exit 3).  Later trials at that prime draw only the
-cuts still open; a trial at another prime draws every cut.  The vector
-is accepted once nothing is open, or once two trials agree on every
-open coordinate and none lies below the codimension of Y, where only
-certification settles a reading; every trial is recorded for audit.
+can only read low.  g_1 and g_i = 0 from the rank of the partials on are
+settled by the jacobian scheme (``_settled``), and ``_certify`` holds
+every proven upper bound on g_i at the trial's prime; each reading that
+meets its bound is certified, and one above it refutes the vector
+(exit 3).  Later trials at that prime draw only the cuts still open; a
+trial at another prime draws every cut.  The vector is accepted once
+nothing is open, or once two trials agree on every open coordinate and
+none lies below the codimension of Y, where only certification settles
+a reading; every trial is recorded for audit.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class TrialRecord:
     that earlier trials at the same prime certified, which this trial took
     without drawing their cuts.  ``accepted`` is true for the trial whose
     vector was accepted and, when that vector still had open coordinates,
-    for each earlier trial that agrees with it on all of them; such a
-    trial may differ on a coordinate that was certified later."""
+    for each earlier trial with the same whole vector; an earlier trial
+    that agrees with it only on the open coordinates is not."""
 
     prime: int
     seed: int
@@ -461,29 +462,6 @@ def _reduced(row, echelon, pivots, p) -> list:
     return row
 
 
-def _line_degree(f: Polynomial, g: Polynomial, a, b, p):
-    """``g_1`` of the cut (f) on the line a + s*b, saturated by g; ``None``
-    when a and b are dependent, or f vanishes on the line and g does not.
-
-    On the line the cut is one binary form F of degree e, and
-    (F) : g^infty is F stripped of every factor it shares with g|L, with
-    its full multiplicity; its degree is what is left.  The point b is a
-    root of F|L of multiplicity e - deg F|L, shared with g exactly when
-    deg g|L < e as well.
-    """
-    if len(_echelon((a, b), p)[0]) < 2:
-        return None
-    e = f.degree
-    line = [[x + s * y for x, y in zip(a, b)] for s in range(e + 1)]
-    f_l, g_l = (_interpolate(ys, p) for ys in _values((f, g), line, p))
-    if not g_l:
-        return 0
-    if not f_l:
-        return None
-    at_b = e + 1 - len(f_l)
-    return len(_strip(f_l, g_l, p)) - 1 + (at_b if len(g_l) == e + 1 else 0)
-
-
 def _on_plane(forms, a, b, c, p) -> list:
     """For each form f of degree e, e^2 < p, the coefficients in u of
     f(a + s*b + u*c), lowest first, as columns of their values mod p at
@@ -591,10 +569,11 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:
     """One g-vector at one (prime, seed).  ``certified`` maps each i whose
-    g_i is already settled at this prime to its value: the g_i = 0 from
-    the rank of the partials on (``_rank_zeros``), and each g_i an earlier
-    trial certified (``_certify``).  The vector takes that value, and no
-    row, point or hyperplane is drawn for it; every other cut is drawn.
+    g_i is already settled at this prime to its value: g_1 and the
+    g_i = 0 from the rank of the partials on (``_settled``), and each g_i
+    an earlier trial certified (``_certify``).  The vector takes that
+    value, and no row, point or hyperplane is drawn for it; every other
+    cut is drawn, so the first cut a trial draws is g_2's.
 
     Each cut is saturated by one random combination g of the partials,
     instead of by the whole jacobian ideal J.  The two saturations agree
@@ -604,33 +583,30 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     disagreement.  A unit residual is the empty scheme, so its g_i is 0.
     g_0 is 1, the degree of P^n, and is not computed.
 
-    g_1 is read on the line through two random points, by univariate
-    gcds mod p, and g_2, for 2 < n, on the plane through three, by
-    resultants; both give the elimination's answer on their line or
-    plane, and a draw whose points are dependent or whose forms meet it
-    degenerately is drawn again.  The plane cut takes e^2 + 1
-    interpolation nodes, so it needs e^2 < p; it is left to the
-    elimination when Y has codimension one, since f1 and g then share a
-    curve on every plane, and for the top cut i = n = 2, whose plane is
-    all of P^2.
+    g_2, for 2 < n, is read on the plane through three random points, by
+    resultants; it gives the elimination's answer on that plane, and a
+    draw whose points are dependent or whose forms meet it degenerately
+    is drawn again.  The plane cut takes e^2 + 1 interpolation nodes, so
+    it needs e^2 < p; it is left to the elimination when Y has
+    codimension one, since f1 and g then share a curve on every plane,
+    and for the top cut i = n = 2, whose plane is all of P^2.
 
-    Every cut with i >= 3, and every cut the plane leaves, is counted in
-    the affine chart x_n = 1 (``_chart_degree``): its forms, its
-    hyperplanes and g lose x_n, and one elimination by ``saturate`` runs
-    in n variables plus t.  A residual point on x_n = 0 is not counted
-    there, so that g_i, too, can only come out low, with probability
-    about 1/p.  The cut is built from row-reduced combinations
-    (``_reduced_cut``): its i combinations and g are drawn as rows of
-    coefficients of the partials, the i rows are brought to an echelon
-    form in which each pivot column is 0 but in its own row, and g is
-    reduced modulo them.  The echelon rows span the same forms, so the
-    cut ideal I is unchanged, and each uses at most n + 2 - i partials.
-    The reduced g differs from g by an element of I, so I : g^infty, and
-    the count, are exactly those of the dense draws; for the top cut,
-    with n + 1 independent partials, g is one partial.  A g that reduces
-    to 0 lies in I, which below the rank r of the partials (see
-    ``_rank_zeros``) takes an unlucky draw, and saturating
-    by 0, like saturating by g, gives the unit ideal, whose g_i is 0.
+    Every other cut is counted in the affine chart x_n = 1
+    (``_chart_degree``): its forms, its hyperplanes and g lose x_n, and
+    one elimination by ``saturate`` runs in n variables plus t.  A
+    residual point on x_n = 0 is not counted there, so that g_i, too, can
+    only come out low, with probability about 1/p.  The cut is built from
+    row-reduced combinations (``_reduced_cut``): its i combinations and g
+    are drawn as rows of coefficients of the partials, the i rows are
+    brought to an echelon form in which each pivot column is 0 but in its
+    own row, and g is reduced modulo them.  The echelon rows span the same
+    forms, so the cut ideal I is unchanged, and each uses at most
+    n + 2 - i partials.  The reduced g differs from g by an element of I,
+    so I : g^infty, and the count, are exactly those of the dense draws;
+    for the top cut, with n + 1 independent partials, g is one partial.  A
+    g that reduces to 0 lies in I, which below the rank r of the partials
+    (see ``_settled``) takes an unlucky draw, and saturating by 0, like
+    saturating by g, gives the unit ideal, whose g_i is 0.
     """
     n = scheme.n
     partials = scheme.partials
@@ -641,9 +617,8 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
     # checks; they take the same values from rng.  The partials are drawn
-    # as rows of coefficients, which a line or plane cut combines at once.
+    # as rows of coefficients, which a plane cut combines at once.
     base_row = _random_row(columns, p, rng)
-    base = _combination(partials, base_row, p)
     g = [1]
     for i in range(1, n + 1):
         if i in certified:
@@ -651,11 +626,10 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
             continue
         for _ in range(DIM_RETRIES):
             rows = [_random_row(columns, p, rng) for _ in range(i)]
-            if i == 1 or (i == 2 and plane):
-                forms = [_combination(partials, r, p) for r in rows]
-                points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(i + 1)]
-                cut = _line_degree if i == 1 else _plane_degree
-                gi = cut(*forms, base, *points, p)
+            if i == 2 and plane:
+                f1, f2, base = (_combination(partials, r, p) for r in rows + [base_row])
+                points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(3)]
+                gi = _plane_degree(f1, f2, base, *points, p)
             else:
                 xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
@@ -673,13 +647,22 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     return tuple(g)
 
 
-def _rank_zeros(scheme: SingularSchemeData) -> dict:
-    """g_i = 0 for every i >= r, where r = ``len(scheme.columns)`` is the
-    rank mod p of the partials' span: i generic rows then span all the
-    partials, so the cut ideal contains J, its saturation by g is the unit
-    ideal, and g_i = 0.  These are the last cuts of a trial, so leaving
-    them undrawn changes the draws of no other cut."""
-    return dict.fromkeys(range(len(scheme.columns), scheme.n + 1), 0)
+def _settled(scheme: SingularSchemeData) -> dict:
+    """The g_i that the jacobian scheme fixes at its prime, i -> g_i, so
+    that no trial draws their cuts:
+
+    - g_1 = e - deg_y when c = ``scheme.codim`` is 1, and e otherwise:
+      the h^1 coefficient of s(Y, P^n) is e - g_1, which ``_certify``
+      proves to be deg_y at c = 1 and 0 above;
+    - g_i = 0 for every i >= r, where r = ``len(scheme.columns)`` is the
+      rank mod p of the partials' span: i generic rows then span all the
+      partials, so the cut ideal contains J, its saturation by g is the
+      unit ideal, and g_i = 0.  When r <= 1 this takes precedence over
+      the rule for g_1."""
+    e = scheme.d - 1
+    settled = {1: e - scheme.deg_y if scheme.codim == 1 else e}
+    settled.update(dict.fromkeys(range(len(scheme.columns), scheme.n + 1), 0))
+    return settled
 
 
 def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
@@ -695,7 +678,11 @@ def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
     - e^c - deg_y at i = c: the h^c coefficient of s(Y, P^n) is
       e^c - g_c, the sum of the Samuel multiplicities of Y along its top
       components, and each is at least their length (Fulton,
-      *Intersection Theory*, Ex. 4.3.4);
+      *Intersection Theory*, Ex. 4.3.4).  At c = 1 the bound e - deg_y
+      is g_1 itself: at the generic point of a component of codimension
+      one the local ring of P^n is a discrete valuation ring, where J is
+      principal and its Samuel multiplicity equals its length, so
+      ``_settled`` takes g_1 from it with no draw;
     - g_(i-1)^2 // g_(i-2) for i > c, once g_(i-2) > 0 and g_(i-1) are
       certified: g_i is the intersection number
       (pr_1^* h)^(n-i) (pr_2^* h)^i of two nef classes on the closure of
@@ -735,7 +722,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     """Multi-trial projective degrees of the gradient map of F.
 
     Runs one trial at each (prime, seed) of ``policy.schedule(F)``.  A
-    prime's certified map starts with ``_rank_zeros`` when its scheme is
+    prime's certified map starts with ``_settled`` when its scheme is
     built, and after each trial ``_certify`` adds every g_i that meets its
     bound or refutes the vector.  Every later trial at the same prime
     takes the certified values without drawing their cuts; a trial at
@@ -758,7 +745,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
-            certified[prime] = _rank_zeros(schemes[prime])
+            certified[prime] = _settled(schemes[prime])
         scheme, exact = schemes[prime], certified[prime]
         rng = random.Random(f"csmhyp:{prime}:{seed}")
         g = _degrees_one_trial(scheme, rng, exact)
@@ -775,7 +762,8 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
                 e=F_rational.degree - 1,
                 g=g,
                 trials=tuple(
-                    TrialRecord(p, s, gv, ok) for (p, s, gv), ok in zip(trials, agree)
+                    TrialRecord(p, s, gv, ok and gv == g)
+                    for (p, s, gv), ok in zip(trials, agree)
                 ),
             )
             return pd, scheme

@@ -416,6 +416,30 @@ def test_segre_support_check_refuses_inconsistent_degrees(
         assert len(err.splitlines()) == 1, err
 
 
+def test_a_trial_low_at_a_later_certified_coordinate_is_rejected(capsys, monkeypatch):
+    # Four planes: the first trial reads g_2 = 2 below 9 - 6, the second
+    # certifies g_2 = 3, and the two agree on g_3, the one open
+    # coordinate, which accepts the second vector.  The first trial's
+    # vector was not accepted, so the log rejects it.
+    from csmhyp import segre
+
+    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1)])
+    monkeypatch.setattr(
+        segre, "_degrees_one_trial", lambda scheme, rng, certified: next(outputs)
+    )
+    code, out, _ = run_cli(
+        capsys, "compute", "x0*x1*x2*x3", "--nvars", "4",
+        "--prime", "32003", "--seed", "7",
+    )
+    assert code == 0
+    assert "projective degrees: [1, 3, 3, 1]\n" in out
+    trials = [line for line in out.splitlines() if line.startswith("  trial ")]
+    assert trials == [
+        "  trial prime=32003 seed=7 g=[1, 3, 2, 1] REJECTED",
+        "  trial prime=32003 seed=100010 g=[1, 3, 3, 1] accepted",
+    ]
+
+
 def test_a_report_carries_no_verdict_without_verify(capsys):
     # the CSM formulations are equal for every s_Y, so they are law tests,
     # not verdicts; only an oracle run under --verify fills `verification`

@@ -294,9 +294,9 @@ def test_disagreeing_trials_escalate_then_fail(monkeypatch):
 
     def flaky(scheme, rng, certified):
         calls.append(1)
-        # never confirm the same vector twice, and g_1, g_2 below their
-        # bounds 3 and 9 - 6, so that nothing but g_0 is certified
-        return (1, 2, 2, len(calls))
+        # never confirm the same vector twice, and g_2 below its bound
+        # 9 - 6, so that nothing but g_0 and the settled g_1 is certified
+        return (1, 3, 2, len(calls))
 
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", flaky)
     with pytest.raises(RandomnessError) as err:
@@ -347,9 +347,10 @@ def test_upper_bounds_of_the_projective_degrees():
     import csmhyp.segre as segre_mod
 
     # e^i below c = codim Y, e^c - deg_y at c, g_(i-1)^2 // g_(i-2) above
-    # c once both are certified, and 0 from the rank r on, which is
-    # certified before any trial.  A vector at every bound is certified
-    # whole; one above any bound is refuted.
+    # c once both are certified, and 0 from the rank r on.  g_1 and the
+    # zeros from r on are settled before any trial, g_1 at its bound, or
+    # at 0 when r = 1.  A vector at every bound is certified whole; one
+    # above any bound below r is refuted.
     for text, nvars, bounds in [
         ("x0^2 + x1^2 + x2^2", 3, [1, 1, 1]),  # smooth: every e^i
         ("x0*x1", 3, [1, 1, 0]),  # r = 2
@@ -357,19 +358,22 @@ def test_upper_bounds_of_the_projective_degrees():
         (QUADRIFOLIUM, 3, [1, 5, 9]),  # 25 - 16
         ("x0*x1*x2*x3", 4, [1, 3, 3, 3]),  # six lines: 9 - 6, then 9 // 3
         ("x0^2 + x1^2 + x2^2", 4, [1, 1, 1, 0]),  # a cone, r = 3
+        ("x0^2*x1", 3, [1, 1, 0]),  # c = 1: g_1 = 2 - 1, and r = 2
+        ("x0^3", 3, [1, 0, 0]),  # r = 1, and g_1 = 2 - 2 at c = 1
     ]:
         scheme = jacobian_scheme(gfpoly(text, nvars))
-        zeros = segre_mod._rank_zeros(scheme)
-        assert zeros == {i: 0 for i in range(len(scheme.columns), nvars)}, text
-        exact = dict(zeros)
+        r = len(scheme.columns)
+        settled = segre_mod._settled(scheme)
+        assert settled == {1: bounds[1], **dict.fromkeys(range(r, nvars), 0)}, text
+        exact = dict(settled)
         segre_mod._certify(scheme, tuple(bounds), exact)
         assert exact == dict(enumerate(bounds)), text
-        for i in set(range(nvars)) - set(zeros):
+        for i in range(r):
             high = bounds[:i] + [bounds[i] + 1] + bounds[i + 1 :]
             with pytest.raises(
                 CsmhypError, match=f"g_{i} = {high[i]} is above its bound {bounds[i]} "
             ):
-                segre_mod._certify(scheme, tuple(high), dict(zeros))
+                segre_mod._certify(scheme, tuple(high), dict(settled))
 
 
 def test_a_vector_that_meets_every_bound_takes_one_trial():
@@ -385,7 +389,7 @@ def _record_cuts(monkeypatch) -> list:
     import csmhyp.segre as segre_mod
 
     calls = []
-    for name in ("_line_degree", "_plane_degree", "_chart_degree"):
+    for name in ("_plane_degree", "_chart_degree"):
 
         def wrapped(*args, _name=name, _real=getattr(segre_mod, name)):
             calls[-1].append(_name)
@@ -404,18 +408,18 @@ def _record_cuts(monkeypatch) -> list:
 
 def test_a_later_trial_draws_only_the_open_cuts(monkeypatch):
     calls = _record_cuts(monkeypatch)
-    # The quadrifolium's g_2 = 8 stays below 25 - 16, so only its top
-    # cut is drawn again.
+    # g_1 is settled before any trial.  The quadrifolium's g_2 = 8 stays
+    # below 25 - 16, so its top cut is drawn again.
     pd, _ = projective_degrees(
         parse_poly("(x0^2+x1^2)^3 - 4*x0^2*x1^2*x2^2", 3), TWO_PRIME
     )
     assert pd.g == (1, 5, 8) and [t.accepted for t in pd.trials] == [True, True]
-    assert calls == [["_line_degree", "_chart_degree"], ["_chart_degree"]]
-    # Four planes certify g_1 = 3 and g_2 = 9 - 6; g_3 = 1 stays below 9 // 3.
+    assert calls == [["_chart_degree"], ["_chart_degree"]]
+    # Four planes certify g_2 = 9 - 6; g_3 = 1 stays below 9 // 3.
     calls.clear()
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert pd.g == (1, 3, 3, 1) and len(pd.trials) == 2
-    assert calls == [["_line_degree", "_plane_degree", "_chart_degree"], ["_chart_degree"]]
+    assert calls == [["_plane_degree", "_chart_degree"], ["_chart_degree"]]
 
 
 def test_a_trial_that_meets_a_bound_overrules_a_low_one(monkeypatch):
@@ -434,16 +438,18 @@ def test_a_trial_that_meets_a_bound_overrules_a_low_one(monkeypatch):
     pd, _ = projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
     assert pd.g == (1, 2, 1)
     assert [t.accepted for t in pd.trials] == [False, True]
-    assert seen == [{}, {0: 1, 1: 2}]
+    assert seen == [{1: 2}, {0: 1, 1: 2}]
 
 
-def test_an_earlier_trial_that_agrees_on_the_open_coordinates_is_accepted(
+def test_an_earlier_trial_that_differs_on_a_later_certified_coordinate_is_rejected(
     monkeypatch,
 ):
     import csmhyp.segre as segre_mod
 
     # Four planes: the first trial is low at g_2 <= 9 - 6, the second
     # certifies it, and the two agree on g_3, the one open coordinate.
+    # That agreement accepts the second vector, but the first trial, whose
+    # vector is not the accepted one, is not marked accepted.
     outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1)])
     seen = []
 
@@ -454,8 +460,8 @@ def test_an_earlier_trial_that_agrees_on_the_open_coordinates_is_accepted(
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert pd.g == (1, 3, 3, 1)
-    assert [t.accepted for t in pd.trials] == [True, True]
-    assert seen == [{}, {0: 1, 1: 3}]
+    assert [t.accepted for t in pd.trials] == [False, True]
+    assert seen == [{1: 3}, {0: 1, 1: 3}]
 
 
 def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
@@ -477,7 +483,7 @@ def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
     assert pd.g == (1, 3, 1, 1)
     assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
     assert [t.accepted for t in pd.trials] == [False, True, True]
-    assert seen == [{}, {}, {0: 1, 1: 3}]
+    assert seen == [{1: 3}, {1: 3}, {0: 1, 1: 3}]
 
 
 def test_a_trial_above_a_bound_is_refused_at_once(monkeypatch):
@@ -499,11 +505,12 @@ def test_a_trial_above_a_bound_is_refused_at_once(monkeypatch):
 def test_a_reading_low_below_the_codimension_is_never_accepted_by_agreement(
     monkeypatch,
 ):
-    # Below c, e^i is the proven value: trials that agree on a low g_1 of
-    # three lines (c = 2) settle nothing, and the run is exhausted.
-    seen = _scripted(monkeypatch, [(1, 1, 1)] * 5)
+    # Below c, e^i is the proven value: trials that agree on a low g_2 of
+    # a quadric cone in P^3 (one point, c = 3) settle nothing, and the run
+    # is exhausted.  Its g_1 = 1 is settled and its g_3 = 0 from r = 3.
+    seen = _scripted(monkeypatch, [(1, 1, 0, 0)] * 5)
     with pytest.raises(RandomnessError) as err:
-        projective_degrees(parse_poly("x0*x1*x2", 3), TWO_PRIME)
+        projective_degrees(parse_poly("x0^2 + x1^2 + x2^2", 4), TWO_PRIME)
     assert len(err.value.trials) == 5 and len(seen) == 5
     assert [t["accepted"] for t in err.value.trials] == [False] * 5
 
@@ -588,18 +595,18 @@ def test_log_concavity_certifies_g3_then_g4_in_one_pass(monkeypatch):
     # g_3 = 9 // 3 is certified, and bounds g_4 by 9 // 3 in the same pass.
     seen = _scripted(monkeypatch, [(1, 3, 3, 3, 3)])
     pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
-    assert pd.g == (1, 3, 3, 3, 3) and len(pd.trials) == 1 and seen == [{}]
+    assert pd.g == (1, 3, 3, 3, 3) and len(pd.trials) == 1 and seen == [{1: 3}]
     # A low g_4 stays open; the certified g_3 goes to the next trial.
     seen = _scripted(monkeypatch, [(1, 3, 3, 3, 2), (1, 3, 3, 3, 3)])
     pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
     assert pd.g == (1, 3, 3, 3, 3)
     assert [t.accepted for t in pd.trials] == [False, True]
-    assert seen == [{}, {0: 1, 1: 3, 2: 3, 3: 3}]
+    assert seen == [{1: 3}, {0: 1, 1: 3, 2: 3, 3: 3}]
     # A low g_3 certifies neither g_3 nor g_4 above it, though g_4 meets
     # g_3^2 // g_2 = 4 // 3.
     seen = _scripted(monkeypatch, [(1, 3, 3, 2, 1), (1, 3, 3, 3, 3)])
     pd, _ = projective_degrees(parse_poly(DOUBLE_QUADRIC, 5), TWO_PRIME)
-    assert pd.g == (1, 3, 3, 3, 3) and seen == [{}, {0: 1, 1: 3, 2: 3}]
+    assert pd.g == (1, 3, 3, 3, 3) and seen == [{1: 3}, {0: 1, 1: 3, 2: 3}]
 
 
 def test_a_reading_below_the_log_concave_bound_stays_open(monkeypatch):
@@ -607,7 +614,7 @@ def test_a_reading_below_the_log_concave_bound_stays_open(monkeypatch):
     pd, _ = projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
     assert pd.g == (1, 3, 3, 3)
     assert [t.accepted for t in pd.trials] == [False, True]
-    assert seen == [{}, {0: 1, 1: 3, 2: 3}]
+    assert seen == [{1: 3}, {0: 1, 1: 3, 2: 3}]
 
 
 def test_a_reading_above_the_log_concave_bound_is_not_certified(monkeypatch):
@@ -618,7 +625,7 @@ def test_a_reading_above_the_log_concave_bound_is_not_certified(monkeypatch):
     pd, _ = projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
     assert pd.g == (1, 3, 2, 4)
     assert [t.accepted for t in pd.trials] == [True, True]
-    assert seen == [{}, {0: 1, 1: 3}]
+    assert seen == [{1: 3}, {0: 1, 1: 3}]
 
 
 def test_a_reading_above_the_log_concave_bound_is_refuted(monkeypatch):
@@ -628,7 +635,7 @@ def test_a_reading_above_the_log_concave_bound_is_refuted(monkeypatch):
     with pytest.raises(CsmhypError) as err:
         projective_degrees(parse_poly(DOUBLE_CONIC, 4), TWO_PRIME)
     assert str(err.value) == "projective degree g_3 = 4 is above its bound 3 at prime 32003"
-    assert seen == [{}]
+    assert seen == [{1: 3}]
     # Two planes and a quadric: g_2 <= 9 - 5 and g_3 <= 16 // 3 = 5, so 6,
     # 16 / 3 rounded up, is refuted.
     _scripted(monkeypatch, [(1, 3, 4, 6)])
@@ -648,7 +655,7 @@ def test_log_concave_certificates_stay_at_their_prime(monkeypatch):
     assert pd.g == (1, 3, 3, 3, 3)
     assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
     assert [t.accepted for t in pd.trials] == [False, False, True]
-    assert seen == [{}, {}, {0: 1, 1: 3, 2: 3, 3: 3}]
+    assert seen == [{1: 3}, {1: 3}, {0: 1, 1: 3, 2: 3, 3: 3}]
 
 
 def test_schedule_keeps_the_usable_primes_in_policy_order():
@@ -665,9 +672,9 @@ def test_schedule_keeps_the_usable_primes_in_policy_order():
 
 
 def test_one_groebner_basis_per_prime_for_the_jacobian_only(monkeypatch):
-    # Cuts of dimension two and up go straight into saturate, g_0 = 1 is
-    # not cut and the line cut needs no basis at all; buchberger runs once
-    # per prime, on the nonzero partials of F mod that prime.
+    # Cuts of dimension two and up go straight into saturate, g_0 = 1 and
+    # g_1 are not cut and the plane cut needs no basis at all; buchberger
+    # runs once per prime, on the nonzero partials of F mod that prime.
     import csmhyp.segre as segre_mod
 
     seen = []
@@ -725,12 +732,11 @@ def test_quadric_times_cubic_threefold_at_default_seeds():
 
 
 def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
-    # One trial sets g_0 = 1 with no cut and reads g_1 on a random line.
-    # When 2 < n it reads g_2 on a random plane, unless the singular
-    # scheme has codimension one or e^2 >= p; every other cut with
-    # 2 <= i < r reaches saturate, where r is the rank of the partials.
-    # x0*x1 and x0^2*x1 have r = 2, so their cuts with i >= 2 are not
-    # drawn.
+    # One trial sets g_0 = 1 and g_1 with no cut.  When 2 < n it reads
+    # g_2 on a random plane, unless the singular scheme has codimension
+    # one or e^2 >= p; every other cut with 2 <= i < r reaches saturate,
+    # where r is the rank of the partials.  x0*x1 and x0^2*x1 have r = 2,
+    # so their cuts with i >= 2 are not drawn.
     import csmhyp.segre as segre_mod
 
     calls = []
@@ -752,7 +758,7 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
         scheme = jacobian_scheme(reduce_mod_p(parse_poly(text, nvars), p))
         calls.clear()
         rng = random.Random(f"csmhyp:{p}:101")
-        segre_mod._degrees_one_trial(scheme, rng, segre_mod._rank_zeros(scheme))
+        segre_mod._degrees_one_trial(scheme, rng, segre_mod._settled(scheme))
         return calls.count("saturate"), "_plane_degree" in calls
 
     fermat_quintic = "x0^5 + x1^5 + x2^5 + x3^5"
@@ -773,7 +779,7 @@ def test_saturate_runs_only_for_cuts_of_dimension_two_and_up(monkeypatch):
     assert one_trial("x0^2 + x1^2 + x2^2", 3)[0] >= 1
 
 
-# -- line cuts -----------------------------------------------------------------
+# -- g_1 --------------------------------------------------------------------------
 
 NONISOLATED = [
     ("x1^2*x2^2 + x2^2*x0^2 + x0^2*x1^2 - x0*x1*x2*x3", 4),
@@ -794,15 +800,6 @@ def _value(f, point, p):
     return total % p
 
 
-def _singular_point(partials, nvars, p):
-    """A point with coordinates in {0, 1, -1} where every partial
-    vanishes, or None."""
-    for point in itertools.product((0, 1, p - 1), repeat=nvars):
-        if any(point) and not any(_value(q, point, p) for q in partials):
-            return point
-    return None
-
-
 def _pow(f, k):
     out = Polynomial(f.nvars, {(0,) * f.nvars: 1}, f.field)
     for _ in range(k):
@@ -810,123 +807,45 @@ def _pow(f, k):
     return out
 
 
-def _pivots(a, b, p):
-    """Coordinates u, v with a nonzero 2x2 minor D of (a, b), and D; None
-    when a and b are dependent."""
-    for u, v in itertools.combinations(range(len(a)), 2):
-        minor = (a[u] * b[v] - a[v] * b[u]) % p
-        if minor:
-            return u, v, minor
-    return None
+CODIM_ONE = [
+    ("x0^3*x1^2*(x0+x2)", 3),  # divisorial part of length 2 + 1
+    ("(x0^2+x1^2-x2^2)^2*x1", 3),  # a double conic
+    ("x0^3*x1^2*(x0+x1)", 2),  # binary forms with multiple roots
+    ("(x0^2+x1^2)^2*x0", 2),
+]
 
 
-def _line_forms(a, b, xs, p):
-    """The n - 1 hyperplanes of the line a + s*b, and linear forms l_a,
-    l_b with l_a(a) = l_b(b) = 1 and l_a(b) = l_b(a) = 0; a and b must
-    be independent.  The hyperplane for coordinate k is the determinant
-    of the rows a, b and (x_u, x_v, x_k), which vanishes at a and b and
-    has x_k-coefficient D."""
-    u, v, minor = _pivots(a, b, p)
-    planes = [
-        xs[u].scale(a[v] * b[k] - a[k] * b[v])
-        - xs[v].scale(a[u] * b[k] - a[k] * b[u])
-        + xs[k].scale(minor)
-        for k in range(len(a))
-        if k not in (u, v)
-    ]
-    inv = pow(minor, -1, p)
-    l_a = (xs[u].scale(b[v]) - xs[v].scale(b[u])).scale(inv)
-    l_b = (xs[v].scale(a[u]) - xs[u].scale(a[v])).scale(inv)
-    return planes, l_a, l_b
-
-
-def _force(kind, f, g, a, b, singular, rng):
-    """Rework one seeded draw (f, g, a, b) into the degenerate case
-    ``kind``; the draw is left as it is where the case does not apply."""
-    nvars = g.nvars
-    p = g.field.p
-    e = g.degree
-    xs = [variable(nvars, k, g.field) for k in range(nvars)]
-    if kind == "dependent":
-        return f, g, a, [rng.randrange(p) * x % p for x in a]
-    if kind == "singular" and singular is not None:
-        a = list(singular)
-    if _pivots(a, b, p) is None:
-        return f, g, a, b
-    planes, l_a, l_b = _line_forms(a, b, xs, p)
-    if kind == "g_on_line" and planes:
-        g = planes[0] * _pow(xs[0], e - 1)
-    elif kind == "f_on_line" and planes:
-        f = planes[0] * _pow(xs[1], e - 1)
-    elif kind == "shared_at_b":  # f|L and g|L lose their top degree
-        f = f - _pow(l_b, e).scale(_value(f, b, p))
-        g = g - _pow(l_b, e).scale(_value(g, b, p))
-    elif kind == "double_at_a":  # f|L has a double root at s = 0, g|L one
-        slope = sum(b[k] * _value(f.partial(k), a, p) for k in range(nvars))
-        f = (
-            f
-            - _pow(l_a, e).scale(_value(f, a, p))
-            - (_pow(l_a, e - 1) * l_b).scale(slope)
-        )
-        g = g - _pow(l_a, e).scale(_value(g, a, p))
-    return f, g, a, b
-
-
-def test_line_cuts_match_the_elimination():
-    # Reference: dim_degree(saturate(f + hyperplanes of the line, g)).
-    # Besides plain draws, each input gets a dependent pair (a, b), g
-    # vanishing on the line, f vanishing on the line, a line through a
-    # singular point of F, f and g sharing the line's point b
-    # (s = infinity), and a root of f|L of multiplicity 2 that g|L shares
-    # once.  A draw is redrawn exactly when (a, b) is dependent or the
-    # residual is a whole line.
+def test_the_settled_g1_matches_the_elimination(bench_workloads):
+    # g_1 = e - deg_y when Y has codimension one and e otherwise, with no
+    # draw.  Reference: dim_degree(saturate(f + n - 1 hyperplanes, g)) for
+    # seeded random combinations f and g of the partials and seeded
+    # hyperplanes, on every input of three benchmark workloads, on
+    # codimension-one inputs with non-reduced divisorial parts, and on
+    # binary forms (n = 1), where the cut is f alone.
     from csmhyp.groebner import IdealBasis, dim_degree, saturate
-    from csmhyp.oracles import default_fixtures
-    from csmhyp.segre import _line_degree
+    from csmhyp.segre import _settled
 
-    inputs = [(c.poly, c.n + 1) for c in default_fixtures()]
-    inputs += NONISOLATED + [("x0^2*x1 + x1^3", 2)]
-    kinds = (
-        "plain", "dependent", "g_on_line", "f_on_line", "singular",
-        "shared_at_b", "double_at_a",
-    )
+    inputs = [
+        (case.poly, case.nvars)
+        for name in ("corpus", "nonisolated", "isolated")
+        for case in bench_workloads.WORKLOADS[name]()
+    ]
     seen = set()
-    for text, nvars in inputs:
-        F = parse_poly(text, nvars)
-        for p in (7, 11, 13, 32003):
-            if p <= 2 * F.degree:
-                continue
-            scheme = jacobian_scheme(reduce_mod_p(F, p))
+    for text, nvars in inputs + CODIM_ONE:
+        for p in (32003, 65537):
+            scheme = jacobian_scheme(gfpoly(text, nvars, p))
             xs = [variable(nvars, k, PrimeField(p)) for k in range(nvars)]
-            singular = _singular_point(scheme.partials, nvars, p)
-            rng = random.Random(f"{text}:{p}")
-            for kind, _ in itertools.product(kinds, range(2)):
+            rng = random.Random(f"{text}:{p}:g1")
+            want = _settled(scheme)[1]
+            for _ in range(2):
                 g, f = (random_linear_combination(scheme.partials, rng) for _ in "gf")
-                a, b = ([rng.randrange(p) for _ in xs] for _ in "ab")
-                f, g, a, b = _force(kind, f, g, a, b, singular, rng)
-                if f.is_zero or g.is_zero:
-                    continue
-                got = _line_degree(f, g, a, b, p)
-                where = (text, p, kind)
-                if _pivots(a, b, p) is None:
-                    assert got is None, where
-                    seen.add((kind, "redraw"))
-                    continue
-                planes = _line_forms(a, b, xs, p)[0]
-                dim, deg = dim_degree(
-                    saturate(IdealBasis((f, *planes)), IdealBasis((g,)))
-                )
-                if dim:
-                    assert got is None, where
-                    seen.add((kind, "redraw"))
-                else:
-                    assert got == deg, where
-                    seen.add((kind, "zero" if not deg else
-                              "full" if deg == f.degree else "drop"))
-    assert ("plain", "full") in seen and ("dependent", "redraw") in seen
-    assert ("g_on_line", "zero") in seen and ("f_on_line", "redraw") in seen
-    assert ("singular", "drop") in seen
-    assert ("shared_at_b", "drop") in seen and ("double_at_a", "drop") in seen
+                planes = [random_linear_combination(xs, rng) for _ in range(nvars - 2)]
+                residual = saturate(IdealBasis((f, *planes)), IdealBasis((g,)))
+                dim, deg = dim_degree(residual)
+                assert deg == want and dim == (0 if want else None), (text, p)
+            seen.add((scheme.codim == 1, nvars == 2, want == 0))
+    assert {(True, False, False), (True, True, False), (False, False, False)} <= seen
+    assert (True, False, True) in seen  # x0^2, where r = 1
 
 
 # -- plane cuts ----------------------------------------------------------------
@@ -1516,13 +1435,13 @@ def test_cuts_at_or_above_the_rank_of_the_partials_count_zero():
 
 
 def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
-    # The cuts i >= r come last and are decided before any draw: a trial
-    # draws the rows of g and of the cuts 1 <= i < r, and calls one cut
-    # kernel for each of those, in order, and none for the rest.
+    # g_1 and the cuts i >= r are decided before any draw: a trial draws
+    # the rows of g and of the cuts 2 <= i < r, and calls one cut kernel
+    # for each of those, in order, and none for the rest.
     import csmhyp.segre as segre_mod
 
     calls = []
-    for name in ("_line_degree", "_plane_degree", "_chart_degree", "saturate", "_random_row"):
+    for name in ("_plane_degree", "_chart_degree", "saturate", "_random_row"):
 
         def wrapped(*args, _name=name, _real=getattr(segre_mod, name)):
             calls.append(_name)
@@ -1538,15 +1457,15 @@ def test_a_trial_makes_no_cut_at_or_above_the_rank(monkeypatch):
             r = len(scheme.columns)
             plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.codim != 1
             want = ["_random_row"]
-            for i in range(1, r):
+            for i in range(2, r):
                 want += ["_random_row"] * i
-                if i == 1 or (i == 2 and plane):
-                    want.append("_line_degree" if i == 1 else "_plane_degree")
+                if i == 2 and plane:
+                    want.append("_plane_degree")
                 else:
                     want += ["_chart_degree", "saturate"]
             calls.clear()
             rng = random.Random(f"csmhyp:{p}:101")
-            g = segre_mod._degrees_one_trial(scheme, rng, segre_mod._rank_zeros(scheme))
+            g = segre_mod._degrees_one_trial(scheme, rng, segre_mod._settled(scheme))
             assert calls == want, (text, p)
             assert len(g) == nvars and g[r:] == (0,) * (nvars - r), (text, p)
 
@@ -1562,14 +1481,16 @@ def test_a_cone_at_tiny_primes_needs_no_draw_for_its_top_cuts():
     assert report.euler == 4
 
 
-def test_four_planes_at_small_primes_wait_for_a_certified_g1():
-    # Both trials at 101 read g_1 = 2 below c = 2 and agree on it.
-    # Agreement below c settles nothing, so the trial at 103 runs and
-    # certifies g_1 = 3 and g_2 = 9 - 6.
+def test_four_planes_at_small_primes_take_the_settled_g1():
+    # At 101, g_1 = 3 is settled before any draw, the first trial
+    # certifies g_2 = 9 - 6, and the second agrees with it on g_3, below
+    # 9 // 3, so 103 is not used.
     from csmhyp.charclasses import build_report
 
     policy = TrialPolicy((101, 103), (481434895, 1399770677))
     report = build_report("x0*x1*x2*x3", 4, policy)
     assert report.projective_degrees.g == (1, 3, 3, 1)
-    assert report.euler == 4
-    assert [t.prime for t in report.projective_degrees.trials] == [101, 101, 103]
+    assert (report.euler, report.milnor_total) == (4, 20)
+    assert [(t.prime, t.g, t.accepted) for t in report.projective_degrees.trials] == [
+        (101, (1, 3, 3, 1), True), (101, (1, 3, 3, 1), True)
+    ]
