@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import charclasses, oracles
 from .chow import ChowClass
 from .errors import CsmhypError, PolynomialParseError, RandomnessError
 from .poly import parse_poly
-from .segre import DEFAULT_PRIMES, DEFAULT_SEEDS, TrialPolicy
+from .segre import TrialPolicy
 
 _LEGEND = [
     ("s(Y)", "Segre class of the singular scheme, pushed to the Chow ring of P^n"),
@@ -30,21 +29,9 @@ _LEGEND = [
 ]
 
 
-def _default_seeds():
-    env = os.environ.get("CSMHYP_SEED")
-    if env is None:
-        return DEFAULT_SEEDS
-    try:
-        base = int(env)
-    except ValueError:
-        raise ValueError(f"CSMHYP_SEED must be an integer, got {env!r}") from None
-    return (base, base + 1)
-
-
 def _policy_from_args(args) -> TrialPolicy:
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES[:2]
-    seeds = tuple(args.seed) if args.seed else _default_seeds()
-    return TrialPolicy(primes=primes, seeds=seeds)
+    given = {"primes": args.prime, "seeds": args.seed}
+    return TrialPolicy(**{key: tuple(v) for key, v in given.items() if v})
 
 
 def _print_class(label: str, c: ChowClass) -> None:
@@ -185,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_randomness(p):
-        p.add_argument(
-            "--prime", type=int, action="append",
-            help="working prime (repeatable; default 32003, 65537)",
-        )
-        p.add_argument(
-            "--seed", type=int, action="append",
-            help="trial seed (repeatable; default from CSMHYP_SEED)",
-        )
+        for flag, what, default in (
+            ("--prime", "working prime", TrialPolicy.primes),
+            ("--seed", "trial seed", TrialPolicy.seeds),
+        ):
+            p.add_argument(
+                flag, type=int, action="append",
+                help=f"{what} (repeatable; default {', '.join(map(str, default))})",
+            )
 
     p_compute = sub.add_parser("compute", help="full class report for one polynomial")
     p_compute.add_argument("poly", help="homogeneous polynomial in x0..x{nvars-1}")

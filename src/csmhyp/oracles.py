@@ -2,8 +2,9 @@
 subspaces, total Milnor numbers counted in a generic affine chart, and
 the fixture corpus used by the verification suite.
 
-The affine Milnor oracle's colengths are computed modulo a prime (same
-engine as everything else) and accepted only under multi-prime agreement.
+The affine Milnor oracle's colengths are computed modulo the primes that
+``segre.usable_primes`` keeps, where, as in the pipeline, a reading can
+only be low: the first value read at two of them is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
 from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
 from .poly import Polynomial, parse_poly, reduce_mod_p, variable
-from .segre import DEFAULT_PRIMES
+from .segre import TrialPolicy, usable_primes
 
 
 def smooth_chern_class(n: int, d: int) -> ChowClass:
@@ -68,7 +69,7 @@ def _generic_chart(F: Polynomial, p: int) -> Polynomial:
     return out.dehomogenize(n)
 
 
-def affine_milnor_total(F: Polynomial, primes=DEFAULT_PRIMES[:2]):
+def affine_milnor_total(F: Polynomial, primes=TrialPolicy.primes):
     """Total Milnor number of V(F), counted in a generic affine chart.
 
     The GF(p) colength of the jacobian ideal (df) = (d_1 f..d_n f) of the
@@ -77,7 +78,9 @@ def affine_milnor_total(F: Polynomial, primes=DEFAULT_PRIMES[:2]):
     V(f), so the difference of the two colengths sums the Milnor numbers
     of the singular points of V(F), quasi-homogeneous or not.  Returns
     None when (df) is not zero-dimensional: a non-isolated singular
-    locus.
+    locus.  The count is read at ``usable_primes(F, primes)`` in order;
+    the first value read twice is returned, or the only one when one
+    prime is usable; ``RandomnessError`` when no value repeats.
     """
     if F.field.kind != "rationals":
         raise ValueError("oracle input must be a polynomial over Q")
@@ -96,16 +99,15 @@ def affine_milnor_total(F: Polynomial, primes=DEFAULT_PRIMES[:2]):
         off = saturate(jac, IdealBasis((f,)))
         return total - standard_monomial_count(off.leading_terms, n)
 
-    values = [milnor(p) for p in primes]
-    if len(set(values)) == 1:
-        return values[0]
-    for p in DEFAULT_PRIMES:
-        if p not in primes:
-            tie = milnor(p)
-            if tie in values:
-                return tie
+    primes = usable_primes(F, primes)
+    values = []
+    for p in primes:
+        value = milnor(p)
+        if value in values or len(primes) == 1:
+            return value
+        values.append(value)
     raise RandomnessError(
-        f"affine Milnor dimensions disagree across primes: {values}"
+        f"affine Milnor dimensions disagree across primes {primes}: {values}"
     )
 
 

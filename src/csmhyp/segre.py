@@ -41,21 +41,24 @@ dehomogenized, saturated by one elimination with ``saturate``, and g_i
 is the number of standard monomials of the result: the length of the
 residual at its points off the hyperplane x_n = 0.  A residual point on
 that hyperplane is lost; random cuts make that about as rare as an
-unlucky g, and since it can only lower g_i, the agreement policy treats
+unlucky g, and since it can only lower g_i, the acceptance rule treats
 it the same way.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
-pairs, at primes where F keeps its support and p > 2 deg F.  Every cut
-can only read low.  g_1 and g_i = 0 from the rank of the partials on are
-settled by the jacobian scheme (``_settled``), and ``_certify`` holds
-every proven upper bound on g_i at the trial's prime; each reading that
-meets its bound is certified, and one above it refutes the vector
-(exit 3).  Later trials at that prime draw only the cuts still open; a
-trial at another prime draws every cut.  The vector is accepted once
-nothing is open, or once two trials agree on every open coordinate and
-none lies below the codimension of Y, where only certification settles
-a reading; every trial is recorded for audit.
+pairs, at the primes that ``usable_primes`` keeps: p > 2 deg F, and F
+keeps its support mod p.  At those primes every cut can only read low.
+g_1 and g_i = 0 from the rank of the partials on are settled by the
+jacobian scheme (``_settled``), and ``_certify`` holds every proven upper
+bound on g_i at the trial's prime; each reading that meets its bound is
+certified, and one above it refutes the vector (exit 3).  Later trials at
+that prime draw only the cuts still open; a trial at another prime draws
+every cut.  Since no reading is high, the candidate is the componentwise
+max of all trials so far, and only a trial that reads it is accepted:
+once nothing is open at its prime, or once an earlier trial read the
+same whole vector and no open coordinate lies below the codimension of
+Y, where only certification settles a reading.  Every trial is recorded
+for audit.
 """
 
 from __future__ import annotations
@@ -97,11 +100,11 @@ class TrialPolicy:
     """Randomness policy: the primes and seeds a report's trials run at.
 
     Each prime is checked for primality and range, and each seed for
-    being an ``int``, when the policy is made; ``schedule`` decides which
-    of the primes serve a given F.
+    being an ``int``, when the policy is made; ``usable_primes`` decides
+    which of the primes serve a given F.
     """
 
-    primes: tuple = DEFAULT_PRIMES[:2]
+    primes: tuple = DEFAULT_PRIMES
     seeds: tuple = DEFAULT_SEEDS
 
     def __post_init__(self):
@@ -118,39 +121,43 @@ class TrialPolicy:
     def schedule(self, F: Polynomial) -> list:
         """The first ``MAX_TRIALS`` (prime, seed) pairs of F's trials.
 
-        A prime is usable when p > 2 deg F and p divides no coefficient of
-        F, so that F keeps its support mod p; usable primes keep the
-        policy's order.  The pairs are (p, s + 100003 k) for k = 0, 1, ...,
-        every seed at every usable prime for each k, without repeats.
-        Raises ``ValueError`` when no prime is usable.
+        The primes are ``usable_primes(F, self.primes)``.  The pairs are
+        (p, s + 100003 k) for k = 0, 1, ..., every seed at every usable
+        prime for each k, without repeats; the k < ``MAX_TRIALS`` give at
+        least ``MAX_TRIALS`` distinct pairs.
         """
-        d = F.degree
-        primes = [
-            p for p in self.primes if p > 2 * d and all(c % p for c in F.terms.values())
-        ]
-        if not primes:
-            raise ValueError(
-                f"no usable prime in {list(self.primes)}: need p > 2 deg F = "
-                f"{2 * d} and p dividing no coefficient of F"
-            )
-        pairs = dict.fromkeys(
-            (p, s + 100003 * k)
-            for k in range(MAX_TRIALS)
-            for p in primes
-            for s in self.seeds
+        primes = usable_primes(F, self.primes)
+        pairs = {}
+        for k in range(MAX_TRIALS):
+            for p in primes:
+                for s in self.seeds:
+                    pairs[p, s + 100003 * k] = None
+                    if len(pairs) == MAX_TRIALS:
+                        return list(pairs)
+
+
+def usable_primes(F: Polynomial, primes) -> list:
+    """The primes of ``primes``, in their order, at which a reading of F
+    can only be low: p > 2 deg F, and p divides no coefficient of F, so
+    that F keeps its support mod p.  Raises ``ValueError`` when there is
+    none."""
+    d = F.degree
+    usable = [p for p in primes if p > 2 * d and all(c % p for c in F.terms.values())]
+    if not usable:
+        raise ValueError(
+            f"no usable prime in {list(primes)}: need p > 2 deg F = "
+            f"{2 * d} and p dividing no coefficient of F"
         )
-        return list(pairs)[:MAX_TRIALS]
+    return usable
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial: its prime and seed, its g-vector, and whether the
-    acceptance rests on it.  ``g`` is a full vector: it carries the values
+    """One trial: its prime and seed, its g-vector, and whether it read
+    the accepted vector.  ``g`` is a full vector: it carries the values
     that earlier trials at the same prime certified, which this trial took
-    without drawing their cuts.  ``accepted`` is true for the trial whose
-    vector was accepted and, when that vector still had open coordinates,
-    for each earlier trial with the same whole vector; an earlier trial
-    that agrees with it only on the open coordinates is not."""
+    without drawing their cuts.  ``accepted`` is true exactly for the
+    trials whose whole vector is the accepted one."""
 
     prime: int
     seed: int
@@ -579,9 +586,9 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     instead of by the whole jacobian ideal J.  The two saturations agree
     unless g lies in an associated prime of the cut that misses J, such
     as a point of the zero-dimensional residual; an unlucky draw can only
-    lower some g_i, and the agreement policy records it as a
-    disagreement.  A unit residual is the empty scheme, so its g_i is 0.
-    g_0 is 1, the degree of P^n, and is not computed.
+    lower some g_i, and any trial that reads it higher overrules it.  A
+    unit residual is the empty scheme, so its g_i is 0.  g_0 is 1, the
+    degree of P^n, and is not computed.
 
     g_2, for 2 < n, is read on the plane through three random points, by
     resultants; it gives the elimination's answer on that plane, and a
@@ -696,7 +703,7 @@ def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
     vector is refuted at once (exit 3: the prime or the scheme is wrong),
     or it is below it and stays open.  Below c, where e^i is the proven
     value, an open reading is only ever settled by certification:
-    ``projective_degrees`` accepts no vector by agreement while one is
+    ``projective_degrees`` accepts no vector by repetition while one is
     open there.
     """
     e, c = scheme.d - 1, scheme.codim
@@ -728,11 +735,12 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     takes the certified values without drawing their cuts; a trial at
     another prime draws every cut again, so a bound met at an unlucky
     prime does not carry over.  The coordinates not certified at the
-    trial's prime are open.  A trial's vector is accepted at once when
-    none is left open, and otherwise once an earlier trial agrees with it
-    on every open coordinate, provided none lies below the codimension of
-    Y.  Every trial is recorded, accepted or not; when ``MAX_TRIALS`` pass
-    without acceptance, the run aborts with the log.
+    trial's prime are open.  Only a trial that reads the componentwise
+    max of the trials so far is accepted: at once when nothing is left
+    open, and otherwise when an earlier trial read the same whole vector
+    and no open coordinate lies below the codimension of Y.  Every trial
+    is recorded; when ``MAX_TRIALS`` pass without acceptance, the run
+    aborts with the log.
 
     Returns ``(ProjectiveDegrees, SingularSchemeData)`` with the scheme of
     the accepting trial's prime.
@@ -742,6 +750,7 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
     trials = []
     schemes = {}
     certified = {}  # prime -> {i: g_i certified at that prime}
+    top = (0,) * F_rational.nvars  # the componentwise max of the trials
     for prime, seed in policy.schedule(F_rational):
         if prime not in schemes:
             schemes[prime] = jacobian_scheme(reduce_mod_p(F_rational, prime))
@@ -749,22 +758,22 @@ def projective_degrees(F_rational: Polynomial, policy: TrialPolicy = TrialPolicy
         scheme, exact = schemes[prime], certified[prime]
         rng = random.Random(f"csmhyp:{prime}:{seed}")
         g = _degrees_one_trial(scheme, rng, exact)
-        trials.append((prime, seed, g))
         _certify(scheme, g, exact)
+        top = tuple(map(max, top, g))
         still_open = [i for i in range(len(g)) if i not in exact]
-        agree = [
-            bool(still_open) and all(gv[i] == g[i] for i in still_open)
-            for _, _, gv in trials[:-1]
-        ] + [True]
-        if not still_open or (still_open[0] >= scheme.codim and any(agree[:-1])):
+        trials.append((prime, seed, g))
+        if g == top and (
+            not still_open
+            or (
+                still_open[0] >= scheme.codim
+                and any(gv == g for _, _, gv in trials[:-1])
+            )
+        ):
             pd = ProjectiveDegrees(
                 n=scheme.n,
                 e=F_rational.degree - 1,
                 g=g,
-                trials=tuple(
-                    TrialRecord(p, s, gv, ok and gv == g)
-                    for (p, s, gv), ok in zip(trials, agree)
-                ),
+                trials=tuple(TrialRecord(p, s, gv, gv == g) for p, s, gv in trials),
             )
             return pd, scheme
     raise RandomnessError(

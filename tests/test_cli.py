@@ -184,22 +184,6 @@ def test_pinned_randomness_is_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_seed_env_var_sets_default(capsys, monkeypatch):
-    # Four planes keep g_3 open after one trial, so both seeds run.
-    monkeypatch.setenv("CSMHYP_SEED", "4242")
-    code, out, _ = run_cli(capsys, "compute", "x0*x1*x2*x3", "--nvars", "4", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert {t["seed"] for t in payload["trials"]} == {4242, 4243}
-
-
-def test_seed_env_var_that_is_not_an_integer_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("CSMHYP_SEED", "abc")
-    result = run_cli(capsys, "compute", "x0*x1", "--nvars", "3")
-    assert_one_error_line(*result)
-    assert result[2] == "error: CSMHYP_SEED must be an integer, got 'abc'\n"
-
-
 def test_nc_command(capsys):
     code, out, _ = run_cli(capsys, "nc", "--n", "2", "1", "1", "1", "--json")
     assert code == 0
@@ -318,8 +302,11 @@ def test_oracle_commands(capsys):
         ("(x0^2+x1^2+x2^2+x3^2)^2 - 4*x0*x1*x2*x3", "4"),
         # x^4 + y^5 + x^2 y^2 at (0:0:1): Tjurina number 9, Milnor number 10
         ("x0^4*x2 + x1^5 + x0^2*x1^2*x2", "3"),
+        # smooth; 65537 * 2147483647 divides a coefficient, so the
+        # pipeline and the oracle both read at 32003 alone
+        ("x0^2 + x1^2 + 140739635773439*x2^2", "3"),
     ],
-    ids=["three-lines", "quartic-12-nodes", "x4+y5+x2y2"],
+    ids=["three-lines", "quartic-12-nodes", "x4+y5+x2y2", "conic-two-bad-primes"],
 )
 def test_compute_verify_passes_the_oracle_off_the_coordinate_charts(
     capsys, poly, nvars
@@ -331,16 +318,45 @@ def test_compute_verify_passes_the_oracle_off_the_coordinate_charts(
 
 
 def test_compute_verify_checks_a_conic_of_bad_reduction(capsys):
-    # smooth over Q, two lines mod 32003: the oracle's prime tie-break
-    # counts 0 Milnor points, whatever the pipeline reports
-    code, out, _ = run_cli(
-        capsys, "compute", "x0^2 + 2*x0*x1 + 32004*x1^2 + x2^2", "--nvars", "3",
-        "--verify", "--json",
-    )
+    # smooth over Q, two lines mod 32003: the oracle reads 1 there and 0
+    # at 65537 and 2147483647, so it counts 0 Milnor points, whatever the
+    # pipeline reports
+    conic = ("compute", "x0^2 + 2*x0*x1 + 32004*x1^2 + x2^2", "--nvars", "3", "--verify")
+    code, out, _ = run_cli(capsys, *conic, "--json")
     payload = json.loads(out)
     oracle = {"name": "milnor_affine_oracle", "pass": payload["milnor_total"] == 0}
     assert oracle in payload["verification"]
     assert code == (0 if all(v["pass"] for v in payload["verification"]) else 3)
+    # At 32003 and 65537 alone the two counts differ, and no third prime
+    # outside the policy breaks the tie.
+    code, _, err = run_cli(capsys, *conic, "--prime", "32003", "--prime", "65537")
+    assert code == 4
+    assert "affine Milnor dimensions disagree across primes [32003, 65537]: [1, 0]" in err
+
+
+def test_compute_verify_reads_the_oracle_at_the_usable_policy_primes(capsys):
+    # 7 divides a coefficient: neither the trials nor the oracle read there
+    code, out, _ = run_cli(
+        capsys, "compute", "x0^2 + x1^2 + 7*x2^2", "--nvars", "3", "--verify",
+        "--prime", "7", "--prime", "32003", "--prime", "65537",
+        "--prime", "2147483647",
+    )
+    assert code == 0
+    assert "  [pass] milnor_affine_oracle" in out.splitlines()
+
+
+def test_four_planes_at_small_primes_accept_the_componentwise_max(capsys):
+    # The first trial at 103 reads g_3 = 0, as the first at 101 did, but
+    # the second at 101 read g_3 = 1: the max, which the second trial at
+    # 103 repeats.
+    code, out, _ = run_cli(
+        capsys, "compute", "x0*x1*x2*x3", "--nvars", "4",
+        "--prime", "101", "--prime", "103",
+        "--seed", "186052889", "--seed", "847400473",
+    )
+    assert code == 0
+    assert "projective degrees: [1, 3, 3, 1]\n" in out
+    assert "euler characteristic: 4\n" in out
 
 
 def test_compute_verify_oracle_mismatch_exits_3(capsys, monkeypatch):
@@ -418,12 +434,13 @@ def test_segre_support_check_refuses_inconsistent_degrees(
 
 def test_a_trial_low_at_a_later_certified_coordinate_is_rejected(capsys, monkeypatch):
     # Four planes: the first trial reads g_2 = 2 below 9 - 6, the second
-    # certifies g_2 = 3, and the two agree on g_3, the one open
-    # coordinate, which accepts the second vector.  The first trial's
-    # vector was not accepted, so the log rejects it.
+    # certifies g_2 = 3, and agrees with the first on g_3, the one open
+    # coordinate; the third reads the second's whole vector, which
+    # accepts it.  The first trial's vector was not accepted, so the log
+    # rejects it.
     from csmhyp import segre
 
-    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1)])
+    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1), (1, 3, 3, 1)])
     monkeypatch.setattr(
         segre, "_degrees_one_trial", lambda scheme, rng, certified: next(outputs)
     )
@@ -437,6 +454,7 @@ def test_a_trial_low_at_a_later_certified_coordinate_is_rejected(capsys, monkeyp
     assert trials == [
         "  trial prime=32003 seed=7 g=[1, 3, 2, 1] REJECTED",
         "  trial prime=32003 seed=100010 g=[1, 3, 3, 1] accepted",
+        "  trial prime=32003 seed=200013 g=[1, 3, 3, 1] accepted",
     ]
 
 

@@ -84,6 +84,30 @@ def test_affine_milnor_counts_every_singular_point(text, nvars, milnor):
     assert affine_milnor_total(parse_poly(text, nvars)) == milnor
 
 
+def test_affine_milnor_reads_only_at_usable_primes(monkeypatch):
+    # 3 <= 2 deg F and 7 divides a coefficient, so neither is read; the
+    # first two usable primes agree, so the third is not read either.
+    from csmhyp import oracles
+    from csmhyp.segre import usable_primes
+
+    read = []
+
+    def chart(F, p, _real=oracles._generic_chart):
+        read.append(p)
+        return _real(F, p)
+
+    monkeypatch.setattr(oracles, "_generic_chart", chart)
+    conic = parse_poly("x0^2 + x1^2 + 7*x2^2", 3)
+    primes = (3, 7, 32003, 65537, 2147483647)
+    assert usable_primes(conic, primes) == [32003, 65537, 2147483647]
+    assert affine_milnor_total(conic, primes) == 0
+    assert read == [32003, 65537]
+    # 65537 * 2147483647: only 32003 of the default primes is usable.
+    read.clear()
+    assert affine_milnor_total(parse_poly("x0^2 + x1^2 + 140739635773439*x2^2", 3)) == 0
+    assert read == [32003]
+
+
 def test_affine_milnor_rejects_a_point_or_a_constant():
     for text, nvars in (("x0^2", 1), ("1", 3)):
         with pytest.raises(ValueError, match="hypersurface"):

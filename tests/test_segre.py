@@ -326,9 +326,10 @@ def test_a_repeat_on_the_fifth_trial_is_accepted(monkeypatch):
     import csmhyp.segre as segre_mod
 
     # Four planes: g_1 = 3 is certified; g_2 <= 9 - 6 at c = 2 reads low,
-    # so g_3 has no bound, and both stay open.
+    # so g_3 has no bound, and both stay open.  The third trial reads the
+    # componentwise max first, and the fifth repeats it.
     outputs = iter(
-        [(1, 3, 2, 4), (1, 3, 2, 3), (1, 3, 2, 2), (1, 3, 1, 0), (1, 3, 2, 2)]
+        [(1, 3, 2, 1), (1, 3, 1, 2), (1, 3, 2, 2), (1, 3, 1, 0), (1, 3, 2, 2)]
     )
 
     def scripted(scheme, rng, certified):
@@ -374,6 +375,16 @@ def test_upper_bounds_of_the_projective_degrees():
                 CsmhypError, match=f"g_{i} = {high[i]} is above its bound {bounds[i]} "
             ):
                 segre_mod._certify(scheme, tuple(high), dict(settled))
+
+
+def test_the_componentwise_max_is_accepted_over_an_earlier_repeat(monkeypatch):
+    # Four planes: g_2 and g_3 stay open.  A reading is never high, so the
+    # repeat of (1, 3, 2, 2), below the first trial's g_3 = 4, is not
+    # accepted; the repeat of the max is.
+    _scripted(monkeypatch, [(1, 3, 2, 4), (1, 3, 2, 2), (1, 3, 2, 2), (1, 3, 2, 4)])
+    pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
+    assert pd.g == (1, 3, 2, 4)
+    assert [t.accepted for t in pd.trials] == [True, False, False, True]
 
 
 def test_a_vector_that_meets_every_bound_takes_one_trial():
@@ -448,9 +459,10 @@ def test_an_earlier_trial_that_differs_on_a_later_certified_coordinate_is_reject
 
     # Four planes: the first trial is low at g_2 <= 9 - 6, the second
     # certifies it, and the two agree on g_3, the one open coordinate.
-    # That agreement accepts the second vector, but the first trial, whose
-    # vector is not the accepted one, is not marked accepted.
-    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1)])
+    # Only the third trial, which reads the second's whole vector, accepts
+    # it, and the first trial, whose vector is not the accepted one, is
+    # not marked accepted.
+    outputs = iter([(1, 3, 2, 1), (1, 3, 3, 1), (1, 3, 3, 1)])
     seen = []
 
     def scripted(scheme, rng, certified):
@@ -460,8 +472,9 @@ def test_an_earlier_trial_that_differs_on_a_later_certified_coordinate_is_reject
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), TWO_PRIME)
     assert pd.g == (1, 3, 3, 1)
-    assert [t.accepted for t in pd.trials] == [False, True]
-    assert seen == [{1: 3}, {0: 1, 1: 3}]
+    assert [t.accepted for t in pd.trials] == [False, True, True]
+    assert [t.prime for t in pd.trials] == [32003, 32003, 65537]
+    assert seen == [{1: 3}, {0: 1, 1: 3}, {1: 3}]
 
 
 def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
@@ -469,8 +482,9 @@ def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
 
     # Four planes, one seed: the trials alternate 32003 and 65537.  What
     # 32003 certified is not given to 65537, and comes back at 32003.  g_2
-    # reads low at c = 2, so g_3 has no bound, and both stay open.
-    outputs = iter([(1, 3, 2, 1), (1, 3, 1, 1), (1, 3, 1, 1)])
+    # reads low at c = 2, so g_3 has no bound, and both stay open.  The
+    # third trial repeats the first, the componentwise max.
+    outputs = iter([(1, 3, 2, 1), (1, 3, 1, 1), (1, 3, 2, 1)])
     seen = []
 
     def scripted(scheme, rng, certified):
@@ -480,9 +494,9 @@ def test_a_trial_at_another_prime_draws_every_cut(monkeypatch):
     monkeypatch.setattr(segre_mod, "_degrees_one_trial", scripted)
     one_seed = TrialPolicy(primes=(32003, 65537), seeds=(101,))
     pd, _ = projective_degrees(parse_poly("x0*x1*x2*x3", 4), one_seed)
-    assert pd.g == (1, 3, 1, 1)
+    assert pd.g == (1, 3, 2, 1)
     assert [t.prime for t in pd.trials] == [32003, 65537, 32003]
-    assert [t.accepted for t in pd.trials] == [False, True, True]
+    assert [t.accepted for t in pd.trials] == [True, False, True]
     assert seen == [{1: 3}, {1: 3}, {0: 1, 1: 3}]
 
 
