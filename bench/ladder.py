@@ -28,75 +28,61 @@ only the standard library.
 from __future__ import annotations
 
 import argparse
-import importlib
-import json
 import os
 import platform
-import re
 import statistics
 import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 import pair  # bench/pair.py, beside this script
 
 WORKLOADS = ("corpus", "nonisolated", "isolated")
 
 
-def _perfbench(name: str):
-    """A module of ``perfbench/``, imported from there."""
-    path = os.path.join(ROOT, "perfbench")
-    if path not in sys.path:
-        sys.path.insert(0, path)
-    return importlib.import_module(name)
-
-
 def write_ladder(build_report, cases, label: str, repeats: int, out: str) -> str:
     """Time ``build_report`` on each (workload, case) and write the ladder;
     returns its path.  A case has ``name``, ``poly`` and ``nvars``."""
-    if not re.fullmatch(r"[\w.-]+", label):
-        raise ValueError(f"label {label!r} is not a plain file-name part")
     if repeats < 1:
         raise ValueError("need at least one timed round")
-    run = _perfbench("run")
-    g = [list(build_report(c.poly, c.nvars).projective_degrees.g) for _, c in cases]
-    times = [[] for _ in cases]
-    before = run.host_sample()
-    for _ in range(repeats):
-        for took, (_, case) in zip(times, cases):
-            start = time.perf_counter()
-            build_report(case.poly, case.nvars)
-            latency = time.perf_counter() - start
-            after = run.host_sample()
-            took.append(latency * 2 * run.REFERENCE_S / (before + after))
-            before = after
-    ladder = {
-        "label": label,
-        "repeats": repeats,
-        "reference_s": run.REFERENCE_S,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-        "inputs": [
-            {
-                "workload": workload,
-                "input": case.name,
-                "nvars": case.nvars,
-                "median_s": round(statistics.median(took), 7),
-                "g": gv,
-            }
-            for (workload, case), took, gv in zip(cases, times, g)
-        ],
-    }
-    path = os.path.join(out, f"BENCH_{label}.json")
-    with open(path, "w") as fh:
-        json.dump(ladder, fh, indent=1)
-        fh.write("\n")
-    return path
+    pair.use_this_checkout()
+    import run  # perfbench/run.py
+
+    def ladder():
+        g = [list(build_report(c.poly, c.nvars).projective_degrees.g) for _, c in cases]
+        times = [[] for _ in cases]
+        before = run.host_sample()
+        for _ in range(repeats):
+            for took, (_, case) in zip(times, cases):
+                start = time.perf_counter()
+                build_report(case.poly, case.nvars)
+                latency = time.perf_counter() - start
+                after = run.host_sample()
+                took.append(latency * 2 * run.REFERENCE_S / (before + after))
+                before = after
+        return {
+            "label": label,
+            "repeats": repeats,
+            "reference_s": run.REFERENCE_S,
+            "host": {
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+            },
+            "inputs": [
+                {
+                    "workload": workload,
+                    "input": case.name,
+                    "nvars": case.nvars,
+                    "median_s": round(statistics.median(took), 7),
+                    "g": gv,
+                }
+                for (workload, case), took, gv in zip(cases, times, g)
+            ],
+        }
+
+    return pair.write_table("BENCH", label, out, ladder)
 
 
 def main(argv=None) -> None:
@@ -109,10 +95,10 @@ def main(argv=None) -> None:
         choices=WORKLOADS + ("dense",), help="a workload to time (repeatable)",
     )
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+    pair.use_this_checkout()
     import csmhyp
+    import workloads
 
-    workloads = _perfbench("workloads")
     cases = [
         (w, case)
         for w in args.workloads or WORKLOADS

@@ -38,7 +38,6 @@ import importlib.util
 import json
 import os
 import random
-import re
 import statistics
 import sys
 import time
@@ -46,6 +45,26 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+
+
+def use_this_checkout() -> None:
+    """Put ``src/`` and ``perfbench/`` of this checkout first on ``sys.path``."""
+    for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
+def write_table(name: str, label: str, out: str, make) -> str:
+    """Check that ``label`` is a plain file-name part, ``[\\w.-]+``, then
+    write the table ``make()`` to ``<out>/<name>_<label>.json``, indented,
+    with a final newline; returns its path."""
+    if not label or not all(c.isalnum() or c in "_.-" for c in label):
+        raise ValueError(f"label {label!r} is not a plain file-name part")
+    table = make()
+    path = os.path.join(out, f"{name}_{label}.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(table, indent=1) + "\n")
+    return path
 
 
 def load_checkout(root: str, name: str):
@@ -146,7 +165,7 @@ def dense(cases) -> list:
     change of coordinates x_i -> sum_j M[i][j] x_j and expanded.  M has
     entries in [-2, 2] drawn by ``random.Random(case name)``, drawn again
     until det M != 0, so the g-vector and every expected value stay."""
-    from csmhyp.poly import parse_poly, to_string  # this checkout's own
+    from csmhyp.poly import QQ, Polynomial, compose, parse_poly, to_string  # this checkout's own
 
     out = []
     for case in cases:
@@ -156,12 +175,9 @@ def dense(cases) -> list:
             m = [[rng.randint(-2, 2) for _ in size] for _ in size]
             if _invertible(m):
                 break
-        forms = [
-            "(" + "".join(f"{c:+d}*x{j}" for j, c in enumerate(row) if c) + ")"
-            for row in m
-        ]
-        text = re.sub(r"x(\d+)", lambda v: forms[int(v.group(1))], case.poly)
-        poly = to_string(parse_poly(text, case.nvars))
+        units = [tuple(int(k == j) for k in size) for j in size]
+        forms = [Polynomial(case.nvars, dict(zip(units, row)), QQ) for row in m]
+        poly = to_string(compose(parse_poly(case.poly, case.nvars), forms))
         out.append(dataclasses.replace(case, poly=poly))
     return out
 
@@ -203,9 +219,7 @@ def main(argv=None) -> int:
         parser.error("need at least one round and one seed pair")
     base = load_checkout(args.base, "csmhyp_base")
     head = load_checkout(args.head, "csmhyp_head")
-    # The workloads read fixture texts from csmhyp: this checkout's own.
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    use_this_checkout()  # the workloads read fixture texts from this csmhyp
     import workloads
 
     cases = workload_cases(workloads, args.workload)

@@ -26,9 +26,7 @@ standard library.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import re
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -77,19 +75,12 @@ def count(package, cases, policies, seed_pairs, mismatches) -> list:
 def write_trust(package, cases, label, seed_pairs, mismatches, out) -> str:
     """Count with ``count`` at ``POLICIES`` and write the table; returns
     its path."""
-    if not re.fullmatch(r"[\w.-]+", label):
-        raise ValueError(f"label {label!r} is not a plain file-name part")
-    table = {
+    return pair.write_table("TRUST", label, out, lambda: {
         "label": label,
         "workloads": sorted({w for w, _ in cases}),
         "seed_pairs": [list(s) for s in seed_pairs],
         "policies": count(package, cases, POLICIES, seed_pairs, mismatches),
-    }
-    path = os.path.join(out, f"TRUST_{label}.json")
-    with open(path, "w") as fh:
-        json.dump(table, fh, indent=1)
-        fh.write("\n")
-    return path
+    })
 
 
 def main(argv=None) -> None:
@@ -106,9 +97,7 @@ def main(argv=None) -> None:
     if args.seed_pairs < 1:
         parser.error("need at least one seed pair")
     package = pair.load_checkout(args.checkout, "csmhyp_trust")
-    # The workloads read fixture texts from csmhyp: this checkout's own.
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    pair.use_this_checkout()  # the workloads read fixture texts from this csmhyp
     import run
     import workloads
 

@@ -36,7 +36,7 @@ from .chow import (
     unit,
 )
 from .poly import Polynomial, parse_poly, to_string
-from .segre import ProjectiveDegrees, SingularSchemeData, TrialPolicy, segre_singular_scheme
+from .segre import ProjectiveDegrees, TrialPolicy, segre_singular_scheme
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,6 @@ class ClassReport:
     d: int
     poly: str
     projective_degrees: ProjectiveDegrees
-    scheme: SingularSchemeData
     segre_singular: ChowClass
     csm: ChowClass
     fulton: ChowClass
@@ -276,14 +275,13 @@ def build_report(
         )
     if d < 1:
         raise ValueError(f"a hypersurface needs degree >= 1; got degree {d}")
-    s_y, pd, scheme = segre_singular_scheme(F, policy)
+    s_y, pd, _ = segre_singular_scheme(F, policy)
     c_csm, c_fulton, c_mu = classes_from_segre(n, d, s_y)
     return ClassReport(
         n=n,
         d=d,
         poly=to_string(F),
         projective_degrees=pd,
-        scheme=scheme,
         segre_singular=s_y,
         csm=c_csm,
         fulton=c_fulton,

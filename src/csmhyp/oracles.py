@@ -17,7 +17,7 @@ from .charclasses import Verification
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
 from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
-from .poly import Polynomial, parse_poly, reduce_mod_p, variable
+from .poly import Polynomial, compose, parse_poly, reduce_mod_p, variable
 from .segre import TrialPolicy, usable_primes
 
 
@@ -56,17 +56,12 @@ def _generic_chart(F: Polynomial, p: int) -> Polynomial:
     """
     rng = random.Random(f"csmhyp:oracle:{p}")
     f = reduce_mod_p(F, p)
-    r, n = f.nvars, f.nvars - 1
-    shear = variable(r, n, f.field)
-    for i in range(n):
-        shear = shear + variable(r, i, f.field).scale(rng.randrange(p))
-    powers = [Polynomial(r, {(0,) * r: 1}, f.field)]
-    out = Polynomial(r, {}, f.field)
-    for m, c in f.terms.items():
-        while len(powers) <= m[n]:
-            powers.append(powers[-1] * shear)
-        out = out + Polynomial(r, {m[:n] + (0,): c}, f.field) * powers[m[n]]
-    return out.dehomogenize(n)
+    n = f.nvars - 1
+    xs = [variable(f.nvars, i, f.field) for i in range(f.nvars)]
+    shear = xs[n]
+    for x in xs[:n]:
+        shear = shear + x.scale(rng.randrange(p))
+    return compose(f, xs[:n] + [shear]).dehomogenize(n)
 
 
 def affine_milnor_total(F: Polynomial, primes=TrialPolicy.primes):

@@ -7,10 +7,15 @@ operation divides.  Any other coefficient, a ``Fraction``, a float or a
 bool, is refused with ``ValueError``.  The default monomial order
 everywhere is graded reverse lexicographic.
 
+Each operation has one term-dict implementation, reducing by the field's
+``p``, which is None over Q: ``_combine`` for linear combinations (sums,
+negation, scaling) and ``_mul_terms`` for products, shared by the parser.
+``compose`` is the one linear change of coordinates.
+
 Homogeneity is the normal state of affairs for the geometric pipeline and
 is enforced at the parsing boundary and checked by ``degree``; the class
-itself also carries the inhomogeneous intermediates required by ideal
-saturation (the extra-variable trick) and by the affine Milnor oracle.
+also carries inhomogeneous polynomials: the dehomogenized cuts of the
+projective degrees and the affine chart of the Milnor oracle.
 """
 
 from __future__ import annotations
@@ -67,18 +72,10 @@ class Rationals:
     """The field Q, holding integer coefficients only."""
 
     kind = "rationals"
+    p = None
 
     def coerce(self, x):
         return _integer(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -109,15 +106,6 @@ class PrimeField:
 
     def coerce(self, x):
         return _integer(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -197,43 +185,20 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        out = dict(self.terms)
-        add = self.field.add
-        for m, c in other.terms.items():
-            v = add(out.get(m, 0), c)
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return self._wrap(out)
+        return self._wrap(_combine((self, other), (1, 1), self.field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        neg = self.field.neg
-        return self._wrap({m: neg(c) for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        out = {}
-        add, mul = self.field.add, self.field.mul
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = add(out.get(m, 0), mul(c1, c2))
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return self._wrap(out)
+        return self._wrap(_mul_terms(self.terms, other.terms, self.field.p))
 
     def scale(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
-        if c == 0:
-            return self._wrap({})
-        mul = self.field.mul
-        return self._wrap({m: mul(v, c) for m, v in self.terms.items()})
+        return self._wrap(_combine((self,), (self.field.coerce(c),), self.field.p))
 
     def _wrap(self, terms: dict, nvars: int | None = None) -> "Polynomial":
         """A polynomial over this one's field from checked ``terms``, in
@@ -265,16 +230,18 @@ class Polynomial:
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range")
         out = {}
-        add = self.field.add
+        p = self.field.p
         for m, c in self.terms.items():
             e = m[i]
             if e == 0:
                 continue
             mm = m[:i] + (e - 1,) + m[i + 1 :]
-            v = add(out.get(mm, 0), self.field.mul(c, self.field.coerce(e)))
+            v = out.get(mm, 0) + c * e
+            if p:
+                v %= p
             if v:
                 out[mm] = v
-            elif mm in out:
+            elif mm in out:  # c * e is 0 when p divides e
                 del out[mm]
         return self._wrap(out)
 
@@ -285,18 +252,16 @@ class Polynomial:
         if not 0 <= chart < self.nvars:
             raise IndexError(f"chart index {chart} out of range")
         out = {}
-        add = self.field.add
+        p = self.field.p
         for m, c in self.terms.items():
             mm = m[:chart] + m[chart + 1 :]
-            old = out.get(mm)
-            if old is None:
-                out[mm] = c
-            else:
-                v = add(old, c)
-                if v:
-                    out[mm] = v
-                else:
-                    del out[mm]
+            v = out.get(mm, 0) + c
+            if p:
+                v %= p
+            if v:
+                out[mm] = v
+            else:  # c is not 0, so mm was there
+                del out[mm]
         return self._wrap(out, self.nvars - 1)
 
 
@@ -358,20 +323,63 @@ def _random_row(columns, p, rng) -> list:
     raise RandomnessError("could not draw a nonzero combination")
 
 
-def _combine(polys, row, p) -> dict:
-    """The terms of sum_j row[j] * polys[j] mod p, in the order the sum
-    meets them."""
+def _combine(polys, row, p=None) -> dict:
+    """The terms of sum_j row[j] * polys[j], reduced mod p unless p is
+    None (over Q), in the order the sum meets them."""
     acc = {}
     for f, c in zip(polys, row):
         if not c:
             continue
         for m, v in f.terms.items():
-            w = (acc.get(m, 0) + c * v) % p
+            w = acc.get(m, 0) + c * v
+            if p:
+                w %= p
             if w:
                 acc[m] = w
             else:
                 del acc[m]
     return acc
+
+
+def _mul_terms(a: dict, b: dict, p=None) -> dict:
+    """The product of two term dicts without zeros, reduced mod p unless
+    p is None (over Q)."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(operator.add, m1, m2))
+            v = out.get(m, 0) + c1 * c2
+            if p:
+                v %= p
+            if v:
+                out[m] = v
+            else:  # c1 * c2 is not 0, so m was there
+                del out[m]
+    return out
+
+
+def compose(f: Polynomial, forms) -> Polynomial:
+    """f(forms[0], ..., forms[nvars-1]): every x_i of f replaced by
+    ``forms[i]``, a polynomial in f's ring, and expanded.  With linear
+    forms this is the linear change of coordinates x_i -> forms[i]."""
+    forms = list(forms)
+    if len(forms) != f.nvars:
+        raise ValueError(f"need {f.nvars} forms, got {len(forms)}")
+    for g in forms:
+        f._check_compatible(g)
+    p = f.field.p
+    one = {(0,) * f.nvars: 1}
+    powers = [[one] for _ in forms]
+    monomials = []
+    for m in f.terms:
+        acc = one
+        for e, g, pw in zip(m, forms, powers):
+            while len(pw) <= e:
+                pw.append(_mul_terms(pw[-1], g.terms, p))
+            if e:
+                acc = _mul_terms(acc, pw[e], p)
+        monomials.append(f._wrap(acc))
+    return f._wrap(_combine(monomials, f.terms.values(), p))
 
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
@@ -409,20 +417,6 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", None))
     return tokens
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """The product of two integer term dicts without zeros."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(operator.add, m1, m2))
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            else:  # c1 * c2 is not 0, so m was there
-                del out[m]
-    return out
 
 
 class _Parser:

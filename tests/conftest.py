@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from csmhyp.charclasses import build_report
-from csmhyp.poly import Polynomial
+from csmhyp.poly import Polynomial, compose
 from csmhyp.segre import TrialPolicy
 
 
@@ -31,23 +31,8 @@ def _substitute_linear(f: Polynomial, matrix) -> Polynomial:
     n = f.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape must be nvars x nvars")
-    forms = [
-        Polynomial(
-            n,
-            {tuple(1 if k == j else 0 for k in range(n)): matrix[i][j] for j in range(n)},
-            f.field,
-        )
-        for i in range(n)
-    ]
-    result = Polynomial(n, {}, f.field)
-    one = Polynomial(n, {(0,) * n: 1}, f.field)
-    for m, c in f.terms.items():
-        term = one.scale(c)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = term * forms[i]
-        result = result + term
-    return result
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return compose(f, [Polynomial(n, dict(zip(units, row)), f.field) for row in matrix])
 
 
 @pytest.fixture(scope="session")

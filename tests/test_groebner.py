@@ -737,7 +737,7 @@ def _divide_with_certificate(f, basis):
             if all(a <= b for a, b in zip(lt, m)):
                 shift = tuple(a - b for a, b in zip(m, lt))
                 q_term = Polynomial(
-                    f.nvars, {shift: f.field.mul(c, pow(g.terms[lt], -1, f.field.p))},
+                    f.nvars, {shift: c * pow(g.terms[lt], -1, f.field.p) % f.field.p},
                     f.field,
                 )
                 quotients[i] = quotients[i] + q_term

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from csmhyp.charclasses import Verification, build_report
+from csmhyp import oracles
 from csmhyp.oracles import (
     FixtureCase,
     affine_milnor_total,
@@ -16,7 +17,7 @@ from csmhyp.oracles import (
     segre_linear_subspace,
     smooth_chern_class,
 )
-from csmhyp.poly import parse_poly
+from csmhyp.poly import parse_poly, to_string
 from csmhyp.segre import TrialPolicy
 
 LIGHT = TrialPolicy(primes=(32003,), seeds=(101,))
@@ -47,6 +48,13 @@ def test_affine_milnor_node_and_cusp():
     assert affine_milnor_total(nodal) == 1
     cusp = parse_poly("x1^2*x2 - x0^3", 3)
     assert affine_milnor_total(cusp) == 2
+
+
+def test_the_generic_chart_of_the_cusp_is_pinned():
+    # The chart of the cusp at 32003: the rng's draws and the substituted
+    # polynomial, expanded and dehomogenized, as first computed.
+    chart = oracles._generic_chart(parse_poly("x1^2*x2 - x0^3", 3), 32003)
+    assert to_string(chart) == "32002*x0^3 + 16507*x0*x1^2 + 16945*x1^3 + x1^2"
 
 
 def test_affine_milnor_smooth_and_cone():

@@ -19,6 +19,7 @@ from csmhyp.poly import (
     _combine,
     _random_combination,
     _random_row,
+    compose,
     parse_poly,
     random_linear_combination,
     reduce_mod_p,
@@ -400,6 +401,65 @@ def test_substitute_linear_identity_and_composition(substitute_linear):
     assert substitute_linear(f, eye) == f
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     assert substitute_linear(f, swap) == parse_poly("x1^2*x0 - x2^3", 3)
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix L * U, L unit lower and U unit upper
+    triangular: det 1, so invertible over Q and mod every prime."""
+    low = [[1 if i == j else rng.randint(-3, 3) * (i > j) for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else rng.randint(-3, 3) * (i < j) for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _linear_forms(matrix, field):
+    n = len(matrix)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return [Polynomial(n, dict(zip(units, row)), field) for row in matrix]
+
+
+def _evaluate(f, point, p):
+    total = 0
+    for m, c in f.terms.items():
+        for x, e in zip(point, m):
+            c *= x**e
+        total += c
+    return total % p
+
+
+COMPOSE_INPUTS = [("x1^2*x2 - x0^3 - x0^2*x2", 3), ("x0*x1*x2*x3", 4)]
+
+
+@pytest.mark.parametrize("text, nvars", COMPOSE_INPUTS, ids=["nodal-cubic", "four-planes"])
+def test_compose_agrees_with_pointwise_evaluation(text, nvars):
+    p = 32003
+    rng = random.Random(f"compose:{text}")
+    f = parse_poly(text, nvars)
+    forms = _linear_forms(_unimodular(rng, nvars), QQ)
+    g = compose(f, forms)
+    assert g.degree == f.degree and len(g.terms) > len(f.terms)
+    for _ in range(20):
+        point = [rng.randrange(p) for _ in range(nvars)]
+        image = [_evaluate(x, point, p) for x in forms]
+        assert _evaluate(g, point, p) == _evaluate(f, image, p)
+
+
+@pytest.mark.parametrize("text, nvars", COMPOSE_INPUTS, ids=["nodal-cubic", "four-planes"])
+def test_reduce_mod_p_commutes_with_compose(text, nvars):
+    f = parse_poly(text, nvars)
+    forms = _linear_forms(_unimodular(random.Random(f"compose:{text}"), nvars), QQ)
+    for p in (7, 32003):
+        reduced = [reduce_mod_p(x, p) for x in forms]
+        assert reduce_mod_p(compose(f, forms), p) == compose(reduce_mod_p(f, p), reduced)
+
+
+def test_compose_takes_one_form_per_variable_in_the_ring_of_f():
+    f = parse_poly("x0*x1", 2)
+    xs = [variable(2, 0, QQ), variable(2, 1, QQ)]
+    with pytest.raises(ValueError, match="need 2 forms"):
+        compose(f, xs[:1])
+    with pytest.raises(ValueError, match="field mismatch"):
+        compose(f, [variable(2, 0, PrimeField(7))] * 2)
+    assert compose(f, xs[::-1]) == f
 
 
 def test_zero_polynomial_is_distinguished():
