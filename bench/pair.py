@@ -202,10 +202,15 @@ def seed_pairs(count: int, seed: int) -> list:
 
 
 def main(argv=None) -> int:
+    use_this_checkout()  # the workloads read fixture texts from this csmhyp
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="root of the reference checkout")
     parser.add_argument("head", help="root of the checkout under test")
-    parser.add_argument("--workload", default="nonisolated")
+    parser.add_argument(
+        "--workload", default="nonisolated", choices=(*workloads.WORKLOADS, "dense")
+    )
     parser.add_argument("--rounds", type=int, default=10, help="timed rounds")
     parser.add_argument("--seed-pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="draws the seed pairs")
@@ -219,9 +224,6 @@ def main(argv=None) -> int:
         parser.error("need at least one round and one seed pair")
     base = load_checkout(args.base, "csmhyp_base")
     head = load_checkout(args.head, "csmhyp_head")
-    use_this_checkout()  # the workloads read fixture texts from this csmhyp
-    import workloads
-
     cases = workload_cases(workloads, args.workload)
     primes = tuple(args.primes) if args.primes else None
     pairs = seed_pairs(args.seed_pairs, args.seed)

@@ -27,14 +27,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .chow import (
-    ChowClass,
-    chern_tangent_pn,
-    inverse_line_bundle,
-    line_bundle,
-    line_bundle_power,
-    unit,
-)
+from .chow import ChowClass, chern_tangent_pn, line_bundle, unit
 from .poly import Polynomial, parse_poly, to_string
 from .segre import ProjectiveDegrees, TrialPolicy, segre_singular_scheme
 
@@ -87,7 +80,7 @@ def s_x_minus_y_compact(inp: HypersurfaceInput) -> ChowClass:
     """Residual class in closed form: s(X) + c(L)^-1 (s_Y dual tensor L)."""
     n, d = inp.n, inp.d
     twisted = inp.s_y.dual().tensor(d)
-    return segre_x(n, d) + inverse_line_bundle(n, d) * twisted
+    return segre_x(n, d) + line_bundle(n, d, -1) * twisted
 
 
 def fulton(inp: HypersurfaceInput) -> ChowClass:
@@ -123,15 +116,14 @@ def mu_class(inp: HypersurfaceInput) -> ChowClass:
     """The mu-class of Y: c(T*M tensor L) * s_Y, with the twisted cotangent
     Chern class (1 + (d-1)h)^(n+1) / (1 + d h) from the Euler sequence."""
     n, d = inp.n, inp.d
-    cotangent = line_bundle_power(n, d - 1, n + 1)
-    return cotangent * inverse_line_bundle(n, d) * inp.s_y
+    return line_bundle(n, d - 1, n + 1) * line_bundle(n, d, -1) * inp.s_y
 
 
 def csm_via_mu(inp: HypersurfaceInput) -> ChowClass:
     """CSM class as Fulton class plus the mu-class correction:
     c_F(X) + c(L)^(n-1) * (mu dual tensor L)."""
     n, d = inp.n, inp.d
-    correction = line_bundle_power(n, d, n - 1) * mu_class(inp).dual().tensor(d)
+    correction = line_bundle(n, d, n - 1) * mu_class(inp).dual().tensor(d)
     return fulton(inp) + correction
 
 
@@ -159,7 +151,7 @@ def csm_smooth_singularity(
     caller (smoothness is the caller's obligation):
     c_F(X) + (-1)^codim c(TY)/(1 + d h) cap [Y]."""
     n, d = inp.n, inp.d
-    return fulton(inp) + line_bundle(n, d).inverse() * cty * (-1) ** codim_y
+    return fulton(inp) + line_bundle(n, d, -1) * cty * (-1) ** codim_y
 
 
 def _arrangement(n: int, degrees) -> list:
@@ -175,7 +167,7 @@ def csm_normal_crossings(n: int, degrees) -> ChowClass:
     degrees = _arrangement(n, degrees)
     prod_inv = unit(n)
     for d in degrees:
-        prod_inv = prod_inv * line_bundle(n, d).inverse()
+        prod_inv = prod_inv * line_bundle(n, d, -1)
     return chern_tangent_pn(n) * (unit(n) - prod_inv)
 
 
@@ -184,11 +176,10 @@ def segre_singular_nc(n: int, degrees) -> ChowClass:
     arrangement: (1 - (1 - D h) / prod_i (1 - d_i h)) tensor O(D), D = sum d_i."""
     degrees = _arrangement(n, degrees)
     total = sum(degrees)
-    den = unit(n)
+    quotient = line_bundle(n, -total)
     for d in degrees:
-        den = den * line_bundle(n, -d)
-    inner = unit(n) - line_bundle(n, -total) * den.inverse()
-    return inner.tensor(total)
+        quotient = quotient * line_bundle(n, -d, -1)
+    return (unit(n) - quotient).tensor(total)
 
 
 # -- full-pipeline report -----------------------------------------------------

@@ -12,7 +12,10 @@ Besides the ring operations, the module implements the two operations on
 codimension-graded classes that drive every formula downstream: ``dual``
 (flip the sign of each odd-codimension piece) and ``tensor`` (divide the
 codimension-i piece by the i-th power of the total Chern class 1 + d*h of
-a degree-d line bundle, then re-truncate).
+a degree-d line bundle, then re-truncate).  The one constructor of a
+power (1 + d*h)^k, for every integer k, is ``line_bundle(n, d, k)``: it
+builds c(L)^k for c(L) = 1 + d*h, its inverse c(L)^-1, and
+c(TM) = (1 + h)^(n+1) (``chern_tangent_pn``), in closed form.
 """
 
 from __future__ import annotations
@@ -157,37 +160,28 @@ class ChowClass:
     def from_strings(cls, n: int, strings) -> "ChowClass":
         return cls(n, [int(s) for s in strings])
 
-    def to_h_string(self) -> str:
-        """Human form as a polynomial in h, e.g. ``2h + 3h^2``."""
+    def _signed_sum(self, monomial) -> str:
+        """The nonzero terms ``c * monomial(i)`` joined by their signs,
+        e.g. ``-h + 2h^2``; a coefficient +-1 shows only its sign unless the
+        monomial is empty.  The zero class is ``0``."""
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("h" if i == 1 else f"h^{i}")
-            if i == 0:
-                body = str(c)
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}{mono}"
-            if not parts:
-                parts.append(body if c > 0 or i == 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+            if c:
+                mono = monomial(i)
+                body = mono if abs(c) == 1 and mono else f"{abs(c)}{mono}"
+                if parts:
+                    parts.append(f"- {body}" if c < 0 else f"+ {body}")
+                else:
+                    parts.append(f"-{body}" if c < 0 else body)
+        return " ".join(parts) or "0"
+
+    def to_h_string(self) -> str:
+        """Human form as a polynomial in h, e.g. ``2h + 3h^2``."""
+        return self._signed_sum(lambda i: "" if i == 0 else "h" if i == 1 else f"h^{i}")
 
     def to_bracket_string(self) -> str:
         """Human form by dimension, e.g. ``2[P^1] + 3[P^0]``."""
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            body = f"[P^{self.n - i}]" if abs(c) == 1 else f"{abs(c)}[P^{self.n - i}]"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return self._signed_sum(lambda i: f"[P^{self.n - i}]")
 
 
 # -- constructors -----------------------------------------------------------
@@ -206,31 +200,23 @@ def hyperplane_power(n: int, k: int) -> ChowClass:
     return ChowClass(n, coeffs)
 
 
-def line_bundle(n: int, d: int) -> ChowClass:
-    """Total Chern class 1 + d*h of the degree-d line bundle on P^n."""
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    if n >= 1:
-        coeffs[1] = d
+def line_bundle(n: int, d: int, k: int = 1) -> ChowClass:
+    """(1 + d*h)^k on P^n for every integer k: the class
+    sum_j C(k, j) d^j h^j, with C(k, j) = k (k-1) ... (k-j+1) / j!.
+
+    The coefficients come from c_0 = 1, c_j = c_(j-1) (k - j + 1) d // j.
+    The division is exact: c_(j-1) (k - j + 1) d = j C(k, j) d^j, and
+    C(k, j) is an integer for every integer k (for k < 0 it is
+    (-1)^j C(j - k - 1, j)), so no sign case is needed.  With k = 1 this
+    is the total Chern class 1 + d*h of the degree-d line bundle, and
+    with k = -1 it is sum_j (-d)^j h^j.
+    """
+    coeffs = [1]
+    for j in range(1, n + 1):
+        coeffs.append(coeffs[-1] * (k - j + 1) * d // j)
     return ChowClass(n, coeffs)
-
-
-def line_bundle_power(n: int, d: int, k: int) -> ChowClass:
-    """(1 + d*h)^k on P^n for k >= 0 in closed form: the class
-    sum_j C(k, j) d^j h^j."""
-    if k < 0:
-        raise ValueError(f"exponent {k} is negative; use inverse_line_bundle")
-    return ChowClass(n, [comb(k, j) * d**j for j in range(n + 1)])
-
-
-def inverse_line_bundle(n: int, d: int) -> ChowClass:
-    """(1 + d*h)^-1 on P^n in closed form: the class sum_k (-d)^k h^k."""
-    return ChowClass(n, [(-d) ** k for k in range(n + 1)])
 
 
 def chern_tangent_pn(n: int) -> ChowClass:
     """Total Chern class of the tangent bundle of P^n: (1 + h)^(n+1) truncated."""
-    if n < 0:
-        raise ValueError("ambient dimension must be nonnegative")
-    return line_bundle_power(n, 1, n + 1)
-
+    return line_bundle(n, 1, n + 1)

@@ -78,8 +78,8 @@ def _cmd_compute(args) -> int:
         print(report.to_json())
     else:
         _render_report(report)
-        if oracle_note:
-            print(oracle_note)
+    if oracle_note:  # kept off stdout in --json mode, which holds only the report
+        print(oracle_note, file=sys.stderr if args.json else sys.stdout)
     return 0 if report.all_passed else 3
 
 
@@ -232,10 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PolynomialParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PolynomialParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RandomnessError as exc:

@@ -26,12 +26,7 @@ def smooth_chern_class(n: int, d: int) -> ChowClass:
     P^n, by adjunction: (1 + h)^(n+1) * d*h / (1 + d*h)."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and degree d >= 1; got n = {n}, d = {d}")
-    return (
-        chern_tangent_pn(n)
-        * hyperplane_power(n, 1)
-        * d
-        * line_bundle(n, d).inverse()
-    )
+    return chern_tangent_pn(n) * hyperplane_power(n, 1) * d * line_bundle(n, d, -1)
 
 
 def segre_linear_subspace(n: int, m: int) -> ChowClass:
@@ -39,7 +34,7 @@ def segre_linear_subspace(n: int, m: int) -> ChowClass:
     the inverse normal-bundle Chern class capped with the class of P^m."""
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n for a proper linear subspace")
-    return hyperplane_power(n, n - m) * (line_bundle(n, 1).inverse() ** (n - m))
+    return hyperplane_power(n, n - m) * line_bundle(n, 1, m - n)
 
 
 # -- affine Milnor oracle -----------------------------------------------------
@@ -129,16 +124,6 @@ class FixtureCase:
 
     def parse(self) -> Polynomial:
         return parse_poly(self.poly, self.n + 1)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "poly": self.poly,
-            "n": self.n,
-            "expected": self.expected,
-            "milnor_oracle": self.milnor_oracle,
-            "provenance": self.provenance,
-        }
 
 
 def load_fixtures(path) -> list[FixtureCase]:

@@ -12,7 +12,6 @@ from csmhyp.chow import (
     chern_tangent_pn,
     hyperplane_power,
     line_bundle,
-    line_bundle_power,
     unit,
 )
 
@@ -132,15 +131,15 @@ def test_chern_tangent_examples():
     assert chern_tangent_pn(3).coeffs == (1, 4, 6, 4)
 
 
-def test_line_bundle_power_matches_repeated_products():
+def test_line_bundle_matches_the_powers_of_1_plus_dh():
+    # Reference: ChowClass.__pow__, by repeated products and, for k < 0,
+    # ChowClass.inverse().
     for n in range(7):
         for a in range(-3, 7):
-            for k in range(9):
-                got = line_bundle_power(n, a, k)
+            for k in range(-8, 9):
+                got = line_bundle(n, a, k)
                 assert got == line_bundle(n, a) ** k, (n, a, k)
                 assert all(type(c) is int for c in got.coeffs)
-    with pytest.raises(ValueError):
-        line_bundle_power(2, 1, -1)
 
 
 def test_integral_examples():
@@ -215,7 +214,23 @@ def test_int_and_fraction_coefficients_give_the_same_classes():
 
 
 def test_rendering():
-    a = ChowClass(2, [0, 2, 3])
-    assert a.to_h_string() == "2h + 3h^2"
-    assert a.to_bracket_string() == "2[P^1] + 3[P^0]"
-    assert ChowClass(2, [0, 0, 0]).to_h_string() == "0"
+    # Signs, +-1 coefficients, a negative constant or leading term, P^0 and
+    # the zero class, in both string forms.
+    table = [
+        (2, [0, 2, 3], "2h + 3h^2", "2[P^1] + 3[P^0]"),
+        (2, [0, 0, 0], "0", "0"),
+        (0, [0], "0", "0"),
+        (0, [1], "1", "[P^0]"),
+        (0, [-1], "-1", "-[P^0]"),
+        (0, [-7], "-7", "-7[P^0]"),
+        (2, [1, -1, 1], "1 - h + h^2", "[P^2] - [P^1] + [P^0]"),
+        (2, [-1, 1, -1], "-1 + h - h^2", "-[P^2] + [P^1] - [P^0]"),
+        (3, [-4, 0, 2, -3], "-4 + 2h^2 - 3h^3", "-4[P^3] + 2[P^1] - 3[P^0]"),
+        (3, [0, -1, 0, 5], "-h + 5h^3", "-[P^2] + 5[P^0]"),
+        (3, [0, 0, -12, -1], "-12h^2 - h^3", "-12[P^1] - [P^0]"),
+        (1, [1, -2], "1 - 2h", "[P^1] - 2[P^0]"),
+    ]
+    for n, coeffs, h_form, bracket_form in table:
+        c = ChowClass(n, coeffs)
+        assert c.to_h_string() == h_form, coeffs
+        assert c.to_bracket_string() == bracket_form, coeffs

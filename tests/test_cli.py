@@ -65,6 +65,17 @@ def test_compute_with_milnor_oracle_verify(capsys):
     assert {"name": "milnor_affine_oracle", "pass": True} in payload["verification"]
 
 
+def test_compute_json_says_on_stderr_that_the_oracle_was_skipped(capsys):
+    # Two planes in P^3 meet along a line: the affine Milnor oracle has no
+    # finite count to compare, so --verify adds no verdict.  The note goes
+    # to stderr and leaves the JSON on stdout as it is without --verify.
+    argv = ("compute", "x0*x1", "--nvars", "4", "--json", "--seed", "101")
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert code == 0 and json.loads(out)["verification"] == []
+    assert err == "affine Milnor oracle: non-isolated singular locus, skipped\n"
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
 def test_compute_parse_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "x0 +", "--nvars", "3")
     assert code == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -164,7 +165,7 @@ def test_fixture_milnor_oracle_agreement():
 def test_fixture_json_round_trip(tmp_path):
     fixtures = default_fixtures()
     path = tmp_path / "corpus.json"
-    path.write_text(json.dumps([f.to_json() for f in fixtures]), encoding="utf-8")
+    path.write_text(json.dumps([dataclasses.asdict(f) for f in fixtures]), encoding="utf-8")
     loaded = load_fixtures(path)
     assert loaded == fixtures
 

@@ -8,6 +8,8 @@ import io
 import os
 from types import SimpleNamespace
 
+import pytest
+
 from csmhyp.charclasses import build_report
 from csmhyp.poly import parse_poly
 
@@ -73,6 +75,15 @@ def test_main_runs_a_perfbench_workload_and_exits_0(capsys):
                       "--seed-pairs", "1", "--prime", "32003", "--prime", "65537"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "0 of 18 reports differ"
+
+
+def test_an_unknown_workload_is_a_usage_error(capsys):
+    pair = _pair()
+    with pytest.raises(SystemExit) as exit_info:
+        pair.main([ROOT, ROOT, "--workload", "nosuch"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid choice" in err and "nosuch" in err
 
 
 def test_an_ignored_key_is_left_out_of_the_comparison(monkeypatch):
