@@ -4,10 +4,14 @@ Buchberger's algorithm with the sugar selection strategy (pairs by sugar,
 then by lcm; on homogeneous input this is the normal strategy's order),
 the Gebauer-Moeller pair update and a first-divisor memo in the reducer; full
 multivariate division for normal forms; saturation by one element via the
-extra-variable elimination method, tail-reducing only the t-free part it
-returns; and Hilbert-series extraction of projective dimension and degree,
-and of the colength of an Artinian ideal, from a monomial ideal of leading
-terms.
+extra-variable elimination method, keeping only the t-free part; and
+Hilbert-series extraction of projective dimension and degree, and of the
+colength of an Artinian ideal, from a monomial ideal of leading terms.
+
+A computed basis is kept minimalized and packed.  R/I and R/in(I) have
+the same Hilbert function, so the counts read only its leading terms;
+the tail reduction to the reduced basis, and the unpack into
+``Polynomial`` values, run only when a caller first reads its ``gens``.
 
 All heavy computation is modular: the engine refuses rational
 coefficients.  Polynomials need not be homogeneous (saturation adjoins an
@@ -44,7 +48,6 @@ from __future__ import annotations
 import functools
 import heapq
 import struct
-from dataclasses import dataclass, field as dc_field
 
 from .poly import Polynomial
 
@@ -223,14 +226,10 @@ def _spoly(gi, li, gj, lj, L, guard, p):
     return out
 
 
-def _reduced_basis(G, lts, lay, p):
-    """Minimalize and tail-reduce a monic Groebner basis.
-
-    Returns ``(leads, polys)`` sorted lead-descending.  Each tail is
-    reduced against every kept element, its own included: the tail lies
-    below its lead, so only the other leads can divide it, and one memo
-    serves all the tails.  Each leading term is kept with coefficient 1.
-    """
+def _minimal_basis(G, lts, lay):
+    """The elements of a monic Groebner basis whose lead no other lead
+    divides, as ``(leads, polys)`` sorted lead-descending.  Ascending,
+    a lead's divisors come before it, so only kept ones are tested."""
     key, guard = lay.key, lay.guard
     leads, polys = [], []
     for i in sorted(range(len(G)), key=lambda i: key(lts[i])):
@@ -238,6 +237,16 @@ def _reduced_basis(G, lts, lay, p):
         if all((lt - m) & guard for m in leads):
             leads.append(lt)
             polys.append(G[i])
+    return leads[::-1], polys[::-1]
+
+
+def _tail_reduced(leads, polys, lay, p):
+    """The reduced basis of the minimal monic Groebner basis
+    ``(leads, polys)``, in its order.  Each tail is reduced against every
+    element, its own included: the tail lies below its lead, so only the
+    other leads can divide it, and one memo serves all the tails.  A
+    normal form modulo a Groebner basis is unique, so the result does not
+    depend on the order of the divisors."""
     memo = {}
     out = []
     for lt, g in zip(leads, polys):
@@ -246,7 +255,7 @@ def _reduced_basis(G, lts, lay, p):
         r = {lt: 1}
         r.update(_reduce_full(tail, leads, polys, lay, p, memo))
         out.append(r)
-    return leads[::-1], out[::-1]
+    return out
 
 
 def _buchberger(gens, lay, p):
@@ -343,32 +352,81 @@ def _buchberger(gens, lay, p):
 # -- public polynomial-level API ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class IdealBasis:
     """A generating set of an ideal, optionally certified Groebner.
 
-    When ``groebner`` is set the generators form the reduced grevlex
-    basis and ``leading_terms`` caches their leading monomials.
+    ``IdealBasis(gens)`` holds a caller's generators as given.  A basis
+    that ``buchberger`` or ``saturate`` returns is certified Groebner and
+    carries its minimal monic basis packed, lead-descending;
+    ``leading_terms`` holds those leads at once.  Its ``gens``, the
+    reduced grevlex basis as ``Polynomial`` values in the same order, are
+    built on their first read, by tail-reducing and unpacking the carried
+    elements, and then kept.  ``nvars``, ``field`` and ``is_zero_ideal``
+    read the carried data, so a caller that needs only the leading terms,
+    as the Hilbert-function counts do, never pays for the reduction.
     """
 
-    gens: tuple = ()
-    groebner: bool = False
-    leading_terms: tuple = dc_field(default_factory=tuple)
+    __slots__ = ("groebner", "leading_terms", "_gens", "_computed")
+
+    def __init__(self, gens: tuple = (), groebner: bool = False,
+                 leading_terms: tuple = ()):
+        self._gens = tuple(gens)
+        self.groebner = groebner
+        self.leading_terms = tuple(leading_terms)
+        self._computed = None  # (leads, polys, layout, ring) when computed
+
+    @classmethod
+    def _from_packed(cls, leads, polys, lay, ring: Polynomial) -> IdealBasis:
+        """The computed basis of the minimal monic Groebner basis
+        ``(leads, polys)``, lead-descending, in the ring of ``ring``."""
+        basis = cls((), True, map(lay.unpack, leads))
+        basis._gens = None
+        basis._computed = (leads, polys, lay, ring)
+        return basis
+
+    @property
+    def gens(self) -> tuple:
+        if self._gens is None:
+            leads, polys, lay, ring = self._computed
+            unpack = lay.unpack
+            self._gens = tuple(
+                ring._wrap({unpack(m): c for m, c in d.items()})
+                for d in _tail_reduced(leads, polys, lay, ring.field.p)
+            )
+        return self._gens
+
+    def _ring_gens(self) -> tuple:
+        """The polynomials that carry the ring: a caller's generators, or
+        the one a computed basis keeps, whose ring all its elements share."""
+        return self._gens if self._computed is None else (self._computed[3],)
+
+    def _packed_elements(self, lay: _Layout) -> tuple:
+        """``(leads, polys)`` as packed ints and term dicts: a computed
+        basis's carried elements, or a caller's leading terms and
+        generators packed by ``lay``."""
+        if self._computed is not None:
+            return self._computed[:2]
+        return (
+            [lay.pack(m) for m in self.leading_terms],
+            [_packed(g, lay) for g in self._gens],
+        )
 
     @property
     def nvars(self) -> int:
-        if not self.gens:
+        gens = self._ring_gens()
+        if not gens:
             raise ValueError("empty basis carries no ring data")
-        return self.gens[0].nvars
+        return gens[0].nvars
 
     @property
     def field(self):
-        if not self.gens:
+        gens = self._ring_gens()
+        if not gens:
             raise ValueError("empty basis carries no ring data")
-        return self.gens[0].field
+        return gens[0].field
 
     def is_zero_ideal(self) -> bool:
-        return not self.gens
+        return not self._ring_gens()
 
 
 def _require_modular(gens):
@@ -387,29 +445,22 @@ def _packed(f: Polynomial, lay: _Layout) -> dict:
     return {pack(m): c for m, c in f.terms.items()}
 
 
-def _unpacked_basis(leads, polys, lay, template) -> IdealBasis:
-    unpack = lay.unpack
-    gens = tuple(
-        template._wrap({unpack(m): c for m, c in d.items()}) for d in polys
-    )
-    return IdealBasis(gens, True, tuple(unpack(m) for m in leads))
-
-
 def buchberger(gens) -> IdealBasis:
-    """Reduced Groebner basis (grevlex) of the ideal the generators span."""
+    """Groebner basis (grevlex) of the ideal the generators span; its
+    ``gens`` are the reduced basis, built when first read."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return IdealBasis((), True, ())
     field, nvars = _require_modular(gens)
     lay = _layout(nvars)
     G, lts = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
-    leads, polys = _reduced_basis(G, lts, lay, field.p)
-    return _unpacked_basis(leads, polys, lay, gens[0])
+    return IdealBasis._from_packed(*_minimal_basis(G, lts, lay), lay, gens[0])
 
 
 def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     """Remainder of f under division by a Groebner basis; zero iff f lies
-    in the ideal."""
+    in the ideal.  The remainder modulo a Groebner basis is unique, so a
+    computed basis divides by its carried elements, unreduced."""
     if not basis.groebner:
         raise ValueError("normal form requires a Groebner basis")
     if basis.is_zero_ideal():
@@ -418,14 +469,8 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
     lay = _layout(basis.nvars)
-    r = _reduce_full(
-        _packed(f, lay),
-        [lay.pack(m) for m in basis.leading_terms],
-        [_packed(g, lay) for g in basis.gens],
-        lay,
-        field.p,
-        {},
-    )
+    leads, polys = basis._packed_elements(lay)
+    r = _reduce_full(_packed(f, lay), leads, polys, lay, field.p, {})
     unpack = lay.unpack
     return f._wrap({unpack(m): c for m, c in r.items()})
 
@@ -438,25 +483,27 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
 
     Computed as (I + (1 - t*g)) intersect k[x] with one elimination of the
     auxiliary variable t; only the t-free elements of that basis are
-    minimalized and tail-reduced.  I need not be given by a Groebner
-    basis: its generators go straight into that elimination, and the
-    result is the reduced basis whatever generators I has.  Removes from
-    V(I) every component on which g vanishes.  For a larger ideal J'
-    containing g, I : J'^infty lies in I : g^infty, with equality when g
-    lies in no associated prime of I that misses J'; a random combination
-    of generators of J' is such a g with high probability.
+    minimalized, and they are tail-reduced only when the result's ``gens``
+    are first read.  I need not be given by a Groebner basis: its
+    generators, or a computed basis's carried elements, go straight into
+    that elimination, and the result is the reduced basis whatever
+    generators I has.  Removes from V(I) every component on which g
+    vanishes.  For a larger ideal J' containing g, I : J'^infty lies in
+    I : g^infty, with equality when g lies in no associated prime of I
+    that misses J'; a random combination of generators of J' is such a g
+    with high probability.
     """
     if len(J.gens) != 1:
         raise ValueError(
             f"saturate takes a principal ideal (one generator), got {len(J.gens)}"
         )
-    if not I.gens:
+    if I.is_zero_ideal():
         return IdealBasis((), True, ())
-    field, nvars = _require_modular(list(I.gens) + list(J.gens))
+    field, nvars = _require_modular(list(I._ring_gens()) + list(J.gens))
     p = field.p
     lay = _layout(nvars)
     t = 1 << lay.tshift
-    ext = [_packed(g, lay) for g in I.gens]
+    ext = list(I._packed_elements(lay)[1])
     rel = {lay.pack(m) + t: -c % p for m, c in J.gens[0].terms.items()}
     rel[0] = 1  # 1 - t*g
     ext.append(rel)
@@ -467,10 +514,8 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     # them alone gives its reduced grevlex basis.
     G, lts = _buchberger(ext, lay, p)
     free = [i for i, m in enumerate(lts) if m < t]
-    leads, polys = _reduced_basis(
-        [G[i] for i in free], [lts[i] for i in free], lay, p
-    )
-    return _unpacked_basis(leads, polys, lay, I.gens[0])
+    leads, polys = _minimal_basis([G[i] for i in free], [lts[i] for i in free], lay)
+    return IdealBasis._from_packed(leads, polys, lay, I._ring_gens()[0])
 
 
 # -- Hilbert series of a monomial ideal ----------------------------------------

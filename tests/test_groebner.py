@@ -17,6 +17,8 @@ from math import comb
 
 import pytest
 
+from csmhyp import groebner
+from csmhyp.charclasses import build_report
 from csmhyp.groebner import (
     LIMIT,
     IdealBasis,
@@ -28,6 +30,7 @@ from csmhyp.groebner import (
     saturate,
     standard_monomial_count,
 )
+from csmhyp.oracles import affine_milnor_total, default_fixtures
 from csmhyp.poly import (
     Polynomial,
     PrimeField,
@@ -306,7 +309,38 @@ def _random_ideal(rng, family):
     return nvars, gens
 
 
-def test_buchberger_matches_a_criteria_free_reference():
+@pytest.fixture
+def tail_reductions(monkeypatch):
+    """The calls of the deferred tail reduction, recorded as they run."""
+    real = groebner._tail_reduced
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_tail_reduced", recording)
+    return calls
+
+
+def assert_reduced_on_first_read(basis, calls):
+    """Reads of a computed basis other than ``gens`` run no tail reduction;
+    the first read of ``gens`` runs one and a second read returns the same
+    tuple, whose leading monomials are ``leading_terms`` in order."""
+    before = len(calls)
+    assert not basis.is_zero_ideal()
+    nvars, field = basis.nvars, basis.field
+    dim_degree(basis)
+    assert len(calls) == before
+    gens = basis.gens
+    assert len(calls) == before + 1
+    assert basis.gens is gens
+    assert len(calls) == before + 1
+    assert all(g.nvars == nvars and g.field == field for g in gens)
+    assert basis.leading_terms == tuple(max(g.terms, key=grevlex_key) for g in gens)
+
+
+def test_buchberger_matches_a_criteria_free_reference(tail_reductions):
     # Reduced bases are unique, so dropping pairs by the criteria, and the
     # first-divisor memo, must not change any basis.
     field = PrimeField(SMALL)
@@ -315,10 +349,11 @@ def test_buchberger_matches_a_criteria_free_reference():
     for k in range(600):
         nvars, gens = _random_ideal(rng, families[k % 5])
         got = buchberger([Polynomial(nvars, g, field) for g in gens])
+        assert_reduced_on_first_read(got, tail_reductions)
         assert _terms(got) == reference_reduced_basis(gens, SMALL), (nvars, gens)
 
 
-def test_saturate_matches_a_criteria_free_elimination():
+def test_saturate_matches_a_criteria_free_elimination(tail_reductions):
     # I : g^infty is the t-free part of the reduced basis of I + (1 - t*g)
     # in an order comparing the t exponent first.
     field = PrimeField(SMALL)
@@ -344,6 +379,7 @@ def test_saturate_matches_a_criteria_free_elimination():
             IdealBasis(tuple(Polynomial(nvars, f, field) for f in gens)),
             IdealBasis((Polynomial(nvars, g, field),)),
         )
+        assert_reduced_on_first_read(got, tail_reductions)
         assert _terms(got) == expected, (gens, g)
 
 
@@ -475,7 +511,7 @@ def _random_form(rng, nvars, d):
             return Polynomial(nvars, terms, GF)
 
 
-def test_saturate_of_raw_generators_matches_saturate_of_their_basis():
+def test_saturate_of_raw_generators_matches_saturate_of_their_basis(tail_reductions):
     # The cuts of the projective-degree computation: i random combinations
     # of the partials of F and n - i random hyperplanes, saturated by one
     # more combination of the partials.  The reduced basis of an ideal is
@@ -496,8 +532,34 @@ def test_saturate_of_raw_generators_matches_saturate_of_their_basis():
             gens += [random_linear_combination(xs, rng) for _ in range(nvars - 1 - i)]
             raw = saturate(IdealBasis(tuple(gens)), J)
             via_basis = saturate(buchberger(gens), J)
+            # the elimination and the normal form take a computed basis's
+            # elements unreduced
+            assert normal_form(J.gens[0] * gens[0], via_basis).is_zero
+            assert not tail_reductions
             assert raw.gens == via_basis.gens
             assert raw.leading_terms == via_basis.leading_terms
+            tail_reductions.clear()
+
+
+def test_the_pipeline_and_the_milnor_oracle_never_reduce_a_basis(
+    monkeypatch, bench_workloads
+):
+    # The projective degrees are Hilbert-function counts, which read only
+    # leading terms, so no report needs a basis tail-reduced or unpacked;
+    # nor does the Milnor oracle, which saturates a computed basis.
+    def refuse(*args):
+        raise AssertionError("a Groebner basis was tail-reduced")
+
+    monkeypatch.setattr(groebner, "_tail_reduced", refuse)
+    for workload in ("corpus", "nonisolated"):
+        for case in bench_workloads.WORKLOADS[workload]():
+            report = build_report(case.poly, case.nvars)
+            got = report.to_json_dict()
+            assert {k: got.get(k) for k in case.expected} == case.expected, case.name
+            assert report.all_passed, case.name
+    for fix in default_fixtures():
+        if fix.milnor_oracle is not None:
+            assert affine_milnor_total(fix.parse()) == fix.milnor_oracle, fix.name
 
 
 def test_saturate_takes_a_principal_ideal_only():
