@@ -353,80 +353,80 @@ def _buchberger(gens, lay, p):
 
 
 class IdealBasis:
-    """A generating set of an ideal, optionally certified Groebner.
+    """A generating set of an ideal, or a Groebner basis that ``buchberger``
+    or ``saturate`` computed.
 
-    ``IdealBasis(gens)`` holds a caller's generators as given.  A basis
-    that ``buchberger`` or ``saturate`` returns is certified Groebner and
-    carries its minimal monic basis packed, lead-descending;
-    ``leading_terms`` holds those leads at once.  Its ``gens``, the
-    reduced grevlex basis as ``Polynomial`` values in the same order, are
-    built on their first read, by tail-reducing and unpacking the carried
-    elements, and then kept.  ``nvars``, ``field`` and ``is_zero_ideal``
-    read the carried data, so a caller that needs only the leading terms,
-    as the Hilbert-function counts do, never pays for the reduction.
+    ``IdealBasis(gens)`` holds a caller's generators as given: a
+    generating set, whatever they are, whose ``groebner`` is false and
+    whose ``leading_terms`` raise ``ValueError``.  Only ``buchberger`` and
+    ``saturate`` return a Groebner basis, the zero ideal included, and the
+    read-only ``groebner`` is true exactly for those.  A computed basis
+    carries its minimal monic basis packed, lead-descending, and its
+    ``leading_terms`` are those leads.  Its ``gens``, the reduced grevlex
+    basis as ``Polynomial`` values in the same order, are built on their
+    first read, by tail-reducing and unpacking the carried elements, and
+    then kept.  ``nvars``, ``field`` and ``is_zero_ideal`` read the
+    carried data, so a caller that needs only the leading terms, as the
+    Hilbert-function counts do, never pays for the reduction.
     """
 
-    __slots__ = ("groebner", "leading_terms", "_gens", "_computed")
+    __slots__ = ("_gens", "_ring", "_computed")
 
-    def __init__(self, gens: tuple = (), groebner: bool = False,
-                 leading_terms: tuple = ()):
-        self._gens = tuple(gens)
-        self.groebner = groebner
-        self.leading_terms = tuple(leading_terms)
-        self._computed = None  # (leads, polys, layout, ring) when computed
+    def __init__(self, gens: tuple = ()):
+        # ``_ring`` holds the polynomials that carry the ring: a caller's
+        # generators, or the one a computed basis keeps, whose ring all
+        # its elements share; the zero ideal has none.
+        self._gens = self._ring = tuple(gens)
+        self._computed = None  # (leads, polys, layout) when computed
 
     @classmethod
-    def _from_packed(cls, leads, polys, lay, ring: Polynomial) -> IdealBasis:
+    def _from_packed(cls, leads=(), polys=(), lay=None, ring=None) -> IdealBasis:
         """The computed basis of the minimal monic Groebner basis
-        ``(leads, polys)``, lead-descending, in the ring of ``ring``."""
-        basis = cls((), True, map(lay.unpack, leads))
-        basis._gens = None
-        basis._computed = (leads, polys, lay, ring)
+        ``(leads, polys)``, lead-descending, in the ring of the polynomial
+        ``ring``; with no arguments, the zero ideal, which has no ring."""
+        basis = cls()
+        if leads:
+            basis._gens, basis._ring = None, (ring,)
+        basis._computed = (leads, polys, lay)
         return basis
+
+    @property
+    def groebner(self) -> bool:
+        return self._computed is not None
+
+    @property
+    def leading_terms(self) -> tuple:
+        if self._computed is None:
+            raise ValueError("a generating set has no leading terms")
+        leads, _, lay = self._computed
+        return tuple(lay.unpack(m) for m in leads)
 
     @property
     def gens(self) -> tuple:
         if self._gens is None:
-            leads, polys, lay, ring = self._computed
-            unpack = lay.unpack
+            leads, polys, lay = self._computed
+            ring, unpack = self._ring[0], lay.unpack
             self._gens = tuple(
                 ring._wrap({unpack(m): c for m, c in d.items()})
                 for d in _tail_reduced(leads, polys, lay, ring.field.p)
             )
         return self._gens
 
-    def _ring_gens(self) -> tuple:
-        """The polynomials that carry the ring: a caller's generators, or
-        the one a computed basis keeps, whose ring all its elements share."""
-        return self._gens if self._computed is None else (self._computed[3],)
-
-    def _packed_elements(self, lay: _Layout) -> tuple:
-        """``(leads, polys)`` as packed ints and term dicts: a computed
-        basis's carried elements, or a caller's leading terms and
-        generators packed by ``lay``."""
-        if self._computed is not None:
-            return self._computed[:2]
-        return (
-            [lay.pack(m) for m in self.leading_terms],
-            [_packed(g, lay) for g in self._gens],
-        )
+    def _ring_poly(self) -> Polynomial:
+        if not self._ring:
+            raise ValueError("empty basis carries no ring data")
+        return self._ring[0]
 
     @property
     def nvars(self) -> int:
-        gens = self._ring_gens()
-        if not gens:
-            raise ValueError("empty basis carries no ring data")
-        return gens[0].nvars
+        return self._ring_poly().nvars
 
     @property
     def field(self):
-        gens = self._ring_gens()
-        if not gens:
-            raise ValueError("empty basis carries no ring data")
-        return gens[0].field
+        return self._ring_poly().field
 
     def is_zero_ideal(self) -> bool:
-        return not self._ring_gens()
+        return not self._ring
 
 
 def _require_modular(gens):
@@ -450,7 +450,7 @@ def buchberger(gens) -> IdealBasis:
     ``gens`` are the reduced basis, built when first read."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return IdealBasis((), True, ())
+        return IdealBasis._from_packed()
     field, nvars = _require_modular(gens)
     lay = _layout(nvars)
     G, lts = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
@@ -458,9 +458,11 @@ def buchberger(gens) -> IdealBasis:
 
 
 def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
-    """Remainder of f under division by a Groebner basis; zero iff f lies
-    in the ideal.  The remainder modulo a Groebner basis is unique, so a
-    computed basis divides by its carried elements, unreduced."""
+    """Remainder of f under division by a Groebner basis that
+    ``buchberger`` or ``saturate`` returned; zero iff f lies in the ideal.
+    A generating set ``IdealBasis(gens)`` raises ``ValueError``.  The
+    remainder modulo a Groebner basis is unique, so the basis divides by
+    its carried monic elements, unreduced."""
     if not basis.groebner:
         raise ValueError("normal form requires a Groebner basis")
     if basis.is_zero_ideal():
@@ -468,8 +470,7 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     field = basis.field
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
-    lay = _layout(basis.nvars)
-    leads, polys = basis._packed_elements(lay)
+    leads, polys, lay = basis._computed
     r = _reduce_full(_packed(f, lay), leads, polys, lay, field.p, {})
     unpack = lay.unpack
     return f._wrap({unpack(m): c for m, c in r.items()})
@@ -498,12 +499,12 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
             f"saturate takes a principal ideal (one generator), got {len(J.gens)}"
         )
     if I.is_zero_ideal():
-        return IdealBasis((), True, ())
-    field, nvars = _require_modular(list(I._ring_gens()) + list(J.gens))
+        return IdealBasis._from_packed()
+    field, nvars = _require_modular(list(I._ring) + list(J.gens))
     p = field.p
     lay = _layout(nvars)
     t = 1 << lay.tshift
-    ext = list(I._packed_elements(lay)[1])
+    ext = list(I._computed[1]) if I.groebner else [_packed(g, lay) for g in I.gens]
     rel = {lay.pack(m) + t: -c % p for m, c in J.gens[0].terms.items()}
     rel[0] = 1  # 1 - t*g
     ext.append(rel)
@@ -515,7 +516,7 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     G, lts = _buchberger(ext, lay, p)
     free = [i for i, m in enumerate(lts) if m < t]
     leads, polys = _minimal_basis([G[i] for i in free], [lts[i] for i in free], lay)
-    return IdealBasis._from_packed(leads, polys, lay, I._ring_gens()[0])
+    return IdealBasis._from_packed(leads, polys, lay, I._ring[0])
 
 
 # -- Hilbert series of a monomial ideal ----------------------------------------
@@ -669,7 +670,9 @@ def standard_monomial_count(monomials, nvars: int):
 
 
 def dim_degree(I: IdealBasis):
-    """Projective dimension and degree of Proj of the quotient by I.
+    """Projective dimension and degree of Proj of the quotient by I, a
+    Groebner basis that ``buchberger`` or ``saturate`` returned; a
+    generating set ``IdealBasis(gens)`` raises ``ValueError``.
 
     Returns ``(dim, degree)`` with ``dim = None`` (and degree 0) for the
     empty scheme.  The degree of a zero-dimensional scheme is the stable
@@ -678,6 +681,6 @@ def dim_degree(I: IdealBasis):
     if not I.groebner:
         raise ValueError("dim_degree requires a Groebner basis")
     if I.is_zero_ideal():
-        raise ValueError("dim_degree of the zero ideal needs ring data; pass generators")
+        raise ValueError("dim_degree of the zero ideal needs ring data")
     krull, degree = _krull_degree(I.leading_terms, I.nvars)
     return (krull - 1, degree) if krull > 0 else (None, 0)

@@ -129,13 +129,16 @@ class FixtureCase:
 def load_fixtures(path) -> list[FixtureCase]:
     """Read a fixture corpus from a JSON list of FixtureCase dicts.
 
-    A row without ``name``, ``poly`` or ``n``, with a key that is not a
-    ``FixtureCase`` field, a non-string ``poly``, a non-object ``expected``
-    or a non-integer ``n`` or ``milnor_oracle``, raises ``ValueError``
-    naming the row and key.
+    A corpus that is not a JSON list, or a row that is not a JSON object,
+    raises ``ValueError``.  So does a row without ``name``, ``poly`` or
+    ``n``, with a key that is not a ``FixtureCase`` field, a non-string
+    ``poly``, a non-object ``expected`` or a non-integer ``n`` or
+    ``milnor_oracle``; the message names the row and key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError(f"fixture corpus is not a JSON list: {raw!r:.40}")
     allowed = {f.name for f in fields(FixtureCase)}
     out = []
     for k, row in enumerate(raw):

@@ -207,11 +207,15 @@ class SingularSchemeData:
 
     d: int
     n: int
-    is_smooth: bool
     dim_y: object  # int or None for the empty scheme
     deg_y: int
     partials: tuple = ()
     columns: tuple = ()
+
+    @property
+    def is_smooth(self) -> bool:
+        """Whether the jacobian scheme Y is empty."""
+        return self.dim_y is None
 
     @property
     def codim(self) -> int:
@@ -242,7 +246,6 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     return SingularSchemeData(
         d=d,
         n=n,
-        is_smooth=dim_y is None,
         dim_y=dim_y,
         deg_y=deg_y,
         partials=partials,
@@ -552,11 +555,11 @@ def _variables(field, nvars) -> tuple:
     return tuple(variable(nvars, k, field) for k in range(nvars))
 
 
-def _chart_degree(forms, base_locus: IdealBasis, n: int):
-    """``g_i`` of the cut by ``forms`` in P^n, saturated by the one
-    generator of ``base_locus``, which is already dehomogenized: the
-    colength of the saturation in the chart x_n = 1.  ``None`` when the
-    residual is positive-dimensional off x_n = 0; 0 when it is empty.
+def _chart_degree(forms, g, n: int):
+    """``g_i`` of the cut by ``forms`` in P^n, saturated by the form g:
+    the colength of the saturation in the chart x_n = 1, where the forms
+    and g are dehomogenized.  ``None`` when the residual is
+    positive-dimensional off x_n = 0; 0 when it is empty.
 
     A zero-dimensional scheme that misses x_n = 0 has the colength of
     its ideal in that chart as its degree (Cox, Little and O'Shea,
@@ -570,7 +573,7 @@ def _chart_degree(forms, base_locus: IdealBasis, n: int):
     forms and hyperplanes that happens with probability about 1/p.
     """
     cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
-    residual = saturate(cut, base_locus)
+    residual = saturate(cut, IdealBasis((g.dehomogenize(n),)))
     return standard_monomial_count(residual.leading_terms, n)
 
 
@@ -641,8 +644,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
                 xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
                 forms, rest = _reduced_cut(partials, rows, base_row, p)
-                locus = IdealBasis((rest.dehomogenize(n),))
-                gi = _chart_degree(forms + planes, locus, n)
+                gi = _chart_degree(forms + planes, rest, n)
             if gi is not None:
                 g.append(gi)
                 break

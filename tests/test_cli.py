@@ -265,6 +265,17 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         assert "row 1" in err and key in err
 
 
+def test_verify_corpus_that_is_not_a_list_exits_2(capsys, tmp_path):
+    # An object or a string would be iterated over its keys or characters,
+    # and a number or null would not be iterable at all.
+    for body in ("5", "null", '{"a": 1}', '"abc"'):
+        path = tmp_path / "bad.json"
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert_one_error_line(code, out, err)
+        assert "not a JSON list" in err, body
+
+
 def test_verify_mistyped_fixture_values_exit_2(capsys, tmp_path):
     good = {"name": "two_lines", "poly": "x0*x1", "n": 2}
     bad_rows = [

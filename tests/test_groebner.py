@@ -160,9 +160,44 @@ def test_normal_form_examples():
 
 
 def test_normal_form_requires_groebner_flag():
-    raw = IdealBasis((gf("x0", 3),), False, ())
+    raw = IdealBasis((gf("x0", 3),))
     with pytest.raises(ValueError):
         normal_form(gf("x0", 3), raw)
+
+
+def test_a_caller_cannot_claim_a_groebner_basis():
+    # Only buchberger and saturate make a Groebner basis: a caller's
+    # generators are a generating set, whatever they are.
+    x0 = gf("x0", 2)
+    with pytest.raises(TypeError):
+        IdealBasis((x0,), True)
+    with pytest.raises(TypeError):
+        IdealBasis((x0,), groebner=True)
+    with pytest.raises(TypeError):
+        IdealBasis((x0,), leading_terms=((1, 0),))
+    raw = IdealBasis((x0,))
+    assert not raw.groebner
+    with pytest.raises(AttributeError):
+        raw.groebner = True
+    with pytest.raises(ValueError):
+        raw.leading_terms
+    assert buchberger([x0]).groebner and buchberger([]).groebner
+    assert saturate(raw, IdealBasis((gf("x1", 2),))).groebner
+
+
+def test_generating_sets_are_refused_and_computed_bases_are_right():
+    # At p = 101, x0 = -x1/2 = 50*x1 modulo 2*x0 + x1.  Monic division by
+    # the engine's own basis gives it; a generating set is refused, as it
+    # is by dim_degree.  The point x0 = 0 of P^1 has dimension 0, degree 1.
+    p = 101
+    x0, line = gf("x0", 2, p), gf("2*x0 + x1", 2, p)
+    assert normal_form(x0, buchberger([line])) == gf("50*x1", 2, p)
+    raw = IdealBasis((line,))
+    with pytest.raises(ValueError, match="Groebner"):
+        normal_form(x0, raw)
+    with pytest.raises(ValueError, match="Groebner"):
+        dim_degree(raw)
+    assert dim_degree(buchberger([x0])) == (0, 1)
 
 
 def test_membership_soundness_spot_check():
@@ -668,8 +703,6 @@ def test_hilbert_numerator_rejects_bad_monomials():
     assert hilbert_numerator([(LIMIT, 0)], 2) == [1] + [0] * (LIMIT - 1) + [-1]
     with pytest.raises(ValueError, match=f"exceeds {LIMIT}"):
         hilbert_numerator([(LIMIT + 1, 0, 0)], 3)
-    with pytest.raises(ValueError, match=f"exceeds {LIMIT}"):
-        dim_degree(IdealBasis((gf("x0", 2),), True, ((0, LIMIT + 1),)))
 
 
 def brute_standard_monomial_count(gens, nvars):

@@ -1215,7 +1215,7 @@ def test_chart_cuts_match_the_projective_elimination():
                     continue
                 residual = saturate(IdealBasis(tuple(cut)), IdealBasis((g,)))
                 dim, deg = dim_degree(residual)
-                got = _chart_degree(cut, IdealBasis((g.dehomogenize(n),)), n)
+                got = _chart_degree(cut, g, n)
                 where = (text, p, i, kind)
                 if dim is None:
                     assert got == 0, where
@@ -1251,7 +1251,7 @@ def test_the_chart_count_can_only_lose_points_at_infinity():
         ((x0, x1), x0 + x1.scale(2), (0, 0)),
     ]:
         dim, deg = dim_degree(saturate(IdealBasis(forms), IdealBasis((g,))))
-        chart = _chart_degree(forms, IdealBasis((g.dehomogenize(2),)), 2)
+        chart = _chart_degree(forms, g, 2)
         assert (deg, chart) == want, (forms, g)
         assert dim == (0 if deg else None)
 
@@ -1271,7 +1271,6 @@ def test_row_reduced_chart_cuts_count_as_the_dense_draws():
     # (rank below i) and a g in the span of the forms, which reduces to
     # 0 and counts 0 both ways.  Each echelon row is 0 at the others'
     # pivots and the reduced g at all of them.
-    from csmhyp.groebner import IdealBasis
     from csmhyp.oracles import default_fixtures
     from csmhyp.poly import _random_row
     from csmhyp.segre import _chart_degree, _combination, _reduced_cut
@@ -1302,9 +1301,9 @@ def test_row_reduced_chart_cuts_count_as_the_dense_draws():
                     g_row = [sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(k)]
                 dense = [_combination(partials, r, p) for r in rows]
                 g = _combination(partials, g_row, p)
-                want = _chart_degree(dense + planes, IdealBasis((g.dehomogenize(n),)), n)
+                want = _chart_degree(dense + planes, g, n)
                 forms, rest = _reduced_cut(partials, rows, g_row, p)
-                got = _chart_degree(forms + planes, IdealBasis((rest.dehomogenize(n),)), n)
+                got = _chart_degree(forms + planes, rest, n)
                 where = (text, p, i, kind)
                 assert got == want, where
                 assert len(forms) <= i - (kind == "repeat"), where
@@ -1416,7 +1415,6 @@ def test_cuts_at_or_above_the_rank_of_the_partials_count_zero():
     # row-reduced forms and g and with the dense ones, and must count 0
     # at 32003.  At 11 and 13 degenerate rows are common: they may leave
     # a positive-dimensional residual, but never a positive count.
-    from csmhyp.groebner import IdealBasis
     from csmhyp.poly import _random_row
     from csmhyp.segre import _chart_degree, _combination, _reduced_cut
 
@@ -1437,7 +1435,7 @@ def test_cuts_at_or_above_the_rank_of_the_partials_count_zero():
                 dense = [_combination(partials, row, p) for row in rows]
                 g = _combination(partials, g_row, p)
                 for kind, cut, locus in (("reduced", forms, rest), ("dense", dense, g)):
-                    got = _chart_degree(cut + planes, IdealBasis((locus.dehomogenize(n),)), n)
+                    got = _chart_degree(cut + planes, locus, n)
                     where = (text, p, i, kind)
                     if p == 32003:
                         assert len(forms) == r and got == 0, where
