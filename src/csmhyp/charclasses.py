@@ -24,7 +24,7 @@ input (``compute --verify``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from math import comb
 
 from .chow import ChowClass, chern_tangent_pn, line_bundle, unit
@@ -236,6 +236,11 @@ class ClassReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+# The top-level keys of ``ClassReport.to_json_dict``: one per field, and
+# the trial log of the projective degrees.
+REPORT_KEYS = frozenset(f.name for f in fields(ClassReport)) | {"trials"}
 
 
 def classes_from_segre(n: int, d: int, s_y: ChowClass):

@@ -112,9 +112,11 @@ def _cmd_verify(args) -> int:
         fixtures = oracles.load_fixtures(args.fixtures)
     else:
         fixtures = oracles.default_fixtures()
-    if not fixtures:
-        print("warning: empty fixture corpus, nothing to verify")
-        return 0
+    if not fixtures:  # in --json mode stdout holds only the empty list
+        print(
+            "warning: empty fixture corpus, nothing to verify",
+            file=sys.stderr if args.json else sys.stdout,
+        )
     rows = []
     for fix in fixtures:
         poly = fix.parse()
@@ -137,7 +139,7 @@ def _cmd_verify(args) -> int:
         ]
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        width = max(len(name) for name, *_ in rows)
+        width = max((len(name) for name, *_ in rows), default=0)
         for name, _, failed in rows:
             detail = f"  failing: {', '.join(failed)}" if failed else ""
             print(f"{name:<{width}}  {'FAIL' if failed else 'pass'}{detail}")

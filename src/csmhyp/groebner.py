@@ -6,7 +6,7 @@ the Gebauer-Moeller pair update and a first-divisor memo in the reducer; full
 multivariate division for normal forms; saturation by one element via the
 extra-variable elimination method, keeping only the t-free part; and
 Hilbert-series extraction of projective dimension and degree, and of the
-colength of an Artinian ideal, from a monomial ideal of leading terms.
+colength of an Artinian ideal, from a computed basis's minimal leads.
 
 A computed basis is kept minimalized and packed.  R/I and R/in(I) have
 the same Hilbert function, so the counts read only its leading terms;
@@ -36,11 +36,10 @@ than carrying into the next field.  With ``W = 16`` each field is one
 little-endian unsigned short, so tuples pack and unpack through
 ``struct``.  One ``_Layout`` per ring size is built and shared.
 
-The Hilbert series of a monomial ideal is computed on the same packed
-monomials: minimalization tests divisibility by the guard bits, the
-pivot variable is the field set in most generators, and the colon by it
-subtracts that variable, degree field included, from each generator
-whose field is set.
+The Hilbert series is computed on the same packed monomials, the
+minimal leads that a computed basis carries: the pivot variable is the
+field set in most generators, and the colon by it subtracts that
+variable, degree field included, from each generator whose field is set.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from __future__ import annotations
 import functools
 import heapq
 import struct
+from itertools import accumulate
 
 from .poly import Polynomial
 
@@ -519,22 +519,7 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     return IdealBasis._from_packed(leads, polys, lay, I._ring[0])
 
 
-# -- Hilbert series of a monomial ideal ----------------------------------------
-
-
-def _minimal(monos, guard) -> tuple:
-    """The minimal generators of a monomial ideal given by packed
-    monomials, ascending.  Packed ints ascend by degree first, and a
-    divisor of m of m's degree is m, so only earlier kept ones can
-    divide."""
-    out = []
-    for m in sorted(set(monos)):
-        for g in out:
-            if not (m - g) & guard:
-                break
-        else:
-            out.append(m)
-    return tuple(out)
+# -- Hilbert series of a computed basis ---------------------------------------
 
 
 def _poly_add(a, b):
@@ -556,7 +541,9 @@ def _poly_mul_one_minus_tk(a, k):
 
 def _hilbert_rec(gens, lay, cache):
     """Coefficients of the Hilbert numerator of the monomial ideal whose
-    minimal generators are the ascending packed monomials ``gens``.
+    minimal generators are the packed monomials ``gens``, a tuple that is
+    the cache key; the calls it makes pass theirs ascending, so an ideal
+    met twice is one key.
 
     Splits on the pivot variable x that divides the most generators:
     N(I) = N(I + (x)) + t*N(I : x).  Generators that share no variable
@@ -609,78 +596,69 @@ def _hilbert_rec(gens, lay, cache):
     return out
 
 
-def hilbert_numerator(monomials, nvars: int) -> list[int]:
-    """Coefficients of N(t) where the Hilbert series is N(t)/(1-t)^nvars.
+def hilbert_numerator(I: IdealBasis) -> list[int]:
+    """Coefficients of N(t), where the Hilbert series of R/I is
+    N(t)/(1-t)^nvars, for a Groebner basis I that ``buchberger`` or
+    ``saturate`` returned; a generating set ``IdealBasis(gens)`` raises
+    ``ValueError``.  The zero ideal gives ``[1]``.
 
-    ``monomials`` generate the monomial ideal (minimalized here); the
-    numerator is computed by recursive pivot-variable splitting on packed
-    monomials, which raise ``ValueError`` past the kernel's field width.
+    R/I and R/in(I) have the same Hilbert function, and the leads that a
+    computed basis carries are the minimal generators of in(I), packed,
+    so the numerator is computed from them by recursive pivot-variable
+    splitting.  They are lead-descending, not ascending as packed ints,
+    but the order of the top call's generators changes neither its pivot
+    nor the sorted generators of the calls it makes, so the numerator
+    does not depend on it.
     """
-    lay = _layout(nvars)
-    packed = []
-    for m in monomials:
-        if len(m) != nvars:
-            raise ValueError("monomial length does not match nvars")
-        packed.append(lay.pack(m))
-    out = list(_hilbert_rec(_minimal(packed, lay.guard), lay, {}))
+    if not I.groebner:
+        raise ValueError("a Hilbert-function count requires a Groebner basis")
+    leads, _, lay = I._computed
+    out = list(_hilbert_rec(tuple(leads), lay, {}))
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
 
 
-def _divide_out_one_minus_t(num):
-    """Divide the coefficient list ``num`` by (1 - t) as often as it
-    divides, by synthetic division.  Returns ``(quotient, times)``;
-    ``num`` must not be zero."""
-    times = 0
-    while sum(num) == 0:
-        q = []
-        acc = 0
-        for c in num[:-1]:
-            acc += c
-            q.append(acc)
-        num = q
-        times += 1
-    return num, times
-
-
-def _krull_degree(monomials, nvars: int):
-    """Krull dimension and multiplicity of the quotient by the monomial
-    ideal the given monomials generate, read off the Hilbert series
-    N(t)/(1-t)^nvars once N is divided by (1-t) as often as it divides:
+def _krull_degree(I: IdealBasis):
+    """Krull dimension and multiplicity of R/I, for a computed basis I,
+    read off the Hilbert series N(t)/(1-t)^nvars once N is divided by
+    (1 - t), by synthetic division, as often as it divides:
     ``(nvars - times, quotient(1))``, and ``(0, 0)`` for the unit ideal,
-    whose numerator is 0."""
-    num = hilbert_numerator(monomials, nvars)
+    whose numerator is 0.  The zero ideal carries no ring, so its
+    ``nvars`` raise ``ValueError``."""
+    num = hilbert_numerator(I)
     if not any(num):
         return 0, 0
-    num, cancelled = _divide_out_one_minus_t(num)
-    return nvars - cancelled, sum(num)
+    krull = I.nvars
+    while sum(num) == 0:
+        num = list(accumulate(num[:-1]))
+        krull -= 1
+    return krull, sum(num)
 
 
-def standard_monomial_count(monomials, nvars: int):
-    """Number of monomials in ``nvars`` variables outside the monomial
-    ideal the given monomials generate: the colength of an Artinian
-    monomial ideal.
+def standard_monomial_count(I: IdealBasis):
+    """Number of monomials outside in(I), for a Groebner basis I that
+    ``buchberger`` or ``saturate`` returned: the colength of an Artinian
+    ideal.  A generating set ``IdealBasis(gens)`` raises ``ValueError``.
 
     Returns ``None`` when the count is infinite (the quotient has positive
     Krull dimension, the zero ideal included) and ``0`` for the unit ideal.
     """
-    krull, degree = _krull_degree(monomials, nvars)
+    if I.groebner and I.is_zero_ideal():
+        return None  # R itself: it carries no ring, but has dimension nvars >= 1
+    krull, degree = _krull_degree(I)
     return None if krull else degree
 
 
 def dim_degree(I: IdealBasis):
     """Projective dimension and degree of Proj of the quotient by I, a
     Groebner basis that ``buchberger`` or ``saturate`` returned; a
-    generating set ``IdealBasis(gens)`` raises ``ValueError``.
+    generating set ``IdealBasis(gens)``, and the zero ideal, which carries
+    no ring, raise ``ValueError``.
 
     Returns ``(dim, degree)`` with ``dim = None`` (and degree 0) for the
     empty scheme.  The degree of a zero-dimensional scheme is the stable
     value of its Hilbert function, so saturation is not required first.
     """
-    if not I.groebner:
-        raise ValueError("dim_degree requires a Groebner basis")
-    if I.is_zero_ideal():
-        raise ValueError("dim_degree of the zero ideal needs ring data")
-    krull, degree = _krull_degree(I.leading_terms, I.nvars)
+    krull, degree = _krull_degree(I)
     return (krull - 1, degree) if krull > 0 else (None, 0)

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field, fields
 
-from .charclasses import Verification
+from .charclasses import REPORT_KEYS, Verification
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import RandomnessError
 from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
@@ -68,9 +68,10 @@ def affine_milnor_total(F: Polynomial, primes=TrialPolicy.primes):
     V(f), so the difference of the two colengths sums the Milnor numbers
     of the singular points of V(F), quasi-homogeneous or not.  Returns
     None when (df) is not zero-dimensional: a non-isolated singular
-    locus.  The count is read at ``usable_primes(F, primes)`` in order;
-    the first value read twice is returned, or the only one when one
-    prime is usable; ``RandomnessError`` when no value repeats.
+    locus.  The count is read at ``usable_primes(F, primes)`` in order,
+    each prime once; the first value read at two distinct primes is
+    returned, or the only one when one prime is usable;
+    ``RandomnessError`` when no value repeats.
     """
     if F.field.kind != "rationals":
         raise ValueError("oracle input must be a polynomial over Q")
@@ -83,11 +84,11 @@ def affine_milnor_total(F: Polynomial, primes=TrialPolicy.primes):
     def milnor(p):
         f = _generic_chart(F, p)
         jac = buchberger([f.partial(i) for i in range(n)])
-        total = standard_monomial_count(jac.leading_terms, n)
+        total = standard_monomial_count(jac)
         if total is None:
             return None
         off = saturate(jac, IdealBasis((f,)))
-        return total - standard_monomial_count(off.leading_terms, n)
+        return total - standard_monomial_count(off)
 
     primes = usable_primes(F, primes)
     values = []
@@ -132,8 +133,10 @@ def load_fixtures(path) -> list[FixtureCase]:
     A corpus that is not a JSON list, or a row that is not a JSON object,
     raises ``ValueError``.  So does a row without ``name``, ``poly`` or
     ``n``, with a key that is not a ``FixtureCase`` field, a non-string
-    ``poly``, a non-object ``expected`` or a non-integer ``n`` or
-    ``milnor_oracle``; the message names the row and key.
+    ``name``, ``poly`` or ``provenance``, a non-object ``expected``, an
+    ``expected`` key that is not a top-level report key, or a
+    non-integer ``n`` or ``milnor_oracle``; the message names the row and
+    key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -153,13 +156,18 @@ def load_fixtures(path) -> list[FixtureCase]:
                 raise ValueError(f"{where} lacks the required key {key!r}")
         milnor = row.get("milnor_oracle")
         for key, want, ok in (
+            ("name", "a string", isinstance(row["name"], str)),
             ("poly", "a string", isinstance(row["poly"], str)),
             ("n", "an integer", type(row["n"]) is int),
             ("milnor_oracle", "an integer", milnor is None or type(milnor) is int),
             ("expected", "an object", isinstance(row.get("expected", {}), dict)),
+            ("provenance", "a string", isinstance(row.get("provenance", ""), str)),
         ):
             if not ok:
                 raise ValueError(f"{where} has {key!r} {row[key]!r}, not {want}")
+        for key in row.get("expected", {}):
+            if key not in REPORT_KEYS:
+                raise ValueError(f"{where} expects the unknown report key {key!r}")
         out.append(FixtureCase(**row))
     return out
 

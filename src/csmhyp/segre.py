@@ -137,12 +137,15 @@ class TrialPolicy:
 
 
 def usable_primes(F: Polynomial, primes) -> list:
-    """The primes of ``primes``, in their order, at which a reading of F
-    can only be low: p > 2 deg F, and p divides no coefficient of F, so
-    that F keeps its support mod p.  Raises ``ValueError`` when there is
-    none."""
+    """The primes of ``primes``, each once and in first-seen order, at
+    which a reading of F can only be low: p > 2 deg F, and p divides no
+    coefficient of F, so that F keeps its support mod p.  Raises
+    ``ValueError`` when there is none."""
     d = F.degree
-    usable = [p for p in primes if p > 2 * d and all(c % p for c in F.terms.values())]
+    usable = [
+        p for p in dict.fromkeys(primes)
+        if p > 2 * d and all(c % p for c in F.terms.values())
+    ]
     if not usable:
         raise ValueError(
             f"no usable prime in {list(primes)}: need p > 2 deg F = "
@@ -574,7 +577,7 @@ def _chart_degree(forms, g, n: int):
     """
     cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
     residual = saturate(cut, IdealBasis((g.dehomogenize(n),)))
-    return standard_monomial_count(residual.leading_terms, n)
+    return standard_monomial_count(residual)
 
 
 def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tuple:

@@ -241,6 +241,10 @@ def test_verify_empty_corpus_warns_exit_0(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
     assert "warning" in out
+    # --json keeps stdout to the (empty) JSON list and the warning on stderr
+    code, out, err = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == [] and "warning" in err
 
 
 def test_verify_missing_file_exit_2(capsys, tmp_path):
@@ -256,6 +260,9 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         ({"name": "no_poly", "n": 2}, "'poly'"),
         ({**good, "milnor_orcale": 5}, "'milnor_orcale'"),
         ({**good, "chart": 2}, "'chart'"),
+        ({**good, "name": 5}, "'name'"),
+        ({**good, "provenance": ["a"]}, "'provenance'"),
+        ({**good, "expected": {"bogus": 1}}, "'bogus'"),
     ]
     for row, key in bad_rows:
         path = tmp_path / "bad.json"

@@ -597,6 +597,33 @@ def test_the_pipeline_and_the_milnor_oracle_never_reduce_a_basis(
             assert affine_milnor_total(fix.parse()) == fix.milnor_oracle, fix.name
 
 
+def test_a_chart_cut_and_the_milnor_oracle_unpack_no_lead(monkeypatch, bench_workloads):
+    # A count reads the packed leads that a computed basis carries, so
+    # neither a chart cut nor the Milnor oracle unpacks a monomial.
+    from csmhyp import segre
+
+    cuts, chart_degree = [], segre._chart_degree
+
+    def capture(*args):
+        cuts.append(args)
+        return chart_degree(*args)
+
+    monkeypatch.setattr(segre, "_chart_degree", capture)
+    corpus = bench_workloads.WORKLOADS["corpus"]()
+    case = next(c for c in corpus if c.name == "smooth_cubic_p3")
+    build_report(case.poly, case.nvars, segre.TrialPolicy(seeds=(7, 8)))
+    unpacked, unpack = [], _Layout.unpack
+
+    def count(lay, m):
+        unpacked.append(m)
+        return unpack(lay, m)
+
+    monkeypatch.setattr(_Layout, "unpack", count)
+    assert chart_degree(*cuts[0]) == 8  # g_3 of a smooth cubic surface, (d - 1)^3
+    assert affine_milnor_total(parse_poly("x1^2*x2 - x0^3 - x0^2*x2", 3)) == 1
+    assert unpacked == []
+
+
 def test_saturate_takes_a_principal_ideal_only():
     I = buchberger([gf("x0^2", 3), gf("x0*x1", 3)])
     with pytest.raises(ValueError):
@@ -608,17 +635,23 @@ def test_saturate_takes_a_principal_ideal_only():
 # -- hilbert series and dimension/degree ----------------------------------------
 
 
+def monomial_basis(monomials, nvars):
+    """The computed basis of the monomial ideal that the exponent tuples
+    generate: ``buchberger`` of the monomials as polynomials."""
+    return buchberger([Polynomial(nvars, {m: 1}, GF) for m in monomials])
+
+
 def test_hilbert_numerator_base_cases():
-    assert hilbert_numerator([], 3) == [1]
-    assert hilbert_numerator([(1, 0, 0)], 3) == [1, -1]
-    assert hilbert_numerator([(0, 0, 0)], 3) == [0]
+    assert hilbert_numerator(monomial_basis([], 3)) == [1]  # the zero ideal
+    assert hilbert_numerator(monomial_basis([(1, 0, 0)], 3)) == [1, -1]
+    assert hilbert_numerator(monomial_basis([(0, 0, 0)], 3)) == [0]  # the unit ideal
 
 
 def test_hilbert_numerator_frozen_case():
     # brute-force graded count for (x0^2, x0*x1) gives H = 1, 3, 4, 5, ...
     # whose numerator over (1-t)^3 is 1 - 2t^2 + t^3
     gens = [(2, 0, 0), (1, 1, 0)]
-    num = hilbert_numerator(gens, 3)
+    num = hilbert_numerator(monomial_basis(gens, 3))
     assert num == [1, 0, -2, 1]
     for degree in range(7):
         assert hilbert_function_from_numerator(num, 3, degree) == (
@@ -637,7 +670,7 @@ def test_hilbert_numerator_matches_brute_force_on_random_monomial_ideals():
                 gens.append(m)
         if not gens:
             continue
-        num = hilbert_numerator(gens, nvars)
+        num = hilbert_numerator(monomial_basis(gens, nvars))
         for degree in range(7):
             assert hilbert_function_from_numerator(num, nvars, degree) == (
                 brute_quotient_dimension(gens, nvars, degree)
@@ -692,17 +725,14 @@ def test_packed_hilbert_numerator_matches_graded_counts():
             series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
         while len(series) > 1 and series[-1] == 0:
             series.pop()
-        assert hilbert_numerator(gens, nvars) == series, gens
+        assert hilbert_numerator(monomial_basis(gens, nvars)) == series, gens
 
 
 def test_hilbert_numerator_rejects_bad_monomials():
-    with pytest.raises(ValueError, match="does not match nvars"):
-        hilbert_numerator([(1, 0)], 3)
-    with pytest.raises(ValueError, match="does not match nvars"):
-        hilbert_numerator([(1, 0, 0), (0, 1, 0, 0)], 3)
-    assert hilbert_numerator([(LIMIT, 0)], 2) == [1] + [0] * (LIMIT - 1) + [-1]
+    num = hilbert_numerator(monomial_basis([(LIMIT, 0)], 2))
+    assert num == [1] + [0] * (LIMIT - 1) + [-1]
     with pytest.raises(ValueError, match=f"exceeds {LIMIT}"):
-        hilbert_numerator([(LIMIT + 1, 0, 0)], 3)
+        hilbert_numerator(monomial_basis([(LIMIT + 1, 0, 0)], 3))
 
 
 def brute_standard_monomial_count(gens, nvars):
@@ -728,17 +758,30 @@ def test_standard_monomial_count_matches_a_box_count():
         ]
         gens += [_random_monomial(rng, nvars, 3) for _ in range(rng.randint(0, 4))]
         gens = [m for m in gens if any(m)]
-        assert standard_monomial_count(gens, nvars) == (
+        assert standard_monomial_count(monomial_basis(gens, nvars)) == (
             brute_standard_monomial_count(gens, nvars)
         )
 
 
 def test_standard_monomial_count_edge_cases():
-    assert standard_monomial_count([], 2) is None  # the zero ideal
-    assert standard_monomial_count([(0, 0)], 2) == 0  # the unit ideal
-    assert standard_monomial_count([(2, 0), (1, 1)], 2) is None  # a line
-    assert standard_monomial_count([(2, 0), (0, 3)], 2) == 6
-    assert standard_monomial_count([(3,)], 1) == 3
+    def count(monomials, nvars):
+        return standard_monomial_count(monomial_basis(monomials, nvars))
+
+    assert count([], 2) is None  # the zero ideal
+    assert count([(0, 0)], 2) == 0  # the unit ideal
+    assert count([(2, 0), (1, 1)], 2) is None  # a line
+    assert count([(2, 0), (0, 3)], 2) == 6
+    assert count([(3,)], 1) == 3
+
+
+def test_every_count_refuses_a_generating_set():
+    raw = IdealBasis((gf("x0", 3),))
+    for count in (hilbert_numerator, standard_monomial_count, dim_degree):
+        with pytest.raises(ValueError, match="Groebner"):
+            count(raw)
+    # The zero ideal carries no ring, so no dimension.
+    with pytest.raises(ValueError, match="ring"):
+        dim_degree(buchberger([]))
 
 
 def test_dim_degree_examples():

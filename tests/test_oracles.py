@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from csmhyp.charclasses import Verification, build_report
+from csmhyp.charclasses import REPORT_KEYS, Verification, build_report
 from csmhyp import oracles
 from csmhyp.oracles import (
     FixtureCase,
@@ -115,6 +115,12 @@ def test_affine_milnor_reads_only_at_usable_primes(monkeypatch):
     read.clear()
     assert affine_milnor_total(parse_poly("x0^2 + x1^2 + 140739635773439*x2^2", 3)) == 0
     assert read == [32003]
+    # A repeated prime is one prime: its second reading would repeat the
+    # first, and must not count as a reading at a second prime.
+    read.clear()
+    assert usable_primes(conic, (32003, 32003)) == [32003]
+    assert affine_milnor_total(conic, (32003, 32003)) == 0
+    assert read == [32003]
 
 
 def test_affine_milnor_rejects_a_point_or_a_constant():
@@ -138,6 +144,8 @@ def test_default_fixtures_well_formed():
 def test_fixture_corpus_matches_pipeline():
     for fix in default_fixtures():
         report = build_report(fix.parse(), policy=LIGHT)
+        # load_fixtures takes an expected key when it is one of these
+        assert set(report.to_json_dict()) == REPORT_KEYS, fix.name
         verdicts = check_fixture(fix, report.to_json_dict())
         bad = [v.name for v in verdicts if not v.ok]
         assert not bad, f"{fix.name}: {bad}"

@@ -486,3 +486,5 @@ def test_negative_exponents_are_rejected():
         buchberger([Polynomial(2, {(-1, 2): 1}, PrimeField(5))])
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial(3, {(1, 0, 0): 1, (0, 2, -1): 3}, QQ)
+    with pytest.raises(ValueError, match=r"\(1, 0\) has length 2, expected 3"):
+        Polynomial(3, {(1, 0): 1}, QQ)
