@@ -108,10 +108,7 @@ def _cmd_nc(args) -> int:
 
 def _cmd_verify(args) -> int:
     policy = _policy_from_args(args)
-    if args.fixtures:
-        fixtures = oracles.load_fixtures(args.fixtures)
-    else:
-        fixtures = oracles.default_fixtures()
+    fixtures = oracles.load_fixtures(args.fixtures)
     if not fixtures:  # in --json mode stdout holds only the empty list
         print(
             "warning: empty fixture corpus, nothing to verify",
@@ -204,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the fixture verification suite")
     p_verify.add_argument(
-        "fixtures", nargs="?", default=None,
-        help="path to a JSON fixture corpus (default: built-in)",
+        "fixtures", nargs="?", default=oracles.FIXTURES,
+        help="path to a JSON fixture corpus (default: the built-in corpus,"
+        " csmhyp/fixtures.json in the installed package)",
     )
     p_verify.add_argument("--json", action="store_true")
     add_randomness(p_verify)

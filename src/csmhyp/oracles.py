@@ -1,6 +1,7 @@
 """Independent baselines: closed-form classes, Segre classes of linear
 subspaces, total Milnor numbers counted in a generic affine chart, and
-the fixture corpus used by the verification suite.
+the reader of fixture corpora, whose built-in corpus is the JSON file
+``FIXTURES`` beside this module.
 
 The affine Milnor oracle's colengths are computed modulo the primes that
 ``segre.usable_primes`` keeps, where, as in the pipeline, a reading can
@@ -10,12 +11,13 @@ only be low: the first value read at two of them is returned.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field as dc_field, fields
 
 from .charclasses import REPORT_KEYS, Verification
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
-from .errors import RandomnessError
+from .errors import PolynomialParseError, RandomnessError
 from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
 from .poly import Polynomial, compose, parse_poly, reduce_mod_p, variable
 from .segre import TrialPolicy, usable_primes
@@ -104,6 +106,8 @@ def affine_milnor_total(F: Polynomial, primes=TrialPolicy.primes):
 
 # -- fixture corpus -----------------------------------------------------------
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures.json")
+
 
 @dataclass(frozen=True)
 class FixtureCase:
@@ -134,15 +138,17 @@ def load_fixtures(path) -> list[FixtureCase]:
     raises ``ValueError``.  So does a row without ``name``, ``poly`` or
     ``n``, with a key that is not a ``FixtureCase`` field, a non-string
     ``name``, ``poly`` or ``provenance``, a non-object ``expected``, an
-    ``expected`` key that is not a top-level report key, or a
-    non-integer ``n`` or ``milnor_oracle``; the message names the row and
-    key.
+    ``expected`` key that is not a top-level report key, an ``n`` that is
+    not an integer >= 1, a non-integer ``milnor_oracle``, a ``poly`` that
+    does not parse in ``n + 1`` variables, or a ``name`` that an earlier
+    row has; the message names the row and key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"fixture corpus is not a JSON list: {raw!r:.40}")
     allowed = {f.name for f in fields(FixtureCase)}
+    first_row = {}
     out = []
     for k, row in enumerate(raw):
         where = f"fixture row {k}"
@@ -158,7 +164,7 @@ def load_fixtures(path) -> list[FixtureCase]:
         for key, want, ok in (
             ("name", "a string", isinstance(row["name"], str)),
             ("poly", "a string", isinstance(row["poly"], str)),
-            ("n", "an integer", type(row["n"]) is int),
+            ("n", "an integer >= 1", type(row["n"]) is int and row["n"] >= 1),
             ("milnor_oracle", "an integer", milnor is None or type(milnor) is int),
             ("expected", "an object", isinstance(row.get("expected", {}), dict)),
             ("provenance", "a string", isinstance(row.get("provenance", ""), str)),
@@ -168,306 +174,30 @@ def load_fixtures(path) -> list[FixtureCase]:
         for key in row.get("expected", {}):
             if key not in REPORT_KEYS:
                 raise ValueError(f"{where} expects the unknown report key {key!r}")
-        out.append(FixtureCase(**row))
+        fixture = FixtureCase(**row)
+        try:
+            fixture.parse()
+        except PolynomialParseError as exc:
+            raise ValueError(
+                f"{where} has 'poly' {fixture.poly!r}, which does not parse"
+                f" in {fixture.n + 1} variables: {exc}"
+            ) from exc
+        if fixture.name in first_row:
+            raise ValueError(
+                f"{where} repeats the name {fixture.name!r}"
+                f" of fixture row {first_row[fixture.name]}"
+            )
+        first_row[fixture.name] = k
+        out.append(fixture)
     return out
 
 
 def default_fixtures() -> list[FixtureCase]:
-    """The built-in corpus.  Every expected value was derived from a
-    closed form or a topological count, as noted per case."""
-    return [
-        FixtureCase(
-            name="smooth_conic",
-            poly="x0^2 + x1^2 + x2^2",
-            n=2,
-            expected={
-                "projective_degrees": [1, 1, 1],
-                "segre_singular": ["0", "0", "0"],
-                "csm": ["0", "2", "2"],
-                "fulton": ["0", "2", "2"],
-                "mu": ["0", "0", "0"],
-                "euler": 2,
-                "milnor_total": 0,
-            },
-            milnor_oracle=0,
-            provenance="smooth conic is P^1, chi=2; degrees (d-1)^i by Bezout",
-        ),
-        FixtureCase(
-            name="smooth_cubic",
-            poly="x0^3 + x1^3 + x2^3",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 4],
-                "segre_singular": ["0", "0", "0"],
-                "csm": ["0", "3", "0"],
-                "euler": 0,
-                "milnor_total": 0,
-            },
-            milnor_oracle=0,
-            provenance="smooth plane cubic is a genus-1 curve, chi=0",
-        ),
-        FixtureCase(
-            name="smooth_quartic",
-            poly="x0^4 + x1^4 + x2^4",
-            n=2,
-            expected={
-                "projective_degrees": [1, 3, 9],
-                "segre_singular": ["0", "0", "0"],
-                "csm": ["0", "4", "-4"],
-                "euler": -4,
-                "milnor_total": 0,
-            },
-            provenance="smooth plane quartic has genus 3, chi=2-2g=-4",
-        ),
-        FixtureCase(
-            name="nodal_cubic",
-            poly="x1^2*x2 - x0^3 - x0^2*x2",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 3],
-                "segre_singular": ["0", "0", "1"],
-                "csm": ["0", "3", "1"],
-                "mu": ["0", "0", "1"],
-                "euler": 1,
-                "milnor_total": 1,
-            },
-            milnor_oracle=1,
-            provenance=(
-                "nodal cubic is a pinched torus, chi=1; node has Milnor "
-                "number 1; jacobian scheme is one reduced point, s=h^2"
-            ),
-        ),
-        FixtureCase(
-            name="cuspidal_cubic",
-            poly="x1^2*x2 - x0^3",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 2],
-                "segre_singular": ["0", "0", "2"],
-                "csm": ["0", "3", "2"],
-                "mu": ["0", "0", "2"],
-                "euler": 2,
-                "milnor_total": 2,
-            },
-            milnor_oracle=2,
-            provenance=(
-                "cuspidal cubic is homeomorphic to S^2, chi=2; cusp has "
-                "Milnor number 2; jacobian point has multiplicity 2"
-            ),
-        ),
-        FixtureCase(
-            name="two_lines",
-            poly="x0*x1",
-            n=2,
-            expected={
-                "projective_degrees": [1, 1, 0],
-                "segre_singular": ["0", "0", "1"],
-                "csm": ["0", "2", "3"],
-                "fulton": ["0", "2", "2"],
-                "mu": ["0", "0", "1"],
-                "euler": 3,
-                "milnor_total": 1,
-            },
-            milnor_oracle=1,
-            provenance=(
-                "two P^1 glued at a point: chi=2+2-1=3; crossing point is "
-                "a node; s(point, P^2)=h^2"
-            ),
-        ),
-        FixtureCase(
-            name="three_lines",
-            poly="x0*x1*x2",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 1],
-                "segre_singular": ["0", "0", "3"],
-                "csm": ["0", "3", "3"],
-                "euler": 3,
-                "milnor_total": 3,
-            },
-            provenance=(
-                "triangle of lines: chi=3*2-3=3; three reduced nodes give "
-                "s=3h^2 and total Milnor number 3"
-            ),
-        ),
-        FixtureCase(
-            name="three_generic_lines",
-            poly="x0*x1*(x0 + x1 + x2)",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 1],
-                "segre_singular": ["0", "0", "3"],
-                "csm": ["0", "3", "3"],
-                "euler": 3,
-                "milnor_total": 3,
-            },
-            provenance=(
-                "projectively equivalent to the coordinate triangle, so the "
-                "same classes: chi=3, three nodes"
-            ),
-        ),
-        FixtureCase(
-            name="double_line_plus_line",
-            poly="x0^2*x1",
-            n=2,
-            expected={
-                "projective_degrees": [1, 1, 0],
-                "segre_singular": ["0", "1", "0"],
-                "csm": ["0", "2", "3"],
-                "euler": 3,
-            },
-            provenance=(
-                "non-reduced: support is two crossing lines, so the class "
-                "equals that of x0*x1 (chi=3); singular scheme is the "
-                "double line's support"
-            ),
-        ),
-        FixtureCase(
-            name="double_line",
-            poly="x0^2",
-            n=2,
-            expected={
-                "projective_degrees": [1, 0, 0],
-                "segre_singular": ["0", "1", "-1"],
-                "csm": ["0", "1", "2"],
-                "euler": 2,
-            },
-            provenance=(
-                "support is one line P^1, chi=2; s(line, P^2) = h/(1+h) "
-                "by the linear-subspace closed form"
-            ),
-        ),
-        FixtureCase(
-            name="double_two_lines",
-            poly="x0^2*x1^2",
-            n=2,
-            expected={
-                "projective_degrees": [1, 1, 0],
-                "segre_singular": ["0", "2", "-3"],
-                "csm": ["0", "2", "3"],
-                "euler": 3,
-            },
-            provenance=(
-                "non-reduced with one-dimensional singular scheme (both "
-                "lines); class equals that of x0*x1, chi=3"
-            ),
-        ),
-        FixtureCase(
-            name="line_plus_conic",
-            poly="(x0 + x1 + x2) * (x0^2 + x1^2 - x2^2)",
-            n=2,
-            expected={
-                "projective_degrees": [1, 2, 2],
-                "segre_singular": ["0", "0", "2"],
-                "csm": ["0", "3", "2"],
-                "mu": ["0", "0", "2"],
-                "euler": 2,
-                "milnor_total": 2,
-            },
-            milnor_oracle=2,
-            provenance=(
-                "generic transversal line plus smooth conic: two P^1 glued "
-                "at two points, chi=2+2-2=2; two nodes, total Milnor "
-                "number 2; normal-crossings closed form gives s=2h^2"
-            ),
-        ),
-        FixtureCase(
-            name="quadric_cone",
-            poly="x0^2 + x1^2 + x2^2",
-            n=3,
-            expected={
-                "projective_degrees": [1, 1, 1, 0],
-                "segre_singular": ["0", "0", "0", "1"],
-                "csm": ["0", "2", "4", "3"],
-                "fulton": ["0", "2", "4", "4"],
-                "mu": ["0", "0", "0", "1"],
-                "euler": 3,
-                "milnor_total": 1,
-            },
-            milnor_oracle=1,
-            provenance=(
-                "cone over a conic: resolving the vertex gives chi=4-2+1=3; "
-                "vertex is an ordinary double point, Milnor number 1"
-            ),
-        ),
-        FixtureCase(
-            name="smooth_quadric_p3",
-            poly="x0^2 + x1^2 + x2^2 + x3^2",
-            n=3,
-            expected={
-                "projective_degrees": [1, 1, 1, 1],
-                "segre_singular": ["0", "0", "0", "0"],
-                "csm": ["0", "2", "4", "4"],
-                "euler": 4,
-                "milnor_total": 0,
-            },
-            milnor_oracle=0,
-            provenance="smooth quadric surface is P^1 x P^1, chi=4",
-        ),
-        FixtureCase(
-            name="smooth_cubic_p3",
-            poly="x0^3 + x1^3 + x2^3 + x3^3",
-            n=3,
-            expected={
-                "segre_singular": ["0", "0", "0", "0"],
-                "csm": ["0", "3", "3", "9"],
-                "euler": 9,
-                "milnor_total": 0,
-            },
-            provenance="smooth cubic surface is P^2 blown up at 6 points, chi=3+6=9",
-        ),
-        FixtureCase(
-            name="two_planes_p3",
-            poly="x0*x1",
-            n=3,
-            expected={
-                "projective_degrees": [1, 1, 0, 0],
-                "segre_singular": ["0", "0", "1", "-2"],
-                "csm": ["0", "2", "5", "4"],
-                "mu": ["0", "0", "1", "0"],
-                "euler": 4,
-                "milnor_total": 0,
-            },
-            provenance=(
-                "two P^2 glued along a P^1: chi=3+3-2=4; singular scheme is "
-                "a line, s = h^2/(1+h)^2 by the linear-subspace closed form; "
-                "one-dimensional singular locus, so the affine Milnor oracle "
-                "returns None"
-            ),
-        ),
-        FixtureCase(
-            name="three_planes_p3",
-            poly="x0*x1*x2",
-            n=3,
-            expected={
-                "projective_degrees": [1, 2, 1, 0],
-                "segre_singular": ["0", "0", "3", "-10"],
-                "csm": ["0", "3", "6", "4"],
-                "euler": 4,
-                "milnor_total": 5,
-            },
-            provenance=(
-                "normal-crossings triple of planes: closed-form class gives "
-                "chi=4; singular scheme is three concurrent lines, Segre "
-                "class from the normal-crossings closed form"
-            ),
-        ),
-        FixtureCase(
-            name="double_plane_plus_plane",
-            poly="x0^2*x1",
-            n=3,
-            expected={
-                "projective_degrees": [1, 1, 0, 0],
-                "segre_singular": ["0", "1", "0", "-4"],
-                "csm": ["0", "2", "5", "4"],
-                "euler": 4,
-            },
-            provenance=(
-                "non-reduced: support is two planes, so the class equals "
-                "that of x0*x1 in P^3 (chi=4)"
-            ),
-        ),
-    ]
+    """The built-in corpus, read from ``FIXTURES`` by ``load_fixtures``:
+    a fresh list on every call.  Every expected value was derived from a
+    closed form or a topological count, as each row's ``provenance``
+    notes."""
+    return load_fixtures(FIXTURES)
 
 
 def check_fixture(fixture: FixtureCase, report_dict: dict) -> list[Verification]:

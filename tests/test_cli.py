@@ -263,6 +263,14 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         ({**good, "name": 5}, "'name'"),
         ({**good, "provenance": ["a"]}, "'provenance'"),
         ({**good, "expected": {"bogus": 1}}, "'bogus'"),
+        ({**good, "poly": "x0^2 + x1"}, "'poly'"),
+        (
+            {**good, "poly": "x0*x5"},
+            "'poly' 'x0*x5', which does not parse in 3 variables: unknown variable x5",
+        ),
+        ({**good, "n": 0}, "'n'"),
+        ({**good, "n": -1}, "'n'"),
+        (good, "'two_lines'"),
     ]
     for row, key in bad_rows:
         path = tmp_path / "bad.json"

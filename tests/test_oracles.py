@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,32 @@ def test_load_fixtures_names_the_row_and_key(tmp_path):
     path.write_text(json.dumps([{"name": "a", "n": 2}]), encoding="utf-8")
     with pytest.raises(ValueError, match="row 0 lacks the required key 'poly'"):
         load_fixtures(path)
+
+
+def test_the_built_in_corpus_is_package_data_beside_the_module():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "fixtures.json" in package_data["csmhyp"]
+    path = Path(oracles.FIXTURES)
+    assert path.is_file()
+    assert path.parent == Path(oracles.__file__).resolve().parent
+
+
+def test_the_built_in_corpus_passes_the_checks_of_any_corpus(tmp_path):
+    rows = json.loads(Path(oracles.FIXTURES).read_text(encoding="utf-8"))
+    rows.append({**rows[0], "name": "misspelt", "expected": {"eular": 2}})
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"row {len(rows) - 1} .*'eular'"):
+        load_fixtures(path)
+
+
+def test_default_fixtures_returns_fresh_expected_dicts():
+    first = default_fixtures()
+    first[0].expected["euler"] = 99
+    assert default_fixtures()[0].expected["euler"] != 99
 
 
 def test_check_fixture_flags_corruption():
