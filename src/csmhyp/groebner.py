@@ -49,11 +49,10 @@ import heapq
 import struct
 from itertools import accumulate
 
-from .poly import Polynomial
+from .poly import LIMIT, Polynomial
 
-W = 16  # bits per packed field, guard bit included
+W = LIMIT.bit_length() + 1  # bits per packed field, guard bit included: 16
 _FIELD = (1 << W) - 1
-LIMIT = (1 << (W - 1)) - 1  # largest exponent or degree a field holds
 
 
 def _overflow() -> ValueError:

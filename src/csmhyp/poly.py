@@ -26,6 +26,12 @@ import re
 
 from .errors import PolynomialParseError, RandomnessError
 
+# The largest exponent or degree of a monomial: what one 16-bit field of
+# the Groebner kernel's packed monomials holds below its guard bit.  The
+# parser refuses a power above it before expanding the power.
+LIMIT = (1 << 15) - 1
+# The deepest nesting of parentheses the recursive-descent parser takes.
+MAX_NESTING = 100
 
 # -- coefficient fields -------------------------------------------------------
 
@@ -426,13 +432,18 @@ class _Parser:
 
     The grammar admits integer coefficients only, so every rule returns a
     term dict ``{exponent tuple: int}`` without zeros; ``parse_poly``
-    makes the one ``Polynomial`` over Q."""
+    makes the one ``Polynomial`` over Q.  A power is expanded by one
+    product per unit of its exponent, so an exponent above ``LIMIT``, or
+    a power of degree above it, is refused before that; so are
+    parentheses nested deeper than ``MAX_NESTING``, before the recursion
+    reaches Python's limit."""
 
     def __init__(self, tokens, nvars):
         self.tokens = tokens
         self.i = 0
         self.nvars = nvars
         self.one = (0,) * nvars
+        self.depth = 0  # parentheses open around the current atom
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -471,6 +482,12 @@ class _Parser:
             kind, val = self.next()
             if kind != "num":
                 raise PolynomialParseError("exponent must be a nonnegative integer")
+            degree = val * max(map(sum, base), default=0)
+            if max(val, degree) > LIMIT:
+                raise PolynomialParseError(
+                    f"a power with exponent {val} and degree {degree} is above"
+                    f" {LIMIT}, the largest exponent or degree a monomial may have"
+                )
             out = {self.one: 1}
             for _ in range(val):
                 out = _mul_terms(out, base)
@@ -488,9 +505,15 @@ class _Parser:
                 )
             return {tuple(int(k == val) for k in range(self.nvars)): 1}
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolynomialParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep"
+                )
             inner = self.expr()
             if self.next()[0] != ")":
                 raise PolynomialParseError("unbalanced parentheses")
+            self.depth -= 1
             return inner
         raise PolynomialParseError(f"unexpected token {kind!r}")
 

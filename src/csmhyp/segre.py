@@ -44,6 +44,16 @@ that hyperplane is lost; random cuts make that about as rare as an
 unlucky g, and since it can only lower g_i, the acceptance rule treats
 it the same way.
 
+When Y lies in x_n = 0, as it does whenever F is smooth, no cut needs g.
+The jacobian basis says so at no cost: in grevlex with x_n last, x_n^k
+is the smallest monomial of degree k, so a minimal lead x_n^k is the
+element x_n^k of J (``SingularSchemeData.y_at_infinity``).  Then J is the
+unit ideal on the chart x_n = 1, where a cut I is its own residual,
+I : J^infty = I: each chart cut is saturated by x_n, which dehomogenizes
+to 1, and the plane cut strips from R12 the roots it shares with f1 on
+x_n = 0.  Both readings then no longer depend on g, and still can only
+come out low, when a residual point lies on x_n = 0.
+
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
 pairs, at the primes that ``usable_primes`` keeps: p > 2 deg F, and F
@@ -206,7 +216,16 @@ class SingularSchemeData:
     ``partials`` holds the nonzero partial derivatives, and ``columns``
     their coefficients at each monomial that leads a nonzero combination
     of them: a combination vanishes iff it vanishes at those monomials,
-    and there are as many columns as the rank of the partials mod p."""
+    and there are as many columns as the rank of the partials mod p.
+
+    ``y_at_infinity`` is true when Y lies in the hyperplane x_n = 0, as
+    it always does when Y is empty: then the chart x_n = 1 misses Y, J is
+    the unit ideal there, and a cut is its own residual in that chart.
+    In grevlex with x_n last, x_n^k is the smallest monomial of degree k,
+    so a lead x_n^k is the element x_n^k of J; the flag is read off the
+    minimal leads of J's basis, and holds iff one of them is a power of
+    x_n (Bayer and Stillman, "A criterion for detecting m-regularity",
+    Invent. Math. 87, 1987)."""
 
     d: int
     n: int
@@ -214,6 +233,7 @@ class SingularSchemeData:
     deg_y: int
     partials: tuple = ()
     columns: tuple = ()
+    y_at_infinity: bool = False
 
     @property
     def is_smooth(self) -> bool:
@@ -231,7 +251,11 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     of their common projective zero locus from one Groebner basis; F is
     smooth when that locus is empty.  The basis's elements of degree
     d - 1 span the partials, so their leads are the monomials that lead
-    the nonzero combinations of them."""
+    the nonzero combinations of them.  A minimal lead x_n^k means that
+    x_n^k lies in J, since in grevlex no other monomial of degree k lies
+    below it, so that Y lies in x_n = 0 (``y_at_infinity``); x_n^k lies
+    in J for some k exactly when x_n vanishes on Y, always when F is
+    smooth."""
     if F.is_zero:
         raise ValueError("hypersurface polynomial is zero")
     if F.field.kind != "prime":
@@ -246,6 +270,7 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
         raise ValueError("all partial derivatives vanish: degenerate input")
     basis = buchberger(partials)
     dim_y, deg_y = dim_degree(basis)
+    leads = basis.leading_terms
     return SingularSchemeData(
         d=d,
         n=n,
@@ -254,9 +279,10 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
         partials=partials,
         columns=tuple(
             tuple(q.terms.get(m, 0) for q in partials)
-            for m in basis.leading_terms
+            for m in leads
             if sum(m) == d - 1
         ),
+        y_at_infinity=any(not any(m[:-1]) for m in leads),
     )
 
 
@@ -506,35 +532,52 @@ def _on_plane(forms, a, b, c, p) -> list:
 
 def _plane_degree(f1, f2, g, a, b, c, p):
     """``g_2`` of the cut (f1, f2) on the plane through a, b and c,
-    saturated by g; ``None`` when the points are dependent, c lies on
-    one of the three curves, or a resultant vanishes identically.
+    saturated by g, or by x_n when g is None, which the caller passes
+    when Y lies in x_n = 0; ``None`` when the points are dependent, c
+    lies on one of the three curves or on x_n = 0, or a resultant
+    vanishes identically.
 
     The lines through c are the lines s = const of the chart
     a + s*b + u*c.  R12(s) = Res_u(f1, f2) vanishes on each line through
     a point where f1 and f2 meet, with their intersection numbers there
     as its multiplicity (Fulton, Algebraic Curves), so (f1, f2) : g^infty
     is R12 stripped of every root it shares with R1G(s) = Res_u(f1, g).
-    Both have degree at most e^2 in s and are interpolated from their
-    values at s = 0..e^2, which needs e^2 < p.  The line through c and b
-    is a root of R12 of multiplicity e^2 - deg R12, shared with R1G
-    exactly when deg R1G < e^2 as well.  A line through c that holds a
-    residual point and a point of f1 and g is stripped as well, so an
-    unlucky c, like an unlucky g, can only lower g_2.  The u^e
-    coefficient of f(a + s*b + u*c) is f(c), so ``_on_plane`` tells
-    whether c lies on a curve.
+    R12 has degree at most e^2 in s and is interpolated from its values
+    at s = 0..e^2, which needs e^2 < p; so is R1G for a form g of degree
+    e.  For x_n, which is a_n + s*b_n + u*c_n on the plane, R1G is f1 at
+    u = -(a_n + s*b_n) / c_n up to a unit, of degree at most e in s, and
+    read by one Horner pass at each of s = 0..e; the roots it strips are
+    the lines through c that meet f1 on x_n = 0, which hold every point
+    of Y on the plane, and its gcd with R12 has degree at most e, not e^2.
+    The line through c and b is a root of R12 of multiplicity
+    e^2 - deg R12, shared with R1G exactly when R1G, too, is below its
+    full degree.  A line through c that holds a residual point and a
+    point of f1 and g is stripped as well, so an unlucky c, like an
+    unlucky g, can only lower g_2; with x_n in place of g the reading no
+    longer depends on g.  The u^e coefficient of f(a + s*b + u*c) is
+    f(c), so ``_on_plane`` tells whether c lies on a curve.
     """
-    if len(_echelon((a, b, c), p)[0]) < 3:
+    if len(_echelon((a, b, c), p)[0]) < 3 or (g is None and not c[-1]):
         return None
-    e = g.degree
-    f1_s, f2_s, g_s = _on_plane((f1, f2, g), a, b, c, p)
-    if not (f1_s[-1][0] and f2_s[-1][0] and g_s[-1][0]):  # f1(c), f2(c), g(c)
+    e = f1.degree
+    f1_s, f2_s, *g_s = _on_plane((f1, f2) if g is None else (f1, f2, g), a, b, c, p)
+    if not all(f_s[-1][0] for f_s in (f1_s, f2_s, *g_s)):  # f1(c), f2(c), g(c)
         return None
     r12 = _interpolate(_resultants(f1_s, f2_s, p), p)
-    r1g = _interpolate(_resultants(f1_s, g_s, p), p)
+    if g is None:
+        inv, r1g = pow(c[-1], -1, p), []
+        for s in range(e + 1):
+            u, v = -(a[-1] + s * b[-1]) * inv % p, 0
+            for col in reversed(f1_s):  # Horner in u, from the u^e column down
+                v = (v * u + col[s]) % p
+            r1g.append(v)
+        r1g, full = _interpolate(r1g, p), e
+    else:
+        r1g, full = _interpolate(_resultants(f1_s, g_s[0], p), p), e * e
     if not r12 or not r1g:
         return None
     at_b = e * e + 1 - len(r12)
-    return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == e * e + 1 else 0)
+    return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == full + 1 else 0)
 
 
 def _combination(partials, row, p) -> Polynomial:
@@ -574,6 +617,13 @@ def _chart_degree(forms, g, n: int):
     again.  Either way the count is that of the isolated points that are
     left, so, like an unlucky g, it can only come out low; for random
     forms and hyperplanes that happens with probability about 1/p.
+
+    When Y lies in x_n = 0 the caller passes g = x_n: a minimal lead
+    x_n^k of J's grevlex basis is the element x_n^k of J, since no other
+    monomial of degree k lies below it, so J is the unit ideal on this
+    chart and the cut is its own residual there.  x_n dehomogenizes to 1,
+    so ``saturate``'s relation 1 - t forms no pair, the cut's own basis is
+    counted, and the count no longer depends on a random g.
     """
     cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
     residual = saturate(cut, IdealBasis((g.dehomogenize(n),)))
@@ -620,6 +670,15 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     g that reduces to 0 lies in I, which below the rank r of the partials
     (see ``_settled``) takes an unlucky draw, and saturating by 0, like
     saturating by g, gives the unit ideal, whose g_i is 0.
+
+    When the scheme's ``y_at_infinity`` holds, Y lies in x_n = 0: a lead
+    x_n^k of J's grevlex basis is the element x_n^k of J, x_n^k being the
+    smallest monomial of its degree.  J is then the unit ideal on the
+    chart x_n = 1, so every chart cut is saturated by x_n, which
+    dehomogenizes to 1, and the plane cut strips the roots R12 shares with
+    f1 on x_n = 0 (``_plane_degree`` with g None).  Those readings no
+    longer depend on g, but g is still drawn, so the draws of the other
+    cuts stay as they were.
     """
     n = scheme.n
     partials = scheme.partials
@@ -627,6 +686,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     field = partials[0].field
     p = field.p
     plane = 2 < n and (scheme.d - 1) ** 2 < p and scheme.codim != 1
+    at_infinity = scheme.y_at_infinity
     # The partials are nonzero forms of degree d - 1 and the variables
     # forms of degree 1, so the draws skip random_linear_combination's
     # checks; they take the same values from rng.  The partials are drawn
@@ -640,14 +700,15 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
         for _ in range(DIM_RETRIES):
             rows = [_random_row(columns, p, rng) for _ in range(i)]
             if i == 2 and plane:
-                f1, f2, base = (_combination(partials, r, p) for r in rows + [base_row])
+                f1, f2 = (_combination(partials, r, p) for r in rows)
+                base = None if at_infinity else _combination(partials, base_row, p)
                 points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(3)]
                 gi = _plane_degree(f1, f2, base, *points, p)
             else:
                 xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
                 forms, rest = _reduced_cut(partials, rows, base_row, p)
-                gi = _chart_degree(forms + planes, rest, n)
+                gi = _chart_degree(forms + planes, xs[n] if at_infinity else rest, n)
             if gi is not None:
                 g.append(gi)
                 break

@@ -165,6 +165,33 @@ def test_compute_exponent_past_the_kernel_fields_exit_2(capsys):
     assert_one_error_line(*result)
 
 
+@pytest.mark.parametrize("poly", ["x0^99999999", "2^99999999*x0 + x1"])
+def test_compute_refuses_a_huge_power_before_expanding_it(poly):
+    # The parser expands a power one product per unit of its exponent, so
+    # it refuses an exponent or a degree above 32767 first; in its own
+    # process, so that a hang ends at the timeout.
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "csmhyp.cli", "compute", poly, "--nvars", "2"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert_one_error_line(done.returncode, done.stdout, done.stderr)
+    assert "above 32767" in done.stderr
+
+
+def test_compute_refuses_deeply_nested_parentheses(capsys, tmp_path):
+    # 300 levels would reach Python's recursion limit in the parser.
+    poly = "(" * 300 + "x0" + ")" * 300
+    result = run_cli(capsys, "compute", poly, "--nvars", "2")
+    assert_one_error_line(*result)
+    assert "nested more than 100 deep" in result[2]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([{"name": "deep", "poly": poly, "n": 1}]), encoding="utf-8")
+    result = run_cli(capsys, "verify", str(path))
+    assert_one_error_line(*result)
+    assert "row 0" in result[2] and "nested" in result[2]
+
+
 def test_closed_forms_reject_degree_below_1_and_n_below_1(capsys):
     for argv in (
         ["oracle", "smooth", "--n", "2", "--d", "-2"],

@@ -85,6 +85,17 @@ def test_parse_parentheses_and_powers():
     assert f == parse_poly("x0^2 + x1^2", 3)
 
 
+def test_parse_takes_powers_and_nesting_up_to_their_bounds():
+    from csmhyp import groebner, poly
+
+    assert groebner.LIMIT == poly.LIMIT == 32767
+    assert parse_poly("x0^32767 + (x0*x1)^16383*x1", 2).degree == 32767
+    assert parse_poly("2^32767*x0", 2).terms == {(1, 0): 2**32767}
+    assert parse_poly("(" * 100 + "x0" + ")" * 100, 2) == parse_poly("x0", 2)
+    with pytest.raises(PolynomialParseError, match="^parentheses nested more than 100 deep$"):
+        parse_poly("(" * 101 + "x0" + ")" * 101, 2)
+
+
 def reference_parse(text, nvars):
     """The polynomial a valid input denotes, by Polynomial arithmetic over
     Q: Python's parser reads the text with ``^`` as ``**``, which binds
@@ -163,6 +174,21 @@ def test_parse_matches_polynomial_arithmetic(bench_workloads):
         ("2*(x0 - x0)*x1", 3, "polynomial is identically zero"),
         ("x0^2 + x1", 3, "polynomial is not homogeneous"),
         ("x0", 0, "nvars must be at least 1"),
+        (
+            "x0^32768", 2,
+            "a power with exponent 32768 and degree 32768 is above 32767,"
+            " the largest exponent or degree a monomial may have",
+        ),
+        (
+            "(x0*x1)^16384", 2,
+            "a power with exponent 16384 and degree 32768 is above 32767,"
+            " the largest exponent or degree a monomial may have",
+        ),
+        (
+            "2^32768*x0", 2,
+            "a power with exponent 32768 and degree 0 is above 32767,"
+            " the largest exponent or degree a monomial may have",
+        ),
     ],
 )
 def test_parse_error_messages(text, nvars, message):

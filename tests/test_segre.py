@@ -1506,3 +1506,179 @@ def test_four_planes_at_small_primes_take_the_settled_g1():
     assert [(t.prime, t.g, t.accepted) for t in report.projective_degrees.trials] == [
         (101, (1, 3, 3, 1), True), (101, (1, 3, 3, 1), True)
     ]
+
+
+# -- a singular scheme inside x_n = 0 -------------------------------------------
+
+
+def test_y_at_infinity_reads_only_the_last_variable():
+    # The cuspidal cubic's Y is the point (0:0:1): it lies in x0 = 0 and
+    # x1 = 0 but not in x2 = 0, the hyperplane that the chart drops.
+    flagged = [
+        ("x0^2 + x1^2 + x2^2", 3),
+        ("(x0^4+x1^4+x2^4+x3^4)^2 + x3^8", 4),
+        ("(x0^2+x1^2+x2^2+x3^2+x4^2)^2 + x4^4", 5),
+    ]
+    unflagged = [NONISOLATED[0], NONISOLATED[-1], ("x1^2*x2 - x0^3", 3)]
+    cases = [(c, True) for c in flagged] + [(c, False) for c in unflagged]
+    for (text, nvars), want in cases:
+        assert jacobian_scheme(gfpoly(text, nvars)).y_at_infinity is want, text
+
+
+def test_y_at_infinity_iff_a_power_of_x_n_lies_in_j(bench_workloads):
+    # Reference: J : x_n^infty is the unit ideal exactly when some x_n^k
+    # lies in J, that is when Y lies in x_n = 0.
+    from csmhyp.groebner import IdealBasis, saturate
+
+    seen = set()
+    for name in ("corpus", "nonisolated", "isolated"):
+        for case in bench_workloads.WORKLOADS[name]():
+            scheme = jacobian_scheme(gfpoly(case.poly, case.nvars))
+            x_n = variable(case.nvars, case.nvars - 1, PrimeField(P))
+            colon = saturate(IdealBasis(scheme.partials), IdealBasis((x_n,)))
+            unit = colon.leading_terms == ((0,) * case.nvars,)
+            assert scheme.y_at_infinity is unit, case.name
+            if scheme.is_smooth:
+                assert unit, case.name
+            seen.add((scheme.is_smooth, unit))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _one_trial(text, nvars, flag, certified=None, p=P, seed=101):
+    """One trial of the default policy's draws at (p, seed), with the
+    scheme's ``y_at_infinity`` set to ``flag``."""
+    import dataclasses
+
+    from csmhyp.segre import _degrees_one_trial, _settled
+
+    scheme = jacobian_scheme(gfpoly(text, nvars, p))
+    scheme = dataclasses.replace(scheme, y_at_infinity=flag)
+    rng = random.Random(f"csmhyp:{p}:{seed}")
+    return _degrees_one_trial(scheme, rng, certified or _settled(scheme))
+
+
+def test_a_chart_cut_at_infinity_does_not_read_g(monkeypatch):
+    # With g in the cut ideal, saturating by g leaves the unit ideal, so
+    # the g reading is 0; with Y inside x_n = 0 the chart cut is
+    # saturated by x_n instead and reads the octic's g_3 = 63.  Roman
+    # Steiner's Y does not lie in x_3 = 0, so it keeps g and reads 0.
+    import csmhyp.segre as segre_mod
+
+    real = segre_mod._reduced_cut
+
+    def g_in_the_cut(partials, rows, g_row, p):
+        forms, _ = real(partials, rows, g_row, p)
+        return forms, forms[0]
+
+    monkeypatch.setattr(segre_mod, "_reduced_cut", g_in_the_cut)
+    octic, roman = NONISOLATED[3], NONISOLATED[0]
+    assert _one_trial(*octic, True) == (1, 7, 21, 63)
+    assert _one_trial(*octic, False)[3] == 0
+    assert jacobian_scheme(gfpoly(*roman)).y_at_infinity is False
+    assert _one_trial(*roman, False)[3] == 0
+
+
+def test_a_plane_cut_at_infinity_does_not_read_g(monkeypatch):
+    # Every row the trial draws lies in the span of two fixed rows, so
+    # the base form g lies in (f1, f2) and R1G shares every root of R12:
+    # the g reading of g_2 is 0, and the x_n reading is the octic's 21.
+    import csmhyp.segre as segre_mod
+
+    real = segre_mod._random_row
+    span = []
+
+    def in_a_plane(columns, p, rng):
+        if not span:
+            span.extend(real(columns, p, rng) for _ in "uv")
+        x, y = rng.randrange(p), rng.randrange(p)
+        return [(x * u + y * v) % p for u, v in zip(*span)]
+
+    monkeypatch.setattr(segre_mod, "_random_row", in_a_plane)
+    only_g2 = {1: 7, 3: 63}
+    octic, roman = NONISOLATED[3], NONISOLATED[0]
+    assert _one_trial(*octic, True, only_g2) == (1, 7, 21, 63)
+    span.clear()
+    assert _one_trial(*octic, False, only_g2)[2] == 0
+    span.clear()
+    assert _one_trial(*roman, False, {1: 3, 3: 0})[2] == 0
+
+
+def test_cuts_at_infinity_read_as_the_g_cuts(bench_workloads):
+    # Reference: the g path, on the same seeded draws.  Over the four
+    # nonisolated inputs whose Y lies in x_n = 0 and the smooth corpus
+    # inputs, both cut kinds read what the g cuts read, which on these
+    # draws is the expected vector, e^i for a smooth input.
+    cases = list(bench_workloads.nonisolated_cases())
+    cases += [c for c in bench_workloads.corpus_cases() if c.name.startswith("smooth")]
+    kinds = set()
+    for case in cases:
+        scheme = jacobian_scheme(gfpoly(case.poly, case.nvars))
+        if not scheme.y_at_infinity:
+            assert not scheme.is_smooth, case.name
+            continue
+        e = scheme.d - 1
+        expected = case.expected.get(
+            "projective_degrees", [e**i for i in range(scheme.n + 1)]
+        )
+        kinds.update(_eliminated_cuts(scheme, P))
+        if 2 < scheme.n:
+            kinds.add("plane")
+        for seed in range(6):
+            want = _one_trial(case.poly, case.nvars, False, seed=seed)
+            assert _one_trial(case.poly, case.nvars, True, seed=seed) == want, case.name
+            assert list(want) == expected, case.name
+    assert {2, 3, 4, "plane"} <= kinds
+
+
+def test_plane_cuts_at_infinity_match_the_elimination():
+    # Reference: dim_degree(saturate(f1, f2 + hyperplanes through a, b,
+    # c; x_n)), for inputs whose Y lies in x_n = 0.  Besides plain draws,
+    # c on x_n = 0 is redrawn; f1 and f2 through b put a root of R12 at
+    # s = infinity, which R1G shares when b lies on x_n = 0 as well.
+    from csmhyp.groebner import IdealBasis, dim_degree, saturate
+    from csmhyp.segre import _plane_degree
+
+    inputs = [
+        (c.poly, c.n + 1) for c in default_fixtures()
+        if c.n >= 3 and c.name.startswith("smooth")
+    ]
+    inputs += NONISOLATED[1:5] + ISOLATED[1:]
+    kinds = ("plain", "c_at_infinity", "b_on_cut", "b_on_cut_at_infinity")
+    seen = set()
+    for text, nvars in inputs:
+        F = parse_poly(text, nvars)
+        e = F.degree - 1
+        for p in (101, 32003):
+            if p <= 2 * F.degree or e * e >= p:
+                continue
+            scheme = jacobian_scheme(reduce_mod_p(F, p))
+            assert scheme.y_at_infinity, text
+            xs = [variable(nvars, k, PrimeField(p)) for k in range(nvars)]
+            rng = random.Random(f"{text}:{p}:x_n")
+            for kind in kinds:
+                f1, f2 = (random_linear_combination(scheme.partials, rng) for _ in "ff")
+                a, b, c = ([rng.randrange(p) for _ in xs] for _ in "abc")
+                if kind == "c_at_infinity":
+                    c[-1] = 0
+                if kind == "b_on_cut_at_infinity":
+                    b[-1] = 0
+                if kind.startswith("b_on_cut"):
+                    f1, f2 = _through(f1, b, p), _through(f2, b, p)
+                got = _plane_degree(f1, f2, None, a, b, c, p)
+                where = (text, p, kind)
+                planes = _hyperplanes((a, b, c), xs, p)
+                if len(planes) > nvars - 3 or not c[-1] or not all(
+                    _value(h, c, p) for h in (f1, f2)
+                ):
+                    assert got is None, where
+                    seen.add((kind, "redraw"))
+                    continue
+                residual = saturate(IdealBasis((f1, f2, *planes)), IdealBasis((xs[-1],)))
+                dim, deg = dim_degree(residual)
+                assert not dim and got is not None and got <= deg, where
+                assert got == deg or p < 1000, where
+                seen.add((kind, got == deg, deg == e * e))
+    assert ("plain", True, True) in seen and ("c_at_infinity", "redraw") in seen
+    # b is a residual point, counted at s = infinity, unless it lies on x_n = 0
+    assert ("b_on_cut", True, True) in seen
+    assert ("b_on_cut_at_infinity", True, False) in seen
