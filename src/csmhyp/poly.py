@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
 
 from .errors import PolynomialParseError, RandomnessError
 
@@ -404,7 +405,19 @@ def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^()])|(\S))")
 
 
-def _tokenize(text: str):
+def _too_long(what, digits) -> PolynomialParseError:
+    return PolynomialParseError(
+        f"{what} has more than {digits} digits, the bound that"
+        " sys.get_int_max_str_digits() sets on an integer's text"
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _power_of_ten(k: int) -> int:
+    return 10**k
+
+
+def _tokenize(text: str, digits: int):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -415,6 +428,8 @@ def _tokenize(text: str):
         if bad is not None:
             raise PolynomialParseError(f"unexpected character {bad!r} at position {m.start(4)}")
         if num is not None:
+            if digits and len(num) > digits:
+                raise _too_long("an integer literal", digits)
             tokens.append(("num", int(num)))
         elif var is not None:
             tokens.append(("var", int(var[1:])))
@@ -432,18 +447,29 @@ class _Parser:
 
     The grammar admits integer coefficients only, so every rule returns a
     term dict ``{exponent tuple: int}`` without zeros; ``parse_poly``
-    makes the one ``Polynomial`` over Q.  A power is expanded by one
-    product per unit of its exponent, so an exponent above ``LIMIT``, or
-    a power of degree above it, is refused before that; so are
-    parentheses nested deeper than ``MAX_NESTING``, before the recursion
-    reaches Python's limit."""
+    makes the one ``Polynomial`` over Q.  A power of a sum is expanded by
+    one product per unit of its exponent, and a power c^k x^(k m) of one
+    term is taken at once, so an exponent above ``LIMIT``, or a power of
+    degree above it, is refused before that; so are parentheses nested
+    deeper than ``MAX_NESTING``, before the recursion reaches Python's
+    limit.  Every product, and each step of a power, is refused once a
+    coefficient has more than ``digits`` decimal digits (none is when
+    ``digits`` is 0), before it can grow further; a power of one term
+    is refused before it is taken when |c|^k is above 16^digits."""
 
-    def __init__(self, tokens, nvars):
+    def __init__(self, tokens, nvars, digits):
         self.tokens = tokens
         self.i = 0
         self.nvars = nvars
         self.one = (0,) * nvars
         self.depth = 0  # parentheses open around the current atom
+        self.digits = digits
+        self.bound = _power_of_ten(digits) if digits else 0  # the least refused
+
+    def bounded(self, terms) -> dict:
+        if self.bound and any(map(self.bound.__le__, map(abs, terms.values()))):
+            raise _too_long("a coefficient", self.digits)
+        return terms
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -472,7 +498,7 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
-            acc = _mul_terms(acc, self.factor())
+            acc = self.bounded(_mul_terms(acc, self.factor()))
         return acc
 
     def factor(self) -> dict:
@@ -488,9 +514,14 @@ class _Parser:
                     f"a power with exponent {val} and degree {degree} is above"
                     f" {LIMIT}, the largest exponent or degree a monomial may have"
                 )
+            if len(base) == 1:
+                ((m, c),) = base.items()
+                if (c.bit_length() - 1) * val > 4 * self.digits > 0:
+                    raise _too_long("a coefficient", self.digits)
+                return self.bounded({tuple(val * k for k in m): c**val})
             out = {self.one: 1}
             for _ in range(val):
-                out = _mul_terms(out, base)
+                out = self.bounded(_mul_terms(out, base))
             return out
         return base
 
@@ -523,12 +554,15 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
 
     Grammar: integer coefficients, ``+ - * ^`` and parentheses.  Raises
     on syntax errors, unknown variables, a fully cancelling (zero) result,
-    or a non-homogeneous result.
+    a non-homogeneous result, or an integer, read or computed, of more
+    decimal digits than ``sys.get_int_max_str_digits()`` allows, which
+    could not be written back as text.
     """
     if nvars < 1:
         raise PolynomialParseError("nvars must be at least 1")
-    parser = _Parser(_tokenize(text), nvars)
-    terms = parser.expr()
+    digits = sys.get_int_max_str_digits()
+    parser = _Parser(_tokenize(text, digits), nvars, digits)
+    terms = parser.bounded(parser.expr())
     if parser.peek() != "end":
         raise PolynomialParseError(f"trailing input at token {parser.peek()!r}")
     if not terms:

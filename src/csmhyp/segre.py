@@ -47,12 +47,18 @@ it the same way.
 When Y lies in x_n = 0, as it does whenever F is smooth, no cut needs g.
 The jacobian basis says so at no cost: in grevlex with x_n last, x_n^k
 is the smallest monomial of degree k, so a minimal lead x_n^k is the
-element x_n^k of J (``SingularSchemeData.y_at_infinity``).  Then J is the
-unit ideal on the chart x_n = 1, where a cut I is its own residual,
-I : J^infty = I: each chart cut is saturated by x_n, which dehomogenizes
-to 1, and the plane cut strips from R12 the roots it shares with f1 on
-x_n = 0.  Both readings then no longer depend on g, and still can only
-come out low, when a residual point lies on x_n = 0.
+element x_n^k of J, and x_n^k lies in J for some k exactly when x_n
+vanishes on Y (Bayer and Stillman, "A criterion for detecting
+m-regularity", Invent. Math. 87, 1987; ``SingularSchemeData.y_at_infinity``).
+Then J is the unit ideal off x_n = 0, so a cut I is saturated by x_n in
+place of g: I : x_n^infty agrees with I : J^infty off x_n = 0, and the
+cut loses exactly its points on x_n = 0, which hold all of Y.  A chart
+cut is saturated by x_n, which is 1 on the chart, so it counts its own
+basis.  The plane cut's plane is drawn to meet x_n = 0 in a line through
+the third point, so g_2 is e^2, the Bezout number of (f1, f2) on the
+plane, less that line's multiplicity as a root of Res(f1, f2).  Neither
+reading depends on g, and either can only come out low, when a residual
+point lies on x_n = 0.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
@@ -219,13 +225,8 @@ class SingularSchemeData:
     and there are as many columns as the rank of the partials mod p.
 
     ``y_at_infinity`` is true when Y lies in the hyperplane x_n = 0, as
-    it always does when Y is empty: then the chart x_n = 1 misses Y, J is
-    the unit ideal there, and a cut is its own residual in that chart.
-    In grevlex with x_n last, x_n^k is the smallest monomial of degree k,
-    so a lead x_n^k is the element x_n^k of J; the flag is read off the
-    minimal leads of J's basis, and holds iff one of them is a power of
-    x_n (Bayer and Stillman, "A criterion for detecting m-regularity",
-    Invent. Math. 87, 1987)."""
+    it always does when Y is empty; then every cut is saturated by x_n
+    and loses exactly its points on x_n = 0 (see the module docstring)."""
 
     d: int
     n: int
@@ -251,11 +252,9 @@ def jacobian_scheme(F: Polynomial) -> SingularSchemeData:
     of their common projective zero locus from one Groebner basis; F is
     smooth when that locus is empty.  The basis's elements of degree
     d - 1 span the partials, so their leads are the monomials that lead
-    the nonzero combinations of them.  A minimal lead x_n^k means that
-    x_n^k lies in J, since in grevlex no other monomial of degree k lies
-    below it, so that Y lies in x_n = 0 (``y_at_infinity``); x_n^k lies
-    in J for some k exactly when x_n vanishes on Y, always when F is
-    smooth."""
+    the nonzero combinations of them.  Y lies in x_n = 0
+    (``y_at_infinity``) exactly when a minimal lead is a power of x_n
+    (see the module docstring)."""
     if F.is_zero:
         raise ValueError("hypersurface polynomial is zero")
     if F.field.kind != "prime":
@@ -534,8 +533,8 @@ def _plane_degree(f1, f2, g, a, b, c, p):
     """``g_2`` of the cut (f1, f2) on the plane through a, b and c,
     saturated by g, or by x_n when g is None, which the caller passes
     when Y lies in x_n = 0; ``None`` when the points are dependent, c
-    lies on one of the three curves or on x_n = 0, or a resultant
-    vanishes identically.
+    lies on one of the curves, a resultant vanishes identically, or, for
+    x_n, b lies on x_n = 0.
 
     The lines through c are the lines s = const of the chart
     a + s*b + u*c.  R12(s) = Res_u(f1, f2) vanishes on each line through
@@ -543,41 +542,40 @@ def _plane_degree(f1, f2, g, a, b, c, p):
     as its multiplicity (Fulton, Algebraic Curves), so (f1, f2) : g^infty
     is R12 stripped of every root it shares with R1G(s) = Res_u(f1, g).
     R12 has degree at most e^2 in s and is interpolated from its values
-    at s = 0..e^2, which needs e^2 < p; so is R1G for a form g of degree
-    e.  For x_n, which is a_n + s*b_n + u*c_n on the plane, R1G is f1 at
-    u = -(a_n + s*b_n) / c_n up to a unit, of degree at most e in s, and
-    read by one Horner pass at each of s = 0..e; the roots it strips are
-    the lines through c that meet f1 on x_n = 0, which hold every point
-    of Y on the plane, and its gcd with R12 has degree at most e, not e^2.
-    The line through c and b is a root of R12 of multiplicity
-    e^2 - deg R12, shared with R1G exactly when R1G, too, is below its
-    full degree.  A line through c that holds a residual point and a
-    point of f1 and g is stripped as well, so an unlucky c, like an
-    unlucky g, can only lower g_2; with x_n in place of g the reading no
-    longer depends on g.  The u^e coefficient of f(a + s*b + u*c) is
-    f(c), so ``_on_plane`` tells whether c lies on a curve.
+    at s = 0..e^2, which needs e^2 < p; so is R1G.  The line through c
+    and b is a root of R12 of multiplicity e^2 - deg R12, shared with
+    R1G exactly when R1G, too, is below degree e^2.  A line through c
+    that holds a residual point and a point of f1 and g is stripped as
+    well, so an unlucky c, like an unlucky g, can only lower g_2.  The
+    u^e coefficient of f(a + s*b + u*c) is f(c), so ``_on_plane`` tells
+    whether c lies on a curve.
+
+    For x_n, a and c are moved onto x_n = 0 by zeroing their last
+    coordinates once they are drawn, so the draws do not change.  The
+    plane then meets x_n = 0 in the line s = 0, or lies in it when b
+    does too.  By Bezout, f1 and f2 meet on the plane in e^2 points,
+    the line through c and b included, and the cut loses exactly its
+    points on x_n = 0 (see the module docstring), which R12 counts as
+    its order at s = 0; no R1G is needed.
     """
-    if len(_echelon((a, b, c), p)[0]) < 3 or (g is None and not c[-1]):
+    if g is None:
+        a, c = [*a[:-1], 0], [*c[:-1], 0]
+    if len(_echelon((a, b, c), p)[0]) < 3 or (g is None and not b[-1]):
         return None
     e = f1.degree
     f1_s, f2_s, *g_s = _on_plane((f1, f2) if g is None else (f1, f2, g), a, b, c, p)
     if not all(f_s[-1][0] for f_s in (f1_s, f2_s, *g_s)):  # f1(c), f2(c), g(c)
         return None
     r12 = _interpolate(_resultants(f1_s, f2_s, p), p)
+    if not r12:
+        return None
     if g is None:
-        inv, r1g = pow(c[-1], -1, p), []
-        for s in range(e + 1):
-            u, v = -(a[-1] + s * b[-1]) * inv % p, 0
-            for col in reversed(f1_s):  # Horner in u, from the u^e column down
-                v = (v * u + col[s]) % p
-            r1g.append(v)
-        r1g, full = _interpolate(r1g, p), e
-    else:
-        r1g, full = _interpolate(_resultants(f1_s, g_s[0], p), p), e * e
-    if not r12 or not r1g:
+        return e * e - next(k for k, x in enumerate(r12) if x)
+    r1g = _interpolate(_resultants(f1_s, g_s[0], p), p)
+    if not r1g:
         return None
     at_b = e * e + 1 - len(r12)
-    return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == full + 1 else 0)
+    return len(_strip(r12, r1g, p)) - 1 + (at_b if len(r1g) == e * e + 1 else 0)
 
 
 def _combination(partials, row, p) -> Polynomial:
@@ -588,11 +586,13 @@ def _combination(partials, row, p) -> Polynomial:
 def _reduced_cut(partials, rows, g_row, p):
     """The forms of a chart cut and its saturating g, from their rows of
     coefficients of the partials: the nonzero forms of ``_echelon(rows)``,
-    and g less its multiples of them, which may be 0."""
+    and g less its multiples of them, which may be 0, or None when
+    ``g_row`` is None."""
     echelon, pivots = _echelon(rows, p)
-    forms = [_combination(partials, r, p) for r in echelon]
-    rest = _combination(partials, _reduced(g_row, echelon, pivots, p), p)
-    return [f for f in forms if not f.is_zero], rest
+    forms = [f for f in (_combination(partials, r, p) for r in echelon) if not f.is_zero]
+    if g_row is None:
+        return forms, None
+    return forms, _combination(partials, _reduced(g_row, echelon, pivots, p), p)
 
 
 @functools.cache
@@ -618,12 +618,10 @@ def _chart_degree(forms, g, n: int):
     left, so, like an unlucky g, it can only come out low; for random
     forms and hyperplanes that happens with probability about 1/p.
 
-    When Y lies in x_n = 0 the caller passes g = x_n: a minimal lead
-    x_n^k of J's grevlex basis is the element x_n^k of J, since no other
-    monomial of degree k lies below it, so J is the unit ideal on this
-    chart and the cut is its own residual there.  x_n dehomogenizes to 1,
-    so ``saturate``'s relation 1 - t forms no pair, the cut's own basis is
-    counted, and the count no longer depends on a random g.
+    When Y lies in x_n = 0 the caller passes g = x_n, and the cut loses
+    exactly its points on x_n = 0 (see the module docstring).  x_n
+    dehomogenizes to 1, so ``saturate``'s relation 1 - t forms no pair
+    and the cut's own basis is counted.
     """
     cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
     residual = saturate(cut, IdealBasis((g.dehomogenize(n),)))
@@ -671,14 +669,11 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     (see ``_settled``) takes an unlucky draw, and saturating by 0, like
     saturating by g, gives the unit ideal, whose g_i is 0.
 
-    When the scheme's ``y_at_infinity`` holds, Y lies in x_n = 0: a lead
-    x_n^k of J's grevlex basis is the element x_n^k of J, x_n^k being the
-    smallest monomial of its degree.  J is then the unit ideal on the
-    chart x_n = 1, so every chart cut is saturated by x_n, which
-    dehomogenizes to 1, and the plane cut strips the roots R12 shares with
-    f1 on x_n = 0 (``_plane_degree`` with g None).  Those readings no
-    longer depend on g, but g is still drawn, so the draws of the other
-    cuts stay as they were.
+    When the scheme's ``y_at_infinity`` holds, Y lies in x_n = 0, and
+    every cut is saturated by x_n instead of g and loses exactly its
+    points on x_n = 0 (see the module docstring): a chart cut is passed
+    x_n, with no g reduced or combined, and the plane cut g None.  g's
+    row is still drawn, so the draws of the other cuts stay as they were.
     """
     n = scheme.n
     partials = scheme.partials
@@ -692,6 +687,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     # checks; they take the same values from rng.  The partials are drawn
     # as rows of coefficients, which a plane cut combines at once.
     base_row = _random_row(columns, p, rng)
+    g_row = None if at_infinity else base_row
     g = [1]
     for i in range(1, n + 1):
         if i in certified:
@@ -707,7 +703,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
             else:
                 xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
-                forms, rest = _reduced_cut(partials, rows, base_row, p)
+                forms, rest = _reduced_cut(partials, rows, g_row, p)
                 gi = _chart_degree(forms + planes, xs[n] if at_infinity else rest, n)
             if gi is not None:
                 g.append(gi)

@@ -179,6 +179,18 @@ def test_compute_refuses_a_huge_power_before_expanding_it(poly):
     assert "above 32767" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "poly", ["2^32767*x0 + x1", "1" * 5000 + "*x0 + x1"], ids=["power", "literal"]
+)
+def test_compute_refuses_a_coefficient_past_the_integer_text_limit(capsys, poly):
+    # Such a coefficient could not be printed in the report, nor a literal
+    # read, so the parser refuses it, naming the bound.
+    result = run_cli(capsys, "compute", poly, "--nvars", "2")
+    assert_one_error_line(*result)
+    assert "more than 4300 digits" in result[2]
+    assert "sys.get_int_max_str_digits()" in result[2]
+
+
 def test_compute_refuses_deeply_nested_parentheses(capsys, tmp_path):
     # 300 levels would reach Python's recursion limit in the parser.
     poly = "(" * 300 + "x0" + ")" * 300

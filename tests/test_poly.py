@@ -90,10 +90,30 @@ def test_parse_takes_powers_and_nesting_up_to_their_bounds():
 
     assert groebner.LIMIT == poly.LIMIT == 32767
     assert parse_poly("x0^32767 + (x0*x1)^16383*x1", 2).degree == 32767
-    assert parse_poly("2^32767*x0", 2).terms == {(1, 0): 2**32767}
+    assert parse_poly("(-1)^32767*x0", 2).terms == {(1, 0): -1}
     assert parse_poly("(" * 100 + "x0" + ")" * 100, 2) == parse_poly("x0", 2)
     with pytest.raises(PolynomialParseError, match="^parentheses nested more than 100 deep$"):
         parse_poly("(" * 101 + "x0" + ")" * 101, 2)
+
+
+def test_parse_takes_coefficients_up_to_the_integer_text_limit():
+    # Python writes no integer of more than sys.get_int_max_str_digits()
+    # digits as text, 4300 by default, and reads none; 0 lifts the limit.
+    import sys
+
+    digits = sys.get_int_max_str_digits()
+    assert digits == 4300
+    assert parse_poly("2^14284*x0", 2).terms == {(1, 0): 2**14284}  # 4300 digits
+    assert parse_poly("9" * digits + "*x0", 2).terms == {(1, 0): 10**digits - 1}
+    assert parse_poly("-(3*x0)^2 * 5", 2).terms == {(2, 0): -45}
+    with pytest.raises(PolynomialParseError, match="more than 4300 digits"):
+        parse_poly("2^14285*x0", 2)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_poly("2^32767*x0", 2).terms == {(1, 0): 2**32767}
+        assert parse_poly("1" * 5000 + "*x0", 2).terms == {(1, 0): int("1" * 5000)}
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def reference_parse(text, nvars):
@@ -152,6 +172,12 @@ def test_parse_matches_polynomial_arithmetic(bench_workloads):
         assert all(type(c) is int for c in got.terms.values()), text
 
 
+TOO_LONG = (
+    "{} has more than 4300 digits, the bound that"
+    " sys.get_int_max_str_digits() sets on an integer's text"
+)
+
+
 @pytest.mark.parametrize(
     "text, nvars, message",
     [
@@ -189,6 +215,19 @@ def test_parse_matches_polynomial_arithmetic(bench_workloads):
             "a power with exponent 32768 and degree 0 is above 32767,"
             " the largest exponent or degree a monomial may have",
         ),
+        ("2^32767*x0 + x1", 2, TOO_LONG.format("a coefficient")),
+        pytest.param(
+            "1" * 5000 + "*x0", 2, TOO_LONG.format("an integer literal"),
+            id="5000-digit literal",
+        ),
+        pytest.param(
+            "0" * 4300 + "1*x0", 2, TOO_LONG.format("an integer literal"),
+            id="4301-digit literal with leading zeros",
+        ),
+        ("(2^4000)^32767*x0", 2, TOO_LONG.format("a coefficient")),
+        ("(x0 + 2^4000*x1)^32767", 2, TOO_LONG.format("a coefficient")),
+        ("2^14000*x0*2^14000", 2, TOO_LONG.format("a coefficient")),
+        ("(2^6000*x0 + x1)^2 * 2^6000", 2, TOO_LONG.format("a coefficient")),
     ],
 )
 def test_parse_error_messages(text, nvars, message):

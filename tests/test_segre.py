@@ -1631,10 +1631,13 @@ def test_cuts_at_infinity_read_as_the_g_cuts(bench_workloads):
 
 
 def test_plane_cuts_at_infinity_match_the_elimination():
-    # Reference: dim_degree(saturate(f1, f2 + hyperplanes through a, b,
-    # c; x_n)), for inputs whose Y lies in x_n = 0.  Besides plain draws,
-    # c on x_n = 0 is redrawn; f1 and f2 through b put a root of R12 at
-    # s = infinity, which R1G shares when b lies on x_n = 0 as well.
+    # Reference: dim_degree(saturate(f1, f2 + hyperplanes through a', b,
+    # c'; x_n)), for inputs whose Y lies in x_n = 0, where a' and c' are a
+    # and c moved onto x_n = 0.  Besides plain draws, b on x_n = 0 is
+    # redrawn (the plane would lie in x_n = 0); f1 and f2 through b put a
+    # residual point on the line through b and c, counted at s = infinity;
+    # and f1 and f2 through a point q of the line s = 0 that is not on Y
+    # put one on x_n = 0, which the reading loses as the elimination does.
     from csmhyp.groebner import IdealBasis, dim_degree, saturate
     from csmhyp.segre import _plane_degree
 
@@ -1643,7 +1646,7 @@ def test_plane_cuts_at_infinity_match_the_elimination():
         if c.n >= 3 and c.name.startswith("smooth")
     ]
     inputs += NONISOLATED[1:5] + ISOLATED[1:]
-    kinds = ("plain", "c_at_infinity", "b_on_cut", "b_on_cut_at_infinity")
+    kinds = ("plain", "b_at_infinity", "b_on_cut", "q_on_cut")
     seen = set()
     for text, nvars in inputs:
         F = parse_poly(text, nvars)
@@ -1658,27 +1661,74 @@ def test_plane_cuts_at_infinity_match_the_elimination():
             for kind in kinds:
                 f1, f2 = (random_linear_combination(scheme.partials, rng) for _ in "ff")
                 a, b, c = ([rng.randrange(p) for _ in xs] for _ in "abc")
-                if kind == "c_at_infinity":
-                    c[-1] = 0
-                if kind == "b_on_cut_at_infinity":
+                moved_a, moved_c = [*a[:-1], 0], [*c[:-1], 0]
+                if kind == "b_at_infinity":
                     b[-1] = 0
-                if kind.startswith("b_on_cut"):
+                if kind == "b_on_cut":
                     f1, f2 = _through(f1, b, p), _through(f2, b, p)
+                if kind == "q_on_cut":
+                    u = rng.randrange(1, p)
+                    q = [(x + u * z) % p for x, z in zip(moved_a, moved_c)]
+                    f1, f2 = _through(f1, q, p), _through(f2, q, p)
                 got = _plane_degree(f1, f2, None, a, b, c, p)
                 where = (text, p, kind)
-                planes = _hyperplanes((a, b, c), xs, p)
-                if len(planes) > nvars - 3 or not c[-1] or not all(
-                    _value(h, c, p) for h in (f1, f2)
+                planes = _hyperplanes((moved_a, b, moved_c), xs, p)
+                if len(planes) > nvars - 3 or not b[-1] or not all(
+                    _value(h, moved_c, p) for h in (f1, f2)
                 ):
                     assert got is None, where
                     seen.add((kind, "redraw"))
                     continue
                 residual = saturate(IdealBasis((f1, f2, *planes)), IdealBasis((xs[-1],)))
                 dim, deg = dim_degree(residual)
-                assert not dim and got is not None and got <= deg, where
-                assert got == deg or p < 1000, where
-                seen.add((kind, got == deg, deg == e * e))
-    assert ("plain", True, True) in seen and ("c_at_infinity", "redraw") in seen
-    # b is a residual point, counted at s = infinity, unless it lies on x_n = 0
-    assert ("b_on_cut", True, True) in seen
-    assert ("b_on_cut_at_infinity", True, False) in seen
+                assert not dim and got == deg, where
+                seen.add((kind, deg == e * e))
+    assert ("plain", True) in seen and ("b_at_infinity", "redraw") in seen
+    # on the smooth inputs b is a residual point, counted at s = infinity
+    assert ("b_on_cut", True) in seen
+    # q is not on Y but on x_n = 0, so the reading and the elimination lose it
+    assert ("q_on_cut", False) in seen and ("q_on_cut", True) not in seen
+
+
+def test_plane_cuts_at_infinity_never_read_above_the_elimination(
+    bench_workloads, monkeypatch
+):
+    # Reference: the same elimination as above, on the planes that seeded
+    # trials at p = 101 draw, for the flagged nonisolated inputs and the
+    # smooth corpus inputs with n >= 3; and the expected g_2 above it.
+    import csmhyp.segre as segre_mod
+    from csmhyp.groebner import IdealBasis, dim_degree, saturate
+
+    p = 101
+    real = segre_mod._plane_degree
+    calls = []
+
+    def recorded(f1, f2, g, a, b, c, p):
+        got = real(f1, f2, g, a, b, c, p)
+        calls.append((f1, f2, a, b, c, got))
+        return got
+
+    monkeypatch.setattr(segre_mod, "_plane_degree", recorded)
+    cases = list(bench_workloads.nonisolated_cases())
+    cases += [c for c in bench_workloads.corpus_cases() if c.name.startswith("smooth")]
+    checked = []
+    for case in cases:
+        scheme = jacobian_scheme(gfpoly(case.poly, case.nvars, p))
+        if not scheme.y_at_infinity or scheme.n < 3:
+            continue
+        e = scheme.d - 1
+        expected = case.expected.get("projective_degrees", [e**i for i in range(4)])[2]
+        xs = [variable(case.nvars, k, PrimeField(p)) for k in range(case.nvars)]
+        only_g2 = {i: 0 for i in range(scheme.n + 1) if i != 2}
+        for seed in range(30):
+            calls.clear()
+            _one_trial(case.poly, case.nvars, True, only_g2, p=p, seed=seed)
+            for f1, f2, a, b, c, got in calls:
+                if got is None:
+                    continue
+                planes = _hyperplanes(([*a[:-1], 0], b, [*c[:-1], 0]), xs, p)
+                residual = saturate(IdealBasis((f1, f2, *planes)), IdealBasis((xs[-1],)))
+                dim, deg = dim_degree(residual)
+                assert not dim and got <= deg <= expected, (case.name, seed)
+                checked.append(case.name)
+    assert len(set(checked)) == 6 and len(checked) >= 6 * 30
