@@ -412,7 +412,7 @@ def _too_long(what, digits) -> PolynomialParseError:
     )
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4)  # 10**4300 takes longer than a typical parse
 def _power_of_ten(k: int) -> int:
     return 10**k
 
@@ -514,7 +514,7 @@ class _Parser:
                     f"a power with exponent {val} and degree {degree} is above"
                     f" {LIMIT}, the largest exponent or degree a monomial may have"
                 )
-            if len(base) == 1:
+            if len(base) == 1:  # the common x^m: no product, no check per step
                 ((m, c),) = base.items()
                 if (c.bit_length() - 1) * val > 4 * self.digits > 0:
                     raise _too_long("a coefficient", self.digits)

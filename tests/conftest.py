@@ -42,6 +42,19 @@ def substitute_linear():
 
 
 @pytest.fixture
+def int_text_limit():
+    """Python's default bound of 4300 digits on an integer's text, set for
+    the test whatever ``PYTHONINTMAXSTRDIGITS`` or ``-X int_max_str_digits``
+    chose, and put back after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
 def bench_workloads(monkeypatch):
     """The benchmark's inputs and expected values, ``perfbench/workloads.py``,
     read from its file."""

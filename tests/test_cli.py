@@ -182,7 +182,9 @@ def test_compute_refuses_a_huge_power_before_expanding_it(poly):
 @pytest.mark.parametrize(
     "poly", ["2^32767*x0 + x1", "1" * 5000 + "*x0 + x1"], ids=["power", "literal"]
 )
-def test_compute_refuses_a_coefficient_past_the_integer_text_limit(capsys, poly):
+def test_compute_refuses_a_coefficient_past_the_integer_text_limit(
+    capsys, int_text_limit, poly
+):
     # Such a coefficient could not be printed in the report, nor a literal
     # read, so the parser refuses it, naming the bound.
     result = run_cli(capsys, "compute", poly, "--nvars", "2")
