@@ -24,7 +24,7 @@ input (``compute --verify``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .chow import ChowClass, chern_tangent_pn, line_bundle, unit
@@ -238,9 +238,29 @@ class ClassReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-# The top-level keys of ``ClassReport.to_json_dict``: one per field, and
-# the trial log of the projective degrees.
-REPORT_KEYS = frozenset(f.name for f in fields(ClassReport)) | {"trials"}
+# The JSON shape of each top-level value of ``ClassReport.to_json_dict``:
+# one key per field, and the trial log of the projective degrees.  A type
+# is matched exactly, so a bool is not an integer; ``[t]`` is a list of t.
+REPORT_SHAPES = {
+    "n": int, "d": int, "euler": int, "milnor_total": int, "poly": str,
+    "projective_degrees": [int], "segre_singular": [str], "csm": [str],
+    "fulton": [str], "mu": [str], "verification": list, "trials": list,
+}
+REPORT_KEYS = frozenset(REPORT_SHAPES)
+_SHAPE_NAMES = {
+    int: ("an integer", "integers"), str: ("a string", "strings"), list: ("a list",),
+}
+
+
+def report_shape_error(key: str, value) -> str | None:
+    """None when ``value`` has the JSON shape of the report key ``key``,
+    else the shape it should have, as "an integer" or "a list of strings"."""
+    shape = REPORT_SHAPES[key]
+    if type(shape) is not list:
+        return None if type(value) is shape else _SHAPE_NAMES[shape][0]
+    if type(value) is list and all(type(v) is shape[0] for v in value):
+        return None
+    return f"a list of {_SHAPE_NAMES[shape[0]][1]}"
 
 
 def classes_from_segre(n: int, d: int, s_y: ChowClass):

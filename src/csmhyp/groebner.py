@@ -8,6 +8,11 @@ extra-variable elimination method, keeping only the t-free part; and
 Hilbert-series extraction of projective dimension and degree, and of the
 colength of an Artinian ideal, from a computed basis's minimal leads.
 
+Every ideal names its ring: a generating set has at least one generator,
+and a zero polynomial names the ring of the zero ideal, which is then an
+ordinary computed basis with no elements.  An empty generator list
+raises ``ValueError``.
+
 A computed basis is kept minimalized and packed.  R/I and R/in(I) have
 the same Hilbert function, so the counts read only its leading terms;
 the tail reduction to the reduced basis, and the unpack into
@@ -357,16 +362,19 @@ class IdealBasis:
 
     ``IdealBasis(gens)`` holds a caller's generators as given: a
     generating set, whatever they are, whose ``groebner`` is false and
-    whose ``leading_terms`` raise ``ValueError``.  Only ``buchberger`` and
-    ``saturate`` return a Groebner basis, the zero ideal included, and the
-    read-only ``groebner`` is true exactly for those.  A computed basis
-    carries its minimal monic basis packed, lead-descending, and its
-    ``leading_terms`` are those leads.  Its ``gens``, the reduced grevlex
-    basis as ``Polynomial`` values in the same order, are built on their
-    first read, by tail-reducing and unpacking the carried elements, and
-    then kept.  ``nvars``, ``field`` and ``is_zero_ideal`` read the
-    carried data, so a caller that needs only the leading terms, as the
-    Hilbert-function counts do, never pays for the reduction.
+    whose ``leading_terms`` raise ``ValueError``.  The generators name
+    the ring, so there must be at least one, a zero polynomial for the
+    zero ideal; an empty list raises ``ValueError``.  Only ``buchberger``
+    and ``saturate`` return a Groebner basis, and the read-only
+    ``groebner`` is true exactly for those.  A computed basis carries its
+    minimal monic basis packed, lead-descending, and its
+    ``leading_terms`` are those leads, none for the zero ideal.  Its
+    ``gens``, the reduced grevlex basis as ``Polynomial`` values in the
+    same order, are built on their first read, by tail-reducing and
+    unpacking the carried elements, and then kept.  ``nvars`` and
+    ``field`` read the ring, so a caller that needs only the leading
+    terms, as the Hilbert-function counts do, never pays for the
+    reduction.
     """
 
     __slots__ = ("_gens", "_ring", "_computed")
@@ -374,18 +382,19 @@ class IdealBasis:
     def __init__(self, gens: tuple = ()):
         # ``_ring`` holds the polynomials that carry the ring: a caller's
         # generators, or the one a computed basis keeps, whose ring all
-        # its elements share; the zero ideal has none.
+        # its elements share.
         self._gens = self._ring = tuple(gens)
+        if not self._ring:
+            raise ValueError("an ideal needs a generator to name its ring")
         self._computed = None  # (leads, polys, layout) when computed
 
     @classmethod
-    def _from_packed(cls, leads=(), polys=(), lay=None, ring=None) -> IdealBasis:
+    def _from_packed(cls, leads, polys, lay, ring) -> IdealBasis:
         """The computed basis of the minimal monic Groebner basis
         ``(leads, polys)``, lead-descending, in the ring of the polynomial
-        ``ring``; with no arguments, the zero ideal, which has no ring."""
-        basis = cls()
-        if leads:
-            basis._gens, basis._ring = None, (ring,)
+        ``ring``."""
+        basis = cls((ring,))
+        basis._gens = None
         basis._computed = (leads, polys, lay)
         return basis
 
@@ -411,21 +420,13 @@ class IdealBasis:
             )
         return self._gens
 
-    def _ring_poly(self) -> Polynomial:
-        if not self._ring:
-            raise ValueError("empty basis carries no ring data")
-        return self._ring[0]
-
     @property
     def nvars(self) -> int:
-        return self._ring_poly().nvars
+        return self._ring[0].nvars
 
     @property
     def field(self):
-        return self._ring_poly().field
-
-    def is_zero_ideal(self) -> bool:
-        return not self._ring
+        return self._ring[0].field
 
 
 def _require_modular(gens):
@@ -446,10 +447,12 @@ def _packed(f: Polynomial, lay: _Layout) -> dict:
 
 def buchberger(gens) -> IdealBasis:
     """Groebner basis (grevlex) of the ideal the generators span; its
-    ``gens`` are the reduced basis, built when first read."""
-    gens = [g for g in gens if not g.is_zero]
+    ``gens`` are the reduced basis, built when first read.  An empty
+    list names no ring and raises ``ValueError``; zero generators name
+    it and add nothing."""
+    gens = list(gens)
     if not gens:
-        return IdealBasis._from_packed()
+        raise ValueError("an ideal needs a generator to name its ring")
     field, nvars = _require_modular(gens)
     lay = _layout(nvars)
     G, lts = _buchberger([_packed(g, lay) for g in gens], lay, field.p)
@@ -464,8 +467,6 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     its carried monic elements, unreduced."""
     if not basis.groebner:
         raise ValueError("normal form requires a Groebner basis")
-    if basis.is_zero_ideal():
-        return f
     field = basis.field
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
@@ -497,8 +498,6 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
         raise ValueError(
             f"saturate takes a principal ideal (one generator), got {len(J.gens)}"
         )
-    if I.is_zero_ideal():
-        return IdealBasis._from_packed()
     field, nvars = _require_modular(list(I._ring) + list(J.gens))
     p = field.p
     lay = _layout(nvars)
@@ -623,8 +622,7 @@ def _krull_degree(I: IdealBasis):
     read off the Hilbert series N(t)/(1-t)^nvars once N is divided by
     (1 - t), by synthetic division, as often as it divides:
     ``(nvars - times, quotient(1))``, and ``(0, 0)`` for the unit ideal,
-    whose numerator is 0.  The zero ideal carries no ring, so its
-    ``nvars`` raise ``ValueError``."""
+    whose numerator is 0."""
     num = hilbert_numerator(I)
     if not any(num):
         return 0, 0
@@ -643,8 +641,6 @@ def standard_monomial_count(I: IdealBasis):
     Returns ``None`` when the count is infinite (the quotient has positive
     Krull dimension, the zero ideal included) and ``0`` for the unit ideal.
     """
-    if I.groebner and I.is_zero_ideal():
-        return None  # R itself: it carries no ring, but has dimension nvars >= 1
     krull, degree = _krull_degree(I)
     return None if krull else degree
 
@@ -652,12 +648,12 @@ def standard_monomial_count(I: IdealBasis):
 def dim_degree(I: IdealBasis):
     """Projective dimension and degree of Proj of the quotient by I, a
     Groebner basis that ``buchberger`` or ``saturate`` returned; a
-    generating set ``IdealBasis(gens)``, and the zero ideal, which carries
-    no ring, raise ``ValueError``.
+    generating set ``IdealBasis(gens)`` raises ``ValueError``.
 
     Returns ``(dim, degree)`` with ``dim = None`` (and degree 0) for the
-    empty scheme.  The degree of a zero-dimensional scheme is the stable
-    value of its Hilbert function, so saturation is not required first.
+    empty scheme, and ``(nvars - 1, 1)``, all of P^n, for the zero ideal.
+    The degree of a zero-dimensional scheme is the stable value of its
+    Hilbert function, so saturation is not required first.
     """
     krull, degree = _krull_degree(I)
     return (krull - 1, degree) if krull > 0 else (None, 0)

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field as dc_field, fields
 
-from .charclasses import REPORT_KEYS, Verification
+from .charclasses import REPORT_KEYS, Verification, report_shape_error
 from .chow import ChowClass, chern_tangent_pn, hyperplane_power, line_bundle
 from .errors import PolynomialParseError, RandomnessError
 from .groebner import IdealBasis, buchberger, saturate, standard_monomial_count
@@ -138,13 +138,18 @@ def load_fixtures(path) -> list[FixtureCase]:
     raises ``ValueError``.  So does a row without ``name``, ``poly`` or
     ``n``, with a key that is not a ``FixtureCase`` field, a non-string
     ``name``, ``poly`` or ``provenance``, a non-object ``expected``, an
-    ``expected`` key that is not a top-level report key, an ``n`` that is
-    not an integer >= 1, a non-integer ``milnor_oracle``, a ``poly`` that
-    does not parse in ``n + 1`` variables, or a ``name`` that an earlier
-    row has; the message names the row and key.
+    ``expected`` key that is not a top-level report key or whose value
+    has not that key's JSON shape (``charclasses.REPORT_SHAPES``), an
+    ``n`` that is not an integer >= 1, a non-integer ``milnor_oracle``, a
+    ``poly`` that does not parse in ``n + 1`` variables, or a ``name``
+    that an earlier row has; the message names the row and key.  JSON
+    nested too deeply for the reader raises ``ValueError`` naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests its JSON too deeply to read") from None
     if not isinstance(raw, list):
         raise ValueError(f"fixture corpus is not a JSON list: {raw!r:.40}")
     allowed = {f.name for f in fields(FixtureCase)}
@@ -171,9 +176,12 @@ def load_fixtures(path) -> list[FixtureCase]:
         ):
             if not ok:
                 raise ValueError(f"{where} has {key!r} {row[key]!r}, not {want}")
-        for key in row.get("expected", {}):
+        for key, value in row.get("expected", {}).items():
             if key not in REPORT_KEYS:
                 raise ValueError(f"{where} expects the unknown report key {key!r}")
+            want = report_shape_error(key, value)
+            if want:
+                raise ValueError(f"{where} expects {key!r} {value!r:.40}, not {want}")
         fixture = FixtureCase(**row)
         try:
             fixture.parse()

@@ -316,16 +316,11 @@ def _random_row(columns, p, rng) -> list:
     from ``rng`` exactly as ``_random_combination`` draws them.  Each of
     ``columns`` holds the k coefficients of one monomial, and a
     combination counts as zero when it is zero at all of them, so they
-    must hold every monomial that leads a nonzero combination.  k such
-    columns are independent, and then only the zero row vanishes."""
+    must hold every monomial that leads a nonzero combination."""
     k = len(columns[0])
-    independent = len(columns) == k
     for _ in range(_DRAWS):
         row = [rng.randrange(p) for _ in range(k)]
-        if (
-            any(row) if independent
-            else any(sum(map(operator.mul, row, col)) % p for col in columns)
-        ):
+        if any(sum(map(operator.mul, row, col)) % p for col in columns):
             return row
     raise RandomnessError("could not draw a nonzero combination")
 

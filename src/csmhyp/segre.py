@@ -291,34 +291,24 @@ def _values(forms, points, p) -> list:
 
     The work runs over all points at once, column by column: the powers
     of each coordinate up to the highest exponent that occurs, then the
-    values of each monomial as products of those columns, and then one
-    dot product per point and form.  In sorted order a monomial shares
-    the products over its leading exponents with the one before, so only
-    the rest are multiplied.  Everything is exact until the dot products
-    are reduced mod p.
+    values of each monomial as the product of its nonzero power columns,
+    and then one dot product per point and form.  Everything is exact
+    until the dot products are reduced mod p.
     """
-    monos = sorted({m for f in forms for m in f.terms})
+    monos = list({m for f in forms for m in f.terms})
     powers = []
     for xs, top in zip(zip(*points), map(max, zip(*monos))):
         pw = [None, xs]
         for _ in range(top - 1):
             pw.append(list(map(mul, pw[-1], xs)))
         powers.append(pw)
-    prefix = [None] * (len(powers) + 1)  # the product over x_0..x_(k-1) at k
-    prev = (None,) * len(powers)
     cols = []
     for m in monos:
-        k = 0
-        while m[k] == prev[k]:
-            k += 1
-        for j in range(k, len(m)):
-            v, d = prefix[j], m[j]
-            prefix[j + 1] = (
-                v if not d else powers[j][d] if v is None
-                else list(map(mul, v, powers[j][d]))
-            )
-        cols.append(prefix[-1] or [1] * len(points))
-        prev = m
+        col = None
+        for pw, e in zip(powers, m):
+            if e:
+                col = pw[e] if col is None else list(map(mul, col, pw[e]))
+        cols.append(col or [1] * len(points))
     rows = list(zip(*cols))
     return [
         [sum(map(mul, c, v)) % p for v in rows]

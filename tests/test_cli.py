@@ -312,6 +312,16 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         ({**good, "n": 0}, "'n'"),
         ({**good, "n": -1}, "'n'"),
         (good, "'two_lines'"),
+        # An expected value of the wrong JSON type would read as a wrong
+        # answer, not as a malformed row.
+        ({**good, "expected": {"euler": "3"}}, "'euler' '3', not an integer"),
+        ({**good, "expected": {"csm": [0, 3, 3]}}, "'csm' [0, 3, 3], not a list of strings"),
+        ({**good, "expected": {"d": True}}, "'d'"),
+        ({**good, "expected": {"milnor_total": 1.0}}, "'milnor_total'"),
+        ({**good, "expected": {"poly": 5}}, "'poly'"),
+        ({**good, "expected": {"mu": "0"}}, "'mu'"),
+        ({**good, "expected": {"projective_degrees": ["1", "2"]}}, "'projective_degrees'"),
+        ({**good, "expected": {"trials": {}}}, "'trials'"),
     ]
     for row, key in bad_rows:
         path = tmp_path / "bad.json"
@@ -319,6 +329,15 @@ def test_verify_malformed_fixture_rows_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert_one_error_line(code, out, err)
         assert "row 1" in err and key in err
+    # JSON nested past the reader's recursion limit, as the whole corpus or
+    # as one expected value, is refused with the file named.
+    deep = "[" * 100000 + "]" * 100000
+    for body in (deep, f'[{json.dumps(good)[:-1]}, "expected": {{"csm": {deep}}}}}]'):
+        path = tmp_path / "deep.json"
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert_one_error_line(code, out, err)
+        assert str(path) in err and "too deeply" in err
 
 
 def test_verify_corpus_that_is_not_a_list_exits_2(capsys, tmp_path):

@@ -117,8 +117,35 @@ def test_buchberger_examples():
 
 
 def test_buchberger_zero_ideal():
-    b = buchberger([])
-    assert b.groebner and not b.gens
+    b = buchberger([Polynomial(3, {}, GF)])
+    assert b.groebner and not b.gens and not b.leading_terms
+    assert (b.nvars, b.field) == (3, GF)
+
+
+def test_an_ideal_needs_a_generator_to_name_its_ring():
+    with pytest.raises(ValueError, match="ring"):
+        buchberger([])
+    with pytest.raises(ValueError, match="ring"):
+        IdealBasis(())
+
+
+def test_the_zero_ideal_is_all_of_projective_space():
+    # The zero ideal of k[x0, x1, x2] cuts out P^2, of degree 1, and its
+    # quotient, the whole ring, has infinitely many standard monomials.
+    basis = buchberger([Polynomial(3, {}, GF)])
+    assert dim_degree(basis) == (2, 1)
+    assert standard_monomial_count(basis) is None
+
+
+def test_the_zero_ideal_divides_and_saturates_to_itself():
+    zero = Polynomial(3, {}, GF)
+    basis = buchberger([zero])
+    f = gf("x0^2 + 3*x1*x2 - x2^2", 3)
+    assert normal_form(f, basis) == f
+    sat = saturate(IdealBasis((zero,)), IdealBasis((gf("x0", 3),)))
+    assert sat.groebner and not sat.gens
+    assert (sat.nvars, sat.field) == (3, GF)
+    assert dim_degree(sat) == (2, 1)
 
 
 def test_buchberger_idempotent_and_certified():
@@ -181,7 +208,7 @@ def test_a_caller_cannot_claim_a_groebner_basis():
         raw.groebner = True
     with pytest.raises(ValueError):
         raw.leading_terms
-    assert buchberger([x0]).groebner and buchberger([]).groebner
+    assert buchberger([x0]).groebner and buchberger([x0 - x0]).groebner
     assert saturate(raw, IdealBasis((gf("x1", 2),))).groebner
 
 
@@ -363,7 +390,7 @@ def assert_reduced_on_first_read(basis, calls):
     the first read of ``gens`` runs one and a second read returns the same
     tuple, whose leading monomials are ``leading_terms`` in order."""
     before = len(calls)
-    assert not basis.is_zero_ideal()
+    assert basis.leading_terms
     nvars, field = basis.nvars, basis.field
     dim_degree(basis)
     assert len(calls) == before
@@ -637,8 +664,10 @@ def test_saturate_takes_a_principal_ideal_only():
 
 def monomial_basis(monomials, nvars):
     """The computed basis of the monomial ideal that the exponent tuples
-    generate: ``buchberger`` of the monomials as polynomials."""
-    return buchberger([Polynomial(nvars, {m: 1}, GF) for m in monomials])
+    generate: ``buchberger`` of the monomials as polynomials, or of the
+    zero polynomial of the ring when there are none."""
+    gens = [Polynomial(nvars, {m: 1}, GF) for m in monomials]
+    return buchberger(gens or [Polynomial(nvars, {}, GF)])
 
 
 def test_hilbert_numerator_base_cases():
@@ -779,7 +808,7 @@ def test_every_count_refuses_a_generating_set():
     for count in (hilbert_numerator, standard_monomial_count, dim_degree):
         with pytest.raises(ValueError, match="Groebner"):
             count(raw)
-    # The zero ideal carries no ring, so no dimension.
+    # An empty generator list names no ring, so it is refused first.
     with pytest.raises(ValueError, match="ring"):
         dim_degree(buchberger([]))
 
@@ -893,7 +922,7 @@ def test_membership_certificates_on_small_cases():
     for _ in range(8):
         gens = [_random_form(rng, 3, rng.randint(1, 2)) for _ in range(2)]
         basis = buchberger(gens)
-        if basis.is_zero_ideal() or dim_degree(basis) == (None, 0):
+        if not basis.leading_terms or dim_degree(basis) == (None, 0):
             continue
         # a known member: explicit combination of the generators
         member = gens[0] * _random_form(rng, 3, 1) + gens[1] * _random_form(rng, 3, 2)

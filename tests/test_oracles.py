@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from csmhyp.charclasses import REPORT_KEYS, Verification, build_report
+from csmhyp.charclasses import (
+    REPORT_KEYS,
+    Verification,
+    build_report,
+    report_shape_error,
+)
 from csmhyp import oracles
 from csmhyp.oracles import (
     FixtureCase,
@@ -151,6 +156,13 @@ def test_fixture_corpus_matches_pipeline():
         bad = [v.name for v in verdicts if not v.ok]
         assert not bad, f"{fix.name}: {bad}"
         assert report.all_passed, fix.name
+
+
+def test_every_report_value_has_the_shape_load_fixtures_checks(report_cache):
+    for fix in default_fixtures():
+        report = report_cache(fix.poly, fix.n + 1).to_json_dict()
+        for key, value in report.items():
+            assert report_shape_error(key, value) is None, (fix.name, key)
 
 
 def test_fixture_classes_have_int_coefficients(report_cache):
