@@ -26,11 +26,16 @@ and every order used here is global, so division terminates regardless.
 
 Inner loops work on raw term dicts ``{packed_monomial: int}`` mod p;
 ``Polynomial`` values are unwrapped, and their exponent tuples packed, at
-the public boundary.  A packed monomial is one int of ``W``-bit fields
-(Monagan and Pearce, "Sparse polynomial division using a heap", JSC
-2011): field i holds the exponent of x_i for i < r, field r the total
-degree of those r variables, and, during saturation, field r + 1 the
-exponent of the eliminated variable t.  A product is then a sum, the
+the public boundary.  Inside the reducer, coefficients are reduced mod p
+once per monomial, when it is popped, not on every update: an
+S-polynomial is handed over unreduced, and a remainder or a basis
+element holds every coefficient in [1, p).
+
+A packed monomial is one int of ``W``-bit fields (Monagan and Pearce,
+"Sparse polynomial division using a heap", JSC 2011): field i holds the
+exponent of x_i for i < r, field r the total degree of those r
+variables, and, during saturation, field r + 1 the exponent of the
+eliminated variable t.  A product is then a sum, the
 degree field included, and ``key(m) = m - 2*(m & pmask)``, where
 ``pmask`` covers the r exponent fields, is one int ascending in grevlex
 and in the order that compares the t exponent first and breaks ties by
@@ -145,12 +150,18 @@ def _monic(d, lead, p):
 def _reduce_full(f, lts, G, lay, p, memo):
     """Full normal form of term dict ``f`` against monic divisors ``G``.
 
-    The working polynomial is driven by a lazy max-heap of monomials:
-    entries going stale on cancellation are skipped at pop time, and a
+    The working polynomial is driven by a max-heap of monomials, each
+    pushed once, when it first enters ``work``, where it then stays.  A
     reduction step only ever creates monomials below the one it removes,
-    so pops are monotone and each surviving monomial is handled once.
-    The remainder is therefore filled in descending order: its first
-    monomial is its leading term.  The heap holds
+    so pops are monotone and every update of a monomial's coefficient
+    comes before its pop.  The coefficients in ``work`` are sums of
+    products, not reduced mod p: each is reduced once, when its monomial
+    is popped, and the monomial is skipped when that gives 0.  So ``f``
+    may hold any ints, 0 and negative ones included, and the remainder,
+    filled in descending order, has its leading term first and every
+    coefficient in [1, p).  The divisor's own lead lands on the popped
+    monomial, which must therefore stay in ``work``: were it removed,
+    that update would push it again.  The heap holds
     ``-key(m) = 2*(m & pmask) - m``, a map that is its own inverse, so
     plain ints are compared and m is recovered at pop.
 
@@ -173,8 +184,8 @@ def _reduce_full(f, lts, G, lay, p, memo):
     while heap:
         nk = pop(heap)
         m = ((nk & pmask) << 1) - nk
-        c = work.get(m)
-        if c is None:
+        c = work[m] % p
+        if not c:
             continue
         j = memo.get(m, -1)  # ~0: no lead tested yet
         if j < 0:
@@ -184,7 +195,6 @@ def _reduce_full(f, lts, G, lay, p, memo):
             else:
                 memo[m] = ~n
                 remainder[m] = c
-                del work[m]
                 continue
             memo[m] = j
         q = m - lts[j]
@@ -196,20 +206,17 @@ def _reduce_full(f, lts, G, lay, p, memo):
                 # monomial cannot already be in ``work``
                 if mm & guard:
                     raise _overflow()
-                v = (-c * cg) % p
-                if v:
-                    work[mm] = v
-                    push(heap, ((mm & pmask) << 1) - mm)
+                work[mm] = -c * cg
+                push(heap, ((mm & pmask) << 1) - mm)
             else:
-                v = (old - c * cg) % p
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
+                work[mm] = old - c * cg
     return remainder
 
 
-def _spoly(gi, li, gj, lj, L, guard, p):
+def _spoly(gi, li, gj, lj, L, guard):
+    """The S-polynomial of the monic gi and gj, whose leads li and lj
+    have the lcm L, with coefficients left unreduced for ``_reduce_full``
+    and the cancelled lcm kept as a 0."""
     u = L - li
     v = L - lj
     out = {}
@@ -222,11 +229,7 @@ def _spoly(gi, li, gj, lj, L, guard, p):
         mm = v + m
         if mm & guard:
             raise _overflow()
-        w = (out.get(mm, 0) - c) % p
-        if w:
-            out[mm] = w
-        elif mm in out:
-            del out[mm]
+        out[mm] = out.get(mm, 0) - c
     return out
 
 
@@ -346,7 +349,7 @@ def _buchberger(gens, lay, p):
                 update(r, max(d) >> dshift & _FIELD)
     while pairs:
         k, i, j, L = heappop(pairs)
-        s = _spoly(G[i], lts[i], G[j], lts[j], L, guard, p)
+        s = _spoly(G[i], lts[i], G[j], lts[j], L, guard)
         r = _reduce_full(s, lts, G, lay, p, memo)
         if r:
             update(r, k >> sshift)

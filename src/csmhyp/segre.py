@@ -31,18 +31,22 @@ point, the two curves of the cut meet on the lines where Res(f1, f2)
 vanishes, and g_2 is what is left of it once every root it shares with
 Res(f1, g) is removed.  Each form is restricted to that plane from its
 values at the (e+1)(e+2)/2 nodes of a triangle, which fix a ternary
-form of degree e.  Every other cut is counted in the affine chart
-x_n = 1.  It is built from row-reduced combinations: its i combinations
-of the partials are brought to an echelon form, each 0 at the others'
-pivots, and it is saturated by g reduced modulo them, which differs
-from g by an element of the cut ideal and so saturates it exactly as g
-does; for the top cut that g is one partial.  The generators and g are
-dehomogenized, saturated by one elimination with ``saturate``, and g_i
-is the number of standard monomials of the result: the length of the
-residual at its points off the hyperplane x_n = 0.  A residual point on
-that hyperplane is lost; random cuts make that about as rare as an
-unlucky g, and since it can only lower g_i, the acceptance rule treats
-it the same way.
+form of degree e.  Every other cut is counted in an affine chart.  It
+is built from row-reduced combinations: its i combinations of the
+partials are brought to an echelon form, each 0 at the others' pivots,
+and it is saturated by g reduced modulo them, which differs from g by
+an element of the cut ideal and so saturates it exactly as g does; for
+the top cut that g is one partial.  The chart is x_k = 1 for the last
+variable x_k that divides every term of g, and x_n = 1 when none does.
+The generators and g are dehomogenized, saturated by one elimination
+with ``saturate``, and g_i is the number of standard monomials of the
+result: the length of the residual at its points off the hyperplane
+x_k = 0.  When x_k divides g, that hyperplane lies in V(g), which the
+saturation removes anyway, so the count is the projective one.  In the
+chart x_n = 1 of a g that no variable divides, a residual point on
+x_n = 0 is lost; random cuts make that about as rare as an unlucky g,
+and since it can only lower g_i, the acceptance rule treats it the same
+way.
 
 When Y lies in x_n = 0, as it does whenever F is smooth, no cut needs g.
 The jacobian basis says so at no cost: in grevlex with x_n last, x_n^k
@@ -53,12 +57,12 @@ m-regularity", Invent. Math. 87, 1987; ``SingularSchemeData.y_at_infinity``).
 Then J is the unit ideal off x_n = 0, so a cut I is saturated by x_n in
 place of g: I : x_n^infty agrees with I : J^infty off x_n = 0, and the
 cut loses exactly its points on x_n = 0, which hold all of Y.  A chart
-cut is saturated by x_n, which is 1 on the chart, so it counts its own
-basis.  The plane cut's plane is drawn to meet x_n = 0 in a line through
-the third point, so g_2 is e^2, the Bezout number of (f1, f2) on the
-plane, less that line's multiplicity as a root of Res(f1, f2).  Neither
-reading depends on g, and either can only come out low, when a residual
-point lies on x_n = 0.
+cut is saturated by x_n, so its chart is x_n = 1, where x_n is 1, and
+it counts its own basis.  The plane cut's plane is drawn to meet x_n = 0
+in a line through the third point, so g_2 is e^2, the Bezout number of
+(f1, f2) on the plane, less that line's multiplicity as a root of
+Res(f1, f2).  Neither reading depends on g, and either can only come out
+low, when a residual point lies on x_n = 0.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
@@ -593,28 +597,34 @@ def _variables(field, nvars) -> tuple:
 
 def _chart_degree(forms, g, n: int):
     """``g_i`` of the cut by ``forms`` in P^n, saturated by the form g:
-    the colength of the saturation in the chart x_n = 1, where the forms
-    and g are dehomogenized.  ``None`` when the residual is
-    positive-dimensional off x_n = 0; 0 when it is empty.
+    the colength of the saturation in the chart x_k = 1, where the forms
+    and g are dehomogenized.  x_k is the last variable that divides every
+    term of g, and x_n when none does or g is 0.  ``None`` when the
+    residual is positive-dimensional off x_k = 0; 0 when it is empty.
 
-    A zero-dimensional scheme that misses x_n = 0 has the colength of
+    A zero-dimensional scheme that misses x_k = 0 has the colength of
     its ideal in that chart as its degree (Cox, Little and O'Shea,
     *Ideals, Varieties, and Algorithms*, ch. 8), and saturating by g
-    commutes with setting x_n = 1, so every residual point off x_n = 0
-    is counted with its length.  What lies on x_n = 0 is lost: a residual
-    point, or a positive-dimensional residual inside that hyperplane,
-    which then gives a finite count where the projective cut is drawn
-    again.  Either way the count is that of the isolated points that are
-    left, so, like an unlucky g, it can only come out low; for random
-    forms and hyperplanes that happens with probability about 1/p.
+    commutes with setting x_k = 1, so every residual point off x_k = 0
+    is counted with its length.  When x_k divides g, every point of
+    x_k = 0 lies in V(g), which the saturation removes, so nothing is
+    lost and the count is that of the projective saturation.  Otherwise,
+    in the chart x_n = 1, what lies on x_n = 0 is lost: a residual point,
+    or a positive-dimensional residual inside that hyperplane, which then
+    gives a finite count where the projective cut is drawn again.  Either
+    way the count is that of the isolated points that are left, so, like
+    an unlucky g, it can only come out low; for random forms and
+    hyperplanes that happens with probability about 1/p.
 
     When Y lies in x_n = 0 the caller passes g = x_n, and the cut loses
     exactly its points on x_n = 0 (see the module docstring).  x_n
     dehomogenizes to 1, so ``saturate``'s relation 1 - t forms no pair
-    and the cut's own basis is counted.
+    and the cut's own basis is counted; so does a g that is a power of
+    its chart's variable.
     """
-    cut = IdealBasis(tuple(f.dehomogenize(n) for f in forms))
-    residual = saturate(cut, IdealBasis((g.dehomogenize(n),)))
+    k = max((k for k in range(n + 1) if all(m[k] for m in g.terms)), default=n)
+    cut = IdealBasis(tuple(f.dehomogenize(k) for f in forms))
+    residual = saturate(cut, IdealBasis((g.dehomogenize(k),)))
     return standard_monomial_count(residual)
 
 
@@ -642,19 +652,24 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     codimension one, since f1 and g then share a curve on every plane,
     and for the top cut i = n = 2, whose plane is all of P^2.
 
-    Every other cut is counted in the affine chart x_n = 1
-    (``_chart_degree``): its forms, its hyperplanes and g lose x_n, and
-    one elimination by ``saturate`` runs in n variables plus t.  A
-    residual point on x_n = 0 is not counted there, so that g_i, too, can
-    only come out low, with probability about 1/p.  The cut is built from
+    Every other cut is counted in an affine chart x_k = 1
+    (``_chart_degree``), where x_k is the last variable that divides g,
+    and x_n when none does: its forms, its hyperplanes and g lose x_k,
+    and one elimination by ``saturate`` runs in n variables plus t.  When
+    x_k divides g the count is that of the projective saturation; in the
+    chart x_n = 1 of a g that no variable divides, a residual point on
+    x_n = 0 is not counted, so that g_i, too, can only come out low, with
+    probability about 1/p.  The cut is built from
     row-reduced combinations (``_reduced_cut``): its i combinations and g
     are drawn as rows of coefficients of the partials, the i rows are
     brought to an echelon form in which each pivot column is 0 but in its
     own row, and g is reduced modulo them.  The echelon rows span the same
     forms, so the cut ideal I is unchanged, and each uses at most
     n + 2 - i partials.  The reduced g differs from g by an element of I,
-    so I : g^infty, and the count, are exactly those of the dense draws;
-    for the top cut, with n + 1 independent partials, g is one partial.  A
+    so I : g^infty is exactly that of the dense draws; for the top cut,
+    with n + 1 independent partials, g is one partial, and a variable
+    that divides it, as x0*x1*x2 is divided for Roman's Steiner surface,
+    gives its chart.  A
     g that reduces to 0 lies in I, which below the rank r of the partials
     (see ``_settled``) takes an unlucky draw, and saturating by 0, like
     saturating by g, gives the unit ideal, whose g_i is 0.

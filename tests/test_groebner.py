@@ -445,6 +445,46 @@ def test_saturate_matches_a_criteria_free_elimination(tail_reductions):
         assert _terms(got) == expected, (gens, g)
 
 
+def test_the_reducer_reduces_each_coefficient_once_at_pop():
+    # S-polynomials reach the reducer with coefficients not reduced mod p,
+    # and it reduces each monomial's coefficient when it pops it.  A dict
+    # whose coefficients are negative, at least p or 0 must give the
+    # remainder of the same dict reduced mod p, which the textbook
+    # reduction by the reduced basis confirms: every coefficient in
+    # [1, p), in the same order, the leading term first.  Zero monomials
+    # above the others make the leading entry 0 now and then.
+    field = PrimeField(SMALL)
+    rng = random.Random(79)
+    families = ("homogeneous", "inhomogeneous", "rabinowitsch", "binomial")
+    seen = set()
+    for k in range(200):
+        nvars, gens = _random_ideal(rng, families[k % 4])
+        basis = buchberger([Polynomial(nvars, g, field) for g in gens])
+        leads, polys, lay = basis._computed
+        f = _random_terms(rng, nvars, range(4), 0.3)
+        raw = {m: c + SMALL * rng.randint(-3, 3) for m, c in f.items()}
+        for m in monomials_of_degree(nvars, rng.randint(2, 5)):
+            if m not in f and rng.random() < 0.3:
+                raw[m] = SMALL * rng.randint(-2, 2)
+        want = groebner._reduce_full(
+            {lay.pack(m): c for m, c in f.items()}, leads, polys, lay, SMALL, {}
+        )
+        got = groebner._reduce_full(
+            {lay.pack(m): c for m, c in raw.items()}, leads, polys, lay, SMALL, {}
+        )
+        where = (nvars, gens, raw)
+        assert list(got.items()) == list(want.items()), where
+        assert all(0 < c < SMALL for c in got.values()), where
+        assert list(got) == sorted(got, key=lay.key, reverse=True), where
+        reference = _ref_reduce(
+            f, [(max(g.terms, key=grevlex_key), g.terms) for g in basis.gens],
+            grevlex_key, SMALL,
+        )
+        assert {lay.unpack(m): c for m, c in got.items()} == reference, where
+        seen.add((bool(got), max(raw, key=grevlex_key) in f))
+    assert {(True, True), (True, False), (False, True)} <= seen
+
+
 def test_reduced_bases_do_not_depend_on_the_generator_order():
     # The sugar of a pair depends on the degrees of the inputs it comes
     # from, so the pair taken first changes with the generator order;
