@@ -496,6 +496,11 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     I : g^infty, with equality when g lies in no associated prime of I
     that misses J'; a random combination of generators of J' is such a g
     with high probability.
+
+    When g is a nonzero constant, I : g^infty is I, and the basis is that
+    of I's generators alone, computed in the same layout with no relation
+    1 - t*g.  A chart cut saturated by its own chart variable, or by a
+    power of it, is such a case.
     """
     if len(J.gens) != 1:
         raise ValueError(
@@ -506,9 +511,11 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     lay = _layout(nvars)
     t = 1 << lay.tshift
     ext = list(I._computed[1]) if I.groebner else [_packed(g, lay) for g in I.gens]
-    rel = {lay.pack(m) + t: -c % p for m, c in J.gens[0].terms.items()}
-    rel[0] = 1  # 1 - t*g
-    ext.append(rel)
+    g = J.gens[0]
+    if g.is_zero or any(map(any, g.terms)):  # for a unit g, I : g^infty = I
+        rel = {lay.pack(m) + t: -c % p for m, c in g.terms.items()}
+        rel[0] = 1  # 1 - t*g
+        ext.append(rel)
     # Packed keys order by the t exponent first, so an element whose lead
     # is t-free is t-free, and those elements form a Groebner basis of the
     # contraction, packed as x-monomials are.  A t-free monomial is

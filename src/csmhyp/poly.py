@@ -33,6 +33,11 @@ from .errors import PolynomialParseError, RandomnessError
 LIMIT = (1 << 15) - 1
 # The deepest nesting of parentheses the recursive-descent parser takes.
 MAX_NESTING = 100
+# The most work the parser gives one step of a power of a sum: the terms
+# of the expansion so far, times the terms of the sum, times the bits of
+# the expansion's largest coefficient.  (x0+x1)^k reaches it near
+# k = 1000, after about 0.7 s on a 2-vCPU host.
+EXPANSION = 1 << 21
 
 # -- coefficient fields -------------------------------------------------------
 
@@ -443,9 +448,11 @@ class _Parser:
     The grammar admits integer coefficients only, so every rule returns a
     term dict ``{exponent tuple: int}`` without zeros; ``parse_poly``
     makes the one ``Polynomial`` over Q.  A power of a sum is expanded by
-    one product per unit of its exponent, and a power c^k x^(k m) of one
-    term is taken at once, so an exponent above ``LIMIT``, or a power of
-    degree above it, is refused before that; so are parentheses nested
+    one product per unit of its exponent, each refused before it is taken
+    once the expansion's terms, times the sum's, times the bits of its
+    largest coefficient pass ``EXPANSION``; a power c^k x^(k m) of one
+    term is taken at once.  An exponent above ``LIMIT``, or a power of
+    degree above it, is refused before either; so are parentheses nested
     deeper than ``MAX_NESTING``, before the recursion reaches Python's
     limit.  Every product, and each step of a power, is refused once a
     coefficient has more than ``digits`` decimal digits (none is when
@@ -516,6 +523,13 @@ class _Parser:
                 return self.bounded({tuple(val * k for k in m): c**val})
             out = {self.one: 1}
             for _ in range(val):
+                bits = max(map(abs, out.values()), default=0).bit_length()
+                if len(out) * len(base) * bits > EXPANSION:
+                    raise PolynomialParseError(
+                        f"a power of a sum of {len(base)} terms grew to {len(out)} terms"
+                        f" of up to {bits} bits, past {EXPANSION} term-bit products"
+                        " per step, the most the parser expands"
+                    )
                 out = self.bounded(_mul_terms(out, base))
             return out
         return base

@@ -58,11 +58,16 @@ Then J is the unit ideal off x_n = 0, so a cut I is saturated by x_n in
 place of g: I : x_n^infty agrees with I : J^infty off x_n = 0, and the
 cut loses exactly its points on x_n = 0, which hold all of Y.  A chart
 cut is saturated by x_n, so its chart is x_n = 1, where x_n is 1, and
-it counts its own basis.  The plane cut's plane is drawn to meet x_n = 0
-in a line through the third point, so g_2 is e^2, the Bezout number of
-(f1, f2) on the plane, less that line's multiplicity as a root of
-Res(f1, f2).  Neither reading depends on g, and either can only come out
-low, when a residual point lies on x_n = 0.
+``saturate`` returns its own basis, with no t.  The plane cut's plane is
+drawn to meet x_n = 0 in a line through the third point, the line
+s = infinity of the pencil of lines through that point, so g_2 is the
+degree in s of Res(f1, f2): e^2, the Bezout number of (f1, f2) on the
+plane, less that line's multiplicity as a root.  Neither reading depends
+on g, and either can only come out low, when a residual point lies on
+x_n = 0.  So g_2 is at most its proven bound B (``_bound``): e^2 - deg Y
+when Y has codimension two, and e^2 above.  The resultant is interpolated
+at B + 2 nodes, or e^2 + 1 if fewer, which reads every value up to
+B + 1 exactly, so a reading above B is still refuted.
 
 Degrees are computed modulo a prime as a probabilistic proxy for
 characteristic zero.  ``TrialPolicy.schedule`` picks the (prime, seed)
@@ -494,10 +499,10 @@ def _reduced(row, echelon, pivots, p) -> list:
     return row
 
 
-def _on_plane(forms, a, b, c, p) -> list:
+def _on_plane(forms, a, b, c, p, nodes) -> list:
     """For each form f of degree e, e^2 < p, the coefficients in u of
     f(a + s*b + u*c), lowest first, as columns of their values mod p at
-    s = 0..e^2.
+    the nodes s = 0..nodes - 1.
 
     f(a + s*b + u*c) has degree e in s and u, so it is fixed by its
     values at the (e+1)(e+2)/2 nodes of the triangle s + u <= e, and
@@ -507,14 +512,14 @@ def _on_plane(forms, a, b, c, p) -> list:
     s + 1, exactly and without a product.
     """
     e = forms[0].degree
-    nodes, newton = _triangle(e, p)
-    plane = [[x + s * y + u * z for x, y, z in zip(a, b, c)] for s, u in nodes]
+    tri, newton = _triangle(e, p)
+    plane = [[x + s * y + u * z for x, y, z in zip(a, b, c)] for s, u in tri]
     out = []
     for v in _values(forms, plane, p):
         d = [sum(map(mul, row, v)) % p for row in newton]
         cols, at = [], 0
         for m in range(e + 1):
-            col = [d[at + e - m]] * (e * e + 1)
+            col = [d[at + e - m]] * nodes
             for x in reversed(d[at : at + e - m]):  # the next lower differences
                 col = list(accumulate(col[:-1], initial=x))
             cols.append([x % p for x in col])
@@ -523,12 +528,13 @@ def _on_plane(forms, a, b, c, p) -> list:
     return out
 
 
-def _plane_degree(f1, f2, g, a, b, c, p):
+def _plane_degree(f1, f2, g, a, b, c, p, bound=None):
     """``g_2`` of the cut (f1, f2) on the plane through a, b and c,
     saturated by g, or by x_n when g is None, which the caller passes
-    when Y lies in x_n = 0; ``None`` when the points are dependent, c
-    lies on one of the curves, a resultant vanishes identically, or, for
-    x_n, b lies on x_n = 0.
+    when Y lies in x_n = 0, together with ``bound``, the proven upper
+    bound on g_2 at p (``_bound``; e^2 when None); ``None`` when the
+    points are dependent, c lies on one of the curves, a resultant
+    vanishes identically, or, for x_n, b lies on x_n = 0.
 
     The lines through c are the lines s = const of the chart
     a + s*b + u*c.  R12(s) = Res_u(f1, f2) vanishes on each line through
@@ -545,26 +551,36 @@ def _plane_degree(f1, f2, g, a, b, c, p):
     whether c lies on a curve.
 
     For x_n, a and c are moved onto x_n = 0 by zeroing their last
-    coordinates once they are drawn, so the draws do not change.  The
-    plane then meets x_n = 0 in the line s = 0, or lies in it when b
-    does too.  By Bezout, f1 and f2 meet on the plane in e^2 points,
-    the line through c and b included, and the cut loses exactly its
-    points on x_n = 0 (see the module docstring), which R12 counts as
-    its order at s = 0; no R1G is needed.
+    coordinates once they are drawn, so the draws do not change, and the
+    forms are restricted to b + s*a + u*c.  The plane then meets x_n = 0
+    in the line through c and a, which is s = infinity, or lies in it
+    when b does too.  By Bezout, f1 and f2 meet on the plane in e^2
+    points, and the cut loses exactly its points on x_n = 0 (see the
+    module docstring), which R(s) = Res_u(f1, f2) counts as its order at
+    s = infinity: R is s^(e^2) R12(1/s), the coefficient reversal of the
+    R12 of a + s*b + u*c, and g_2 is deg R; no R1G is needed.  The
+    reading can only be low, so it is at most the bound B, and R is
+    interpolated from its values at s = 0..min(B + 1, e^2).  That is
+    exact for every reading up to B + 1, so a reading above B still
+    reaches ``_certify``, which refutes it.
     """
-    if g is None:
-        a, c = [*a[:-1], 0], [*c[:-1], 0]
-    if len(_echelon((a, b, c), p)[0]) < 3 or (g is None and not b[-1]):
-        return None
     e = f1.degree
-    f1_s, f2_s, *g_s = _on_plane((f1, f2) if g is None else (f1, f2, g), a, b, c, p)
+    forms, top = (f1, f2, g), e * e
+    if g is None:
+        if not b[-1]:
+            return None
+        a, b, c = b, [*a[:-1], 0], [*c[:-1], 0]
+        forms, top = (f1, f2), min(top, e * e if bound is None else bound + 1)
+    if len(_echelon((a, b, c), p)[0]) < 3:
+        return None
+    f1_s, f2_s, *g_s = _on_plane(forms, a, b, c, p, top + 1)
     if not all(f_s[-1][0] for f_s in (f1_s, f2_s, *g_s)):  # f1(c), f2(c), g(c)
         return None
     r12 = _interpolate(_resultants(f1_s, f2_s, p), p)
     if not r12:
         return None
     if g is None:
-        return e * e - next(k for k, x in enumerate(r12) if x)
+        return len(r12) - 1
     r1g = _interpolate(_resultants(f1_s, g_s[0], p), p)
     if not r1g:
         return None
@@ -618,9 +634,9 @@ def _chart_degree(forms, g, n: int):
 
     When Y lies in x_n = 0 the caller passes g = x_n, and the cut loses
     exactly its points on x_n = 0 (see the module docstring).  x_n
-    dehomogenizes to 1, so ``saturate``'s relation 1 - t forms no pair
-    and the cut's own basis is counted; so does a g that is a power of
-    its chart's variable.
+    dehomogenizes to 1, a unit, so ``saturate`` returns the cut's own
+    basis, computed with no t; so does a g that is a power of its
+    chart's variable.
     """
     k = max((k for k in range(n + 1) if all(m[k] for m in g.terms)), default=n)
     cut = IdealBasis(tuple(f.dehomogenize(k) for f in forms))
@@ -648,9 +664,10 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     resultants; it gives the elimination's answer on that plane, and a
     draw whose points are dependent or whose forms meet it degenerately
     is drawn again.  The plane cut takes e^2 + 1 interpolation nodes, so
-    it needs e^2 < p; it is left to the elimination when Y has
-    codimension one, since f1 and g then share a curve on every plane,
-    and for the top cut i = n = 2, whose plane is all of P^2.
+    it needs e^2 < p; saturated by x_n it takes at most B + 2, for the
+    bound B on g_2 (``_bound``).  It is left to the elimination when Y
+    has codimension one, since f1 and g then share a curve on every
+    plane, and for the top cut i = n = 2, whose plane is all of P^2.
 
     Every other cut is counted in an affine chart x_k = 1
     (``_chart_degree``), where x_k is the last variable that divides g,
@@ -677,8 +694,9 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
     When the scheme's ``y_at_infinity`` holds, Y lies in x_n = 0, and
     every cut is saturated by x_n instead of g and loses exactly its
     points on x_n = 0 (see the module docstring): a chart cut is passed
-    x_n, with no g reduced or combined, and the plane cut g None.  g's
-    row is still drawn, so the draws of the other cuts stay as they were.
+    x_n, with no g reduced or combined, and the plane cut g None and the
+    bound on g_2, which sets its number of nodes.  g's row is still
+    drawn, so the draws of the other cuts stay as they were.
     """
     n = scheme.n
     partials = scheme.partials
@@ -704,7 +722,7 @@ def _degrees_one_trial(scheme: SingularSchemeData, rng, certified: dict) -> tupl
                 f1, f2 = (_combination(partials, r, p) for r in rows)
                 base = None if at_infinity else _combination(partials, base_row, p)
                 points = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(3)]
-                gi = _plane_degree(f1, f2, base, *points, p)
+                gi = _plane_degree(f1, f2, base, *points, p, _bound(scheme, 2, certified))
             else:
                 xs = _variables(field, n + 1)
                 planes = [_random_combination(xs, p, rng) for _ in range(n - i)]
@@ -739,13 +757,11 @@ def _settled(scheme: SingularSchemeData) -> dict:
     return settled
 
 
-def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
-    """Add to ``exact``, the map i -> g_i certified at the scheme's prime,
-    every g_i that trial vector g proves there; raise ``CsmhypError`` when
-    g breaks a proven bound.
-
-    Each g_i has at most one upper bound at the prime, with e = deg F - 1
-    and c = ``scheme.codim``:
+def _bound(scheme: SingularSchemeData, i: int, exact: dict):
+    """The proven upper bound on g_i at the scheme's prime, or None when
+    there is none yet; ``exact`` maps each i whose g_i is certified at
+    that prime to its value.  Each g_i has at most one such bound, with
+    e = deg F - 1 and c = ``scheme.codim``:
 
     - e^i for i < c: s(Y, P^n) vanishes below codimension c, which is
       g_i = e^i there;
@@ -763,6 +779,21 @@ def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
       the graph of the gradient map, so g_i g_(i-2) <= g_(i-1)^2
       (Khovanskii-Teissier; Lazarsfeld, *Positivity I*, Sec. 1.6; in
       Huh's terms, JAMS 25 (2012), the g_i are mixed multiplicities).
+    """
+    e, c = scheme.d - 1, scheme.codim
+    if i < c:
+        return e**i
+    if i == c:
+        return e**c - scheme.deg_y
+    if exact.get(i - 2) and i - 1 in exact:
+        return exact[i - 1] ** 2 // exact[i - 2]
+    return None
+
+
+def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
+    """Add to ``exact``, the map i -> g_i certified at the scheme's prime,
+    every g_i that trial vector g proves there; raise ``CsmhypError`` when
+    g breaks a proven bound (``_bound``).
 
     The pass runs upward, so a g_i certified here bounds g_(i+1) in the
     same pass.  A cut can only read low, so each reading has one of three
@@ -773,15 +804,9 @@ def _certify(scheme: SingularSchemeData, g: tuple, exact: dict) -> None:
     ``projective_degrees`` accepts no vector by repetition while one is
     open there.
     """
-    e, c = scheme.d - 1, scheme.codim
     for i, gi in enumerate(g):
-        if i < c:
-            bound = e**i
-        elif i == c:
-            bound = e**c - scheme.deg_y
-        elif exact.get(i - 2) and i - 1 in exact:
-            bound = exact[i - 1] ** 2 // exact[i - 2]
-        else:
+        bound = _bound(scheme, i, exact)
+        if bound is None:
             continue
         if gi > bound:
             raise CsmhypError(

@@ -193,6 +193,14 @@ def test_compute_refuses_a_coefficient_past_the_integer_text_limit(
     assert "sys.get_int_max_str_digits()" in result[2]
 
 
+def test_compute_refuses_a_power_of_a_sum_past_the_parser_work_bound(capsys):
+    # (x0+x1)^30000 would expand one product per unit of its exponent;
+    # the parser stops it near k = 1000, where a step passes EXPANSION.
+    result = run_cli(capsys, "compute", "(x0+x1)^30000", "--nvars", "2")
+    assert_one_error_line(*result)
+    assert "term-bit products per step, the most the parser expands" in result[2]
+
+
 def test_compute_refuses_deeply_nested_parentheses(capsys, tmp_path):
     # 300 levels would reach Python's recursion limit in the parser.
     poly = "(" * 300 + "x0" + ")" * 300

@@ -583,11 +583,38 @@ def test_saturate_by_nonzerodivisor_is_identity():
     assert basis_strings(out) == ["x0"]
 
 
-def test_saturate_by_unit_ideal_is_identity():
+def test_saturate_by_unit_ideal_is_identity(monkeypatch):
     I = buchberger([gf("x0^2", 3), gf("x0*x1", 3)])
     one = Polynomial(3, {(0, 0, 0): 1}, GF)
     out = saturate(I, buchberger([one]))
     assert basis_strings(out) == basis_strings(I)
+    # A nonzero constant g, as a chart cut saturated by its chart variable
+    # has, gives the basis of I's own generators, computed with no
+    # relation 1 - t*g: the same leads and gens as ``buchberger``, for
+    # inhomogeneous generators and for a computed basis alike.
+    inputs = []
+    real = groebner._buchberger
+
+    def recorded(gens, lay, p):
+        inputs.append([m for d in gens for m in d])
+        return real(gens, lay, p)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    t = 1 << groebner._layout(2).tshift
+    rng = random.Random(23)
+    sizes = set()
+    for c, _ in product((1, 5, P - 1), range(4)):
+        unit = IdealBasis((Polynomial(2, {(0, 0): c}, GF),))
+        gens = [_random_form(rng, 3, rng.randint(1, 3)).dehomogenize(2) for _ in "fg"]
+        want = buchberger(gens)
+        for I in (IdealBasis(tuple(gens)), want):
+            inputs.clear()
+            out = saturate(I, unit)
+            assert out.leading_terms == want.leading_terms
+            assert out.gens == want.gens
+            assert len(inputs) == 1 and all(m < t for m in inputs[0])
+        sizes.add(len(want.gens))
+    assert max(sizes) >= 3
 
 
 def test_saturate_contains_original_ideal():

@@ -96,6 +96,26 @@ def test_parse_takes_powers_and_nesting_up_to_their_bounds():
         parse_poly("(" * 101 + "x0" + ")" * 101, 2)
 
 
+def test_parse_refuses_a_power_of_a_sum_past_its_work_bound(monkeypatch):
+    # Each step of a power of a sum is refused before it is taken once the
+    # expansion's terms, times the sum's, times the bits of its largest
+    # coefficient pass EXPANSION.  Before the step from (x0+x1)^j that is
+    # (j + 1) * 2 * bits(C(j, j // 2)): 48 at j = 5 and 70 at j = 6.  A
+    # power of one term takes no step.
+    from csmhyp import poly
+
+    monkeypatch.setattr(poly, "EXPANSION", 60)
+    assert parse_poly("(x0 + x1)^6", 2) == reference_parse("(x0 + x1)^6", 2)
+    assert parse_poly("(3*x0*x1)^300", 2).terms == {(300, 300): 3**300}
+    for k in (7, 30000):
+        with pytest.raises(PolynomialParseError) as info:
+            parse_poly(f"(x0 + x1)^{k}", 2)
+        assert str(info.value) == (
+            "a power of a sum of 2 terms grew to 7 terms of up to 5 bits, past"
+            " 60 term-bit products per step, the most the parser expands"
+        )
+
+
 def test_parse_takes_coefficients_up_to_the_integer_text_limit(int_text_limit):
     # Python writes no integer of more than sys.get_int_max_str_digits()
     # digits as text, 4300 by default, and reads none; 0 lifts the limit.

@@ -1102,7 +1102,7 @@ def test_plane_restriction_matches_direct_evaluation():
         forms = [_random_form(e, 4, p, rng, terms) for terms in (2, 8, 40)]
         a, b, c = ([rng.randrange(p) for _ in range(4)] for _ in "abc")
         b[rng.randrange(4)] = 0
-        got = _on_plane(forms, a, b, c, p)
+        got = _on_plane(forms, a, b, c, p, e * e + 1)
         for f, cols in zip(forms, got):
             assert len(cols) == e + 1 and all(len(col) == e * e + 1 for col in cols)
             for s in range(e * e + 1):
@@ -1743,8 +1743,8 @@ def test_plane_cuts_at_infinity_never_read_above_the_elimination(
     real = segre_mod._plane_degree
     calls = []
 
-    def recorded(f1, f2, g, a, b, c, p):
-        got = real(f1, f2, g, a, b, c, p)
+    def recorded(f1, f2, g, a, b, c, p, bound):
+        got = real(f1, f2, g, a, b, c, p, bound)
         calls.append((f1, f2, a, b, c, got))
         return got
 
@@ -1772,3 +1772,111 @@ def test_plane_cuts_at_infinity_never_read_above_the_elimination(
                 assert not dim and got <= deg <= expected, (case.name, seed)
                 checked.append(case.name)
     assert len(set(checked)) == 6 and len(checked) >= 6 * 30
+
+
+def test_the_reversed_plane_reads_the_coefficient_reversal_of_r12():
+    # The plane cut at infinity restricts the forms to b + s*a + u*c, so
+    # its resultant is s^(e^2) R12(1/s) for the R12 of a + s*b + u*c.
+    # Half the draws put both forms through a, so that R12 vanishes at
+    # s = 0 and the reversed resultant drops in degree.
+    from csmhyp.segre import _interpolate, _on_plane, _resultants, _trim
+
+    rng = random.Random(41)
+    seen = set()
+    draws = itertools.product((101, 32003), range(1, 7), (False, True), range(3))
+    for p, e, through_a, _ in draws:
+        if e * e >= p:
+            continue
+        forms = [_random_form(e, 4, p, rng, terms) for terms in (3, 40)]
+        a, b, c = ([rng.randrange(p) for _ in range(4)] for _ in "abc")
+        if through_a:
+            forms = [_through(f, a, p) for f in forms]
+        if not all(_value(f, c, p) for f in forms):
+            continue
+        nodes = e * e + 1
+        r12 = _interpolate(_resultants(*_on_plane(forms, a, b, c, p, nodes), p), p)
+        r = _interpolate(_resultants(*_on_plane(forms, b, a, c, p, nodes), p), p)
+        assert r == _trim((r12 + [0] * (nodes - len(r12)))[::-1]), (p, e)
+        seen.add((through_a, len(r) < nodes))
+    assert (True, True) in seen and (False, False) in seen
+
+
+def test_plane_cuts_at_infinity_read_alike_on_the_bound_nodes():
+    # The plane cut at infinity interpolates at min(B + 2, e^2 + 1) nodes,
+    # for the proven bound B on g_2; a full-node reading (bound None) is
+    # the reference.  Seeded draws on every input with n >= 3 whose Y lies
+    # in x_n = 0, at three primes: plain draws, of which a few give None
+    # at random, and b on x_n = 0, dependent points and c on a curve,
+    # which always do.  No full-node reading may exceed B.
+    from csmhyp.segre import _bound, _plane_degree
+
+    inputs = [
+        (c.poly, c.n + 1) for c in default_fixtures()
+        if c.n >= 3 and c.name.startswith("smooth")
+    ]
+    inputs += NONISOLATED[1:5] + ISOLATED[1:]
+    kinds = ("plain", "plain", "plain", "b_at_infinity", "dependent", "c_on_f1")
+    seen = set()
+    fewer = 0
+    for text, nvars in inputs:
+        F = parse_poly(text, nvars)
+        e = F.degree - 1
+        for p in (101, 1009, 32003):
+            if p <= 2 * F.degree or e * e >= p:
+                continue
+            scheme = jacobian_scheme(reduce_mod_p(F, p))
+            assert scheme.y_at_infinity, text
+            bound = _bound(scheme, 2, {})
+            fewer += bound + 2 < e * e + 1
+            rng = random.Random(f"{text}:{p}:nodes")
+            for kind in kinds * 5:
+                f1, f2 = (random_linear_combination(scheme.partials, rng) for _ in "ff")
+                a, b, c = ([rng.randrange(p) for _ in range(nvars)] for _ in "abc")
+                if kind == "b_at_infinity":
+                    b[-1] = 0
+                elif kind == "dependent":
+                    k = rng.randrange(1, p)
+                    c = [k * x % p for x in a]
+                elif kind == "c_on_f1":
+                    f1 = _through(f1, [*c[:-1], 0], p)
+                full = _plane_degree(f1, f2, None, a, b, c, p)
+                got = _plane_degree(f1, f2, None, a, b, c, p, bound)
+                assert got == full, (text, p, kind)
+                assert full is None or full <= bound, (text, p, kind)
+                seen.add((kind, full is None))
+    assert fewer >= 8
+    assert ("plain", False) in seen
+    for kind in ("b_at_infinity", "dependent", "c_on_f1"):
+        assert (kind, True) in seen and (kind, False) not in seen, kind
+
+
+def test_the_expected_g_is_supported_below_the_hessian_rank(bench_workloads):
+    # Fact 1 of the Hessian rule: for deg F >= 2, g_i > 0 exactly for
+    # i < h, the generic rank of F's Hessian, and the rank at any one
+    # integer point, over Q or mod a prime, is at most that.  Reference:
+    # the rank mod 2^61 - 1 at one seeded point in [-50, 50], against the
+    # expected g of every corpus and nonisolated input (e^i when the
+    # input is smooth and has none).
+    q = (1 << 61) - 1
+    rng = random.Random("hessian")
+    for case in [*bench_workloads.corpus_cases(), *bench_workloads.nonisolated_cases()]:
+        F = parse_poly(case.poly, case.nvars)
+        e = F.degree - 1
+        point = [rng.randint(-50, 50) for _ in range(case.nvars)]
+        rows = [
+            [_value(F.partial(i).partial(j), point, q) for j in range(case.nvars)]
+            for i in range(case.nvars)
+        ]
+        rank = 0
+        for j in range(case.nvars):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = pow(rows[rank][j], -1, q)
+            for r in range(rank + 1, len(rows)):
+                k = rows[r][j] * inv % q
+                rows[r] = [(x - k * y) % q for x, y in zip(rows[r], rows[rank])]
+            rank += 1
+        g = case.expected.get("projective_degrees", [e**i for i in range(case.nvars)])
+        assert [i for i, gi in enumerate(g) if gi] == list(range(rank)), case.name
