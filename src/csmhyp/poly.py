@@ -33,10 +33,10 @@ from .errors import PolynomialParseError, RandomnessError
 LIMIT = (1 << 15) - 1
 # The deepest nesting of parentheses the recursive-descent parser takes.
 MAX_NESTING = 100
-# The most work the parser gives one step of a power of a sum: the terms
-# of the expansion so far, times the terms of the sum, times the bits of
-# the expansion's largest coefficient.  (x0+x1)^k reaches it near
-# k = 1000, after about 0.7 s on a 2-vCPU host.
+# The most work the parser gives one product, and one step of a power of a
+# sum: the terms of the two sides, times the bits of their largest
+# coefficient (for a power, the expansion so far and the sum).  (x0+x1)^k
+# reaches it near k = 1000, after about 0.7 s on a 2-vCPU host.
 EXPANSION = 1 << 21
 
 # -- coefficient fields -------------------------------------------------------
@@ -440,6 +440,20 @@ def _tokenize(text: str, digits: int):
     return tokens
 
 
+def _check_product(a: dict, b: dict) -> None:
+    """Refuse the product of term dicts a and b once their terms, times
+    the bits of their largest coefficient, pass ``EXPANSION``."""
+    terms = len(a) * len(b)
+    if not terms:
+        return
+    bits = max(map(abs, (*a.values(), *b.values()))).bit_length()
+    if terms * bits > EXPANSION:
+        raise PolynomialParseError(
+            f"a product of {len(a)} terms by {len(b)} terms of up to {bits} bits"
+            f" is past {EXPANSION} term-bit products, the most the parser expands"
+        )
+
+
 class _Parser:
     """Recursive descent over: expr := [±] term {± term};
     term := factor {* factor}; factor := atom [^ int];
@@ -451,13 +465,20 @@ class _Parser:
     one product per unit of its exponent, each refused before it is taken
     once the expansion's terms, times the sum's, times the bits of its
     largest coefficient pass ``EXPANSION``; a power c^k x^(k m) of one
-    term is taken at once.  An exponent above ``LIMIT``, or a power of
-    degree above it, is refused before either; so are parentheses nested
-    deeper than ``MAX_NESTING``, before the recursion reaches Python's
-    limit.  Every product, and each step of a power, is refused once a
-    coefficient has more than ``digits`` decimal digits (none is when
-    ``digits`` is 0), before it can grow further; a power of one term
-    is refused before it is taken when |c|^k is above 16^digits."""
+    term is taken at once.  Each product of factors is bounded by the same
+    rule: it is refused before it is taken once the two sides' terms,
+    times the bits of their largest coefficient, pass ``EXPANSION``.  When
+    its right side is a power of a sum, each step of that power is also
+    refused once the left side and the expansion so far pass it, since
+    the product would be refused too unless the rest of the power lost
+    terms; so ``(x0+x1)^1000*(x0+x1)^1000`` stops after the first power.
+    An exponent above ``LIMIT``, or a power of degree above it, is
+    refused before either; so are parentheses nested deeper than
+    ``MAX_NESTING``, before the recursion reaches Python's limit.  Every
+    product, and each step of a power, is refused once a coefficient has
+    more than ``digits`` decimal digits (none is when ``digits`` is 0),
+    before it can grow further; a power of one term is refused before it
+    is taken when |c|^k is above 16^digits."""
 
     def __init__(self, tokens, nvars, digits):
         self.tokens = tokens
@@ -500,10 +521,12 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
-            acc = self.bounded(_mul_terms(acc, self.factor()))
+            right = self.factor(acc)
+            _check_product(acc, right)
+            acc = self.bounded(_mul_terms(acc, right))
         return acc
 
-    def factor(self) -> dict:
+    def factor(self, left=None) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.next()
@@ -530,6 +553,8 @@ class _Parser:
                         f" of up to {bits} bits, past {EXPANSION} term-bit products"
                         " per step, the most the parser expands"
                     )
+                if left:
+                    _check_product(left, out)
                 out = self.bounded(_mul_terms(out, base))
             return out
         return base

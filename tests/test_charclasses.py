@@ -142,9 +142,43 @@ def test_csm_four_routes_on_fixtures():
 
 
 def test_classes_from_segre_gives_the_compact_csm_fulton_and_mu():
-    for inp in (SMOOTH_CONIC, TWO_LINES, QUADRIC_CONE, NODAL_CUBIC):
+    # The cached affine map must agree with the formulas on every (n, d),
+    # at the zero class, at d = 1 and at large random Segre classes.
+    rng = random.Random(79)
+    inputs = [SMOOTH_CONIC, TWO_LINES, QUADRIC_CONE, NODAL_CUBIC]
+    for n in range(1, 6):
+        for d in range(1, 7):
+            inputs.append(HypersurfaceInput(n, d, ChowClass(n, [0] * (n + 1))))
+            for _ in range(3):
+                coeffs = [0] + [rng.randint(-10**6, 10**6) for _ in range(n)]
+                inputs.append(HypersurfaceInput(n, d, ChowClass(n, coeffs)))
+    for inp in inputs:
         got = classes_from_segre(inp.n, inp.d, inp.s_y)
         assert got == (csm(inp), fulton(inp), mu_class(inp))
+        assert all(type(c) is int for cls in got for c in cls.coeffs)
+
+
+def test_classes_from_segre_evaluates_the_formulas_once_per_n_and_d(monkeypatch):
+    # The map of (n, d) is built from csm at n + 1 points and then reused,
+    # so a second input with the same (n, d) calls csm no more.
+    from csmhyp import charclasses
+
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return csm(inp)
+
+    monkeypatch.setattr(charclasses, "csm", counted)
+    charclasses._class_map.cache_clear()
+    first = classes_from_segre(3, 4, ChowClass(3, [0, 0, 2, 5]))
+    built = len(calls)
+    assert built == 4
+    second = classes_from_segre(3, 4, ChowClass(3, [0, 1, -3, 7]))
+    assert len(calls) == built
+    assert first[0] == csm(HypersurfaceInput(3, 4, ChowClass(3, [0, 0, 2, 5])))
+    assert second[0] == csm(HypersurfaceInput(3, 4, ChowClass(3, [0, 1, -3, 7])))
+    charclasses._class_map.cache_clear()  # no map built from the counter stays
 
 
 def test_csm_four_routes_on_random_inputs():

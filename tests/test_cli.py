@@ -201,6 +201,17 @@ def test_compute_refuses_a_power_of_a_sum_past_the_parser_work_bound(capsys):
     assert "term-bit products per step, the most the parser expands" in result[2]
 
 
+def test_compute_refuses_a_product_past_the_parser_work_bound(capsys):
+    # Each (x0+x1)^1000 passes the per-step bound, but their product would
+    # take 1001 * 1001 products of ~1000-bit coefficients; the second power
+    # is refused after its first steps, where the product passes EXPANSION.
+    poly = "(x0+x1)^1000*(x0+x1)^1000"
+    result = run_cli(capsys, "compute", poly, "--nvars", "2")
+    assert_one_error_line(*result)
+    assert "a product of 1001 terms by" in result[2]
+    assert "term-bit products, the most the parser expands" in result[2]
+
+
 def test_compute_refuses_deeply_nested_parentheses(capsys, tmp_path):
     # 300 levels would reach Python's recursion limit in the parser.
     poly = "(" * 300 + "x0" + ")" * 300

@@ -116,6 +116,27 @@ def test_parse_refuses_a_power_of_a_sum_past_its_work_bound(monkeypatch):
         )
 
 
+def test_parse_refuses_a_product_past_its_work_bound(monkeypatch):
+    # A product is refused before it is taken once the two sides' terms,
+    # times the bits of their largest coefficient, pass EXPANSION:
+    # (x0+x1)^3 * (x0+x1)^3 is 4 * 4 * 2 = 32 and (x0+x1)^4 * (x0+x1)^4 is
+    # 5 * 5 * 3 = 75.  A power on the right is refused at the step where
+    # the left side and its expansion so far pass it: 5 * 5 * 3 again,
+    # long before (x0+x1)^9 is expanded.
+    from csmhyp import poly
+
+    monkeypatch.setattr(poly, "EXPANSION", 60)
+    for text in ("(x0+x1)^3*(x0+x1)^3", "x0*(x0+x1)^5*x1", "(3*x0*x1)^10*(x0+x1)^2"):
+        assert parse_poly(text, 2) == reference_parse(text, 2)
+    for text in ("(x0+x1)^4*(x0+x1)^4", "(x0+x1)^4*(x0+x1)^9"):
+        with pytest.raises(PolynomialParseError) as info:
+            parse_poly(text, 2)
+        assert str(info.value) == (
+            "a product of 5 terms by 5 terms of up to 3 bits is past 60"
+            " term-bit products, the most the parser expands"
+        )
+
+
 def test_parse_takes_coefficients_up_to_the_integer_text_limit(int_text_limit):
     # Python writes no integer of more than sys.get_int_max_str_digits()
     # digits as text, 4300 by default, and reads none; 0 lifts the limit.
