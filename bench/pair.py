@@ -20,8 +20,14 @@ gives every input the pair r mod ``--seed-pairs`` and the ``--prime``s
 round each input runs on both sides back to back, and which side goes
 first alternates, so a slow phase of a shared host falls on both alike.
 
-Per input it prints the median time of each side and their ratio
-HEAD / BASE, then the ratio of the summed medians.  Every call's report
+Per input it prints the median time of each side, their ratio
+HEAD / BASE and the number of rounds in which HEAD was faster; then the
+ratio of the summed medians, which the heaviest input can decide alone,
+and the geometric mean of the per-input ratios, which weighs every input
+alike.  It times unscaled reports, one call at a time in one process,
+so its ratios are not perfbench's metrics and can disagree with them: a
+speed claim rests on ``bench/perfpairs.py``, and this script checks that
+the reports are byte-identical.  Every call's report
 (``to_json()``), or the type and text of the error it raised, is compared
 between the sides; the script exits 1 when any differs, else 0.  Each
 ``--ignore KEY`` leaves the top-level report key KEY out of the
@@ -128,20 +134,31 @@ def run_pairs(base, head, cases, primes, seed_pairs, rounds, out=None, ignore=()
                 print(f"DIFFERS {case.name} seeds={seeds}", file=out)
                 print(f"  base: {texts[0]}", file=out)
                 print(f"  head: {texts[1]}", file=out)
-    total = [0.0, 0.0]
-    print(f"{'input':28} {'base_ms':>10} {'head_ms':>10} {'ratio':>7}", file=out)
-    for case in cases:
-        medians = [statistics.median(t) for t in times[case.name]]
-        total = [a + b for a, b in zip(total, medians)]
-        print(
-            f"{case.name:28} {medians[0] * 1e3:10.3f} {medians[1] * 1e3:10.3f} "
-            f"{medians[1] / medians[0]:7.3f}",
-            file=out,
-        )
-    print(f"{'sum of medians':28} {total[0] * 1e3:10.3f} {total[1] * 1e3:10.3f} "
-          f"{total[1] / total[0]:7.3f}", file=out)
+    for line in timing_table(times):
+        print(line, file=out)
     print(f"{differ} of {rounds * len(cases)} reports differ", file=out)
     return differ
+
+
+def timing_table(times) -> list[str]:
+    """The lines of the timing table of ``times``, which maps each input's
+    name to its ``(base, head)`` lists of seconds, one entry a round: per
+    input each side's median, their ratio HEAD / BASE and the rounds in
+    which HEAD was faster; then the ratio of the summed medians and the
+    geometric mean of the per-input ratios."""
+    lines = [f"{'input':28} {'base_ms':>10} {'head_ms':>10} {'ratio':>7} {'faster':>7}"]
+    total, ratios = [0.0, 0.0], []
+    for name, (base, head) in times.items():
+        medians = [statistics.median(base), statistics.median(head)]
+        total = [a + b for a, b in zip(total, medians)]
+        ratios.append(medians[1] / medians[0])
+        faster = f"{sum(h < b for b, h in zip(base, head))}/{len(base)}"
+        lines.append(f"{name:28} {medians[0] * 1e3:10.3f} {medians[1] * 1e3:10.3f} "
+                     f"{ratios[-1]:7.3f} {faster:>7}")
+    lines.append(f"{'sum of medians':28} {total[0] * 1e3:10.3f} {total[1] * 1e3:10.3f} "
+                 f"{total[1] / total[0]:7.3f}")
+    lines.append(f"{'geometric mean of ratios':50} {statistics.geometric_mean(ratios):7.3f}")
+    return lines
 
 
 def _invertible(rows) -> bool:

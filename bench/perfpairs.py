@@ -10,7 +10,11 @@ and the workload seed ``--seed`` i for pair i = 1..N, so the pairs cover
 N seeds and both sides of a pair run the same one.  The side that goes
 first switches from one pair to the next, so a slow phase of a shared
 host falls on both alike.  Each run is a fresh process, as the benchmark
-itself runs it.
+itself runs it, with ``PYTHONDONTWRITEBYTECODE=1`` in its environment, so
+that neither side writes a bytecode cache that a later run would read:
+a cached checkout imports faster and reads a lower ``setup_s``.  For the
+same reason it exits 2, before the first run, when either root holds a
+``__pycache__`` directory under ``src/`` or ``perfbench/``, and names it.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles over the pairs, the ratio of the medians HEAD / BASE,
@@ -39,13 +43,26 @@ def load_spec() -> dict:
         return json.load(fh)
 
 
+def bytecode_caches(root: str) -> list[str]:
+    """The ``__pycache__`` directories under ``src/`` and ``perfbench/``
+    of the checkout at ``root``, sorted."""
+    found = []
+    for top in ("src", "perfbench"):
+        for path, dirs, _ in os.walk(os.path.join(root, top)):
+            if "__pycache__" in dirs:
+                found.append(os.path.join(path, "__pycache__"))
+    return sorted(found)
+
+
 def run_once(command, root: str, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run in the checkout at ``root``: the JSON object on
-    the last line of its standard output, with ``ok`` added, False when
-    the run failed, was not correct or counted a failed op."""
+    """One benchmark run in the checkout at ``root``, with no bytecode
+    cache written: the JSON object on the last line of its standard
+    output, with ``ok`` added, False when the run failed, was not correct
+    or counted a failed op."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seconds", f"{seconds:g}", "--seed", str(seed)],
         cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = done.stdout.strip().splitlines()
     try:
@@ -132,6 +149,13 @@ def main(argv=None, out=None) -> int:
         parser.error("need at least one pair and seconds >= 0")
     command = [sys.executable if c in ("python3", "python") else c for c in spec["command"]]
     roots = (os.path.abspath(args.base), os.path.abspath(args.head))
+    for root in roots:
+        caches = bytecode_caches(root)
+        if caches:
+            print(f"perfpairs: {caches[0]} holds a bytecode cache, which lowers "
+                  f"setup_s; remove every __pycache__ under src/ and perfbench/ "
+                  f"of {root}", file=sys.stderr)
+            return 2
     pairs, bad = [], 0
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)

@@ -15,9 +15,10 @@ the compact one, with Fulton's class c(TM) * s(X) and the mu-class,
 through one affine map of s_Y per (n, d) (``_class_map``): dual, tensor
 and a product by a fixed class are Z-linear, so each class is its value
 at s_Y = 0 plus the coefficients of s_Y times its values at h^1..h^n less
-that.  The formulas are evaluated at those n + 1 points once per (n, d)
-in a process, which took 0.07-0.21 ms for n = 2..5 on a 2-vCPU host;
-each later report takes 5-10 microseconds there.  The other three
+that.  The formulas are evaluated at s_Y = 0 and h^1 once per (n, d) in
+a process, and the values at h^2..h^n follow from h^1 by shift rules,
+so a map costs a fixed number of class products whatever n is; each
+later report takes 5-10 microseconds on a 2-vCPU host.  The other three
 formulations are library functions that the tests compare against the
 compact one, since no input can make them disagree and only a code bug
 could.
@@ -282,22 +283,47 @@ def _class_map(n: int, d: int) -> tuple:
     The map is exact over Z.  ``dual`` and ``tensor(d)`` are Z-linear in
     the coefficients, and so is a product by a fixed class; c(TM), s(X),
     c(L)^-1 and c(T*M tensor L) depend on (n, d) alone.  So
-    csm = c(TM) s(X) + c(TM) c(L)^-1 (s_Y dual tensor L) is base plus a
-    linear image of s_Y, mu = c(T*M tensor L) s_Y is linear, with base 0,
-    and Fulton's class c(TM) s(X) does not depend on s_Y.  Each class at
-    s_Y = sum_k a_k h^k is then base + sum_k a_k (class at h^k - base),
-    and the formulas above, evaluated at those n + 1 points, stay the
-    only definition of each class."""
+    csm = c(TM) s(X) + P(s_Y) with P(s) = c(TM) c(L)^-1 (s dual tensor L)
+    is base plus a linear image of s_Y, mu = c(T*M tensor L) s_Y is
+    linear, with base 0, and Fulton's class c(TM) s(X) does not depend
+    on s_Y.  Each class at s_Y = sum_k a_k h^k is then
+    base + sum_k a_k (class at h^k - base).
+
+    The formulas above are evaluated at s_Y = 0 and at h^1 only, and stay
+    the only definition of each class; column k + 1 of the rows, the
+    class at h^(k+1) less base, follows from column k by one O(n) pass:
+
+      * csm: h^k dual is (-1)^k h^k, and tensoring it by L divides it by
+        c(L)^k, so P(h^k) = (-1)^k c(TM) c(L)^-1 h^k (1 + d h)^-k, and
+        P(h^(k+1)) = -h (1 + d h)^-1 P(h^k).  Dividing by 1 + d h is the
+        recurrence y_i = x_i - d y_(i-1), and multiplying by h a shift.
+      * mu: mu(h^(k+1)) = c(T*M tensor L) c(L)^-1 h^(k+1) = h mu(h^k).
+      * Fulton: every column is 0.
+
+    So building the map costs a number of ``ChowClass`` products that
+    does not depend on n, and O(n^2) integer operations besides."""
 
     def classes(s_y):
         inp = HypersurfaceInput(n, d, s_y)
         return csm(inp).coeffs, fulton(inp).coeffs, mu_class(inp).coeffs
 
     base = classes(ChowClass(n, [0] * (n + 1)))
-    at = [classes(hyperplane_power(n, k)) for k in range(1, n + 1)]
+    csm_col, fulton_col, mu_col = (
+        [a - z for a, z in zip(at, zero)]
+        for at, zero in zip(classes(hyperplane_power(n, 1)), base)
+    )
+    columns = ([], [], [])
+    for _ in range(n):
+        for cols, col in zip(columns, (csm_col, fulton_col, mu_col)):
+            cols.append(col)
+        y, nxt = 0, [0]
+        for c in csm_col[:-1]:
+            y = c - d * y
+            nxt.append(-y)
+        csm_col, mu_col = nxt, [0] + mu_col[:-1]
     return tuple(
-        (zero, tuple(tuple(point[c][i] - z for point in at) for i, z in enumerate(zero)))
-        for c, zero in enumerate(base)
+        (zero, tuple(tuple(col[i] for col in cols) for i in range(n + 1)))
+        for zero, cols in zip(base, columns)
     )
 
 

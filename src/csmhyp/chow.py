@@ -137,11 +137,12 @@ class ChowClass:
         Expanding h^i / (1 + d*h)^i gives the closed form
         out_m = sum_{0 <= k < m} a_(m-k) * C(m-1, k) * (-d)^k and
         out_0 = a_0 (Aluffi, Chern classes for singular hypersurfaces,
-        Trans. AMS 1999).  ``tensor(0)`` is the identity.
+        Trans. AMS 1999).  ``tensor(0)`` is the identity.  A zero a_(m-k)
+        adds nothing, so its binomial is not computed.
         """
         a = self.coeffs
         out = [a[0]] + [
-            sum(a[m - k] * comb(m - 1, k) * (-d) ** k for k in range(m))
+            sum(a[m - k] * comb(m - 1, k) * (-d) ** k for k in range(m) if a[m - k])
             for m in range(1, self.n + 1)
         ]
         return ChowClass(self.n, out)

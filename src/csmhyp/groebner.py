@@ -13,10 +13,15 @@ and a zero polynomial names the ring of the zero ideal, which is then an
 ordinary computed basis with no elements.  An empty generator list
 raises ``ValueError``.
 
-A computed basis is kept minimalized and packed.  R/I and R/in(I) have
-the same Hilbert function, so the counts read only its leading terms;
-the tail reduction to the reduced basis, and the unpack into
-``Polynomial`` values, run only when a caller first reads its ``gens``.
+A computed basis is kept minimalized and packed, each element as its
+lead and its monic tail, the list of its other ``(monomial,
+coefficient)`` pairs: a reduction step multiplies out only the
+divisor's tail, since the product of its lead cancels the popped term,
+and an S-polynomial holds no entry at the lcm, where its two leads
+cancel.  R/I and R/in(I) have the same Hilbert function, so the counts
+read only its leading terms; the tail reduction to the reduced basis,
+and the unpack into ``Polynomial`` values, run only when a caller first
+reads its ``gens``.
 
 All heavy computation is modular: the engine refuses rational
 coefficients.  Polynomials need not be homogeneous (saturation adjoins an
@@ -139,31 +144,37 @@ def _layout(r: int) -> _Layout:
 # -- dict-level core ----------------------------------------------------------
 
 
-def _monic(d, lead, p):
-    c = d[lead]
+def _monic(r, p):
+    """The monic tail of the remainder ``r``, whose leading term comes
+    first: its other terms, as ``(monomial, coefficient)`` pairs, divided
+    by the leading coefficient."""
+    terms = iter(r.items())
+    _, c = next(terms)
     if c == 1:
-        return d
+        return list(terms)
     inv = pow(c, -1, p)
-    return {m: (v * inv) % p for m, v in d.items()}
+    return [(m, v * inv % p) for m, v in terms]
 
 
 def _reduce_full(f, lts, G, lay, p, memo):
-    """Full normal form of term dict ``f`` against monic divisors ``G``.
+    """Full normal form of ``f``, a term dict or a list of its
+    ``(monomial, coefficient)`` pairs, against the divisors with leads
+    ``lts`` and monic tails ``G``.
 
     The working polynomial is driven by a max-heap of monomials, each
     pushed once, when it first enters ``work``, where it then stays.  A
-    reduction step only ever creates monomials below the one it removes,
-    so pops are monotone and every update of a monomial's coefficient
-    comes before its pop.  The coefficients in ``work`` are sums of
-    products, not reduced mod p: each is reduced once, when its monomial
-    is popped, and the monomial is skipped when that gives 0.  So ``f``
-    may hold any ints, 0 and negative ones included, and the remainder,
-    filled in descending order, has its leading term first and every
-    coefficient in [1, p).  The divisor's own lead lands on the popped
-    monomial, which must therefore stay in ``work``: were it removed,
-    that update would push it again.  The heap holds
-    ``-key(m) = 2*(m & pmask) - m``, a map that is its own inverse, so
-    plain ints are compared and m is recovered at pop.
+    reduction step subtracts a multiple of the divisor's tail only: its
+    lead would land on the popped monomial, which is never read again.
+    The tail's products all lie below the popped monomial, so pops are
+    monotone and every update of a monomial's coefficient comes before
+    its pop.  The coefficients in ``work`` are sums of products, not
+    reduced mod p: each is reduced once, when its monomial is popped,
+    and the monomial is skipped when that gives 0.  So ``f`` may hold
+    any ints, 0 and negative ones included, and the remainder, filled in
+    descending order, has its leading term first and every coefficient
+    in [1, p).  The heap holds ``-key(m) = 2*(m & pmask) - m``, a map
+    that is its own inverse, so plain ints are compared and m is
+    recovered at pop.
 
     Each monomial is divided by its first dividing lead in ``lts`` order.
     ``memo`` maps a monomial to the index of that lead or, when none
@@ -198,7 +209,7 @@ def _reduce_full(f, lts, G, lay, p, memo):
                 continue
             memo[m] = j
         q = m - lts[j]
-        for mg, cg in G[j].items():
+        for mg, cg in G[j]:
             mm = q + mg
             old = work.get(mm)
             if old is None:
@@ -213,19 +224,20 @@ def _reduce_full(f, lts, G, lay, p, memo):
     return remainder
 
 
-def _spoly(gi, li, gj, lj, L, guard):
-    """The S-polynomial of the monic gi and gj, whose leads li and lj
-    have the lcm L, with coefficients left unreduced for ``_reduce_full``
-    and the cancelled lcm kept as a 0."""
+def _spoly(ti, li, tj, lj, L, guard):
+    """The S-polynomial of the monic elements with leads li and lj and
+    tails ti and tj, whose leads have the lcm L: ``u*ti - v*tj`` with
+    ``u*li = v*lj = L``, with no entry at L, where the leads cancel, and
+    with coefficients left unreduced for ``_reduce_full``."""
     u = L - li
     v = L - lj
     out = {}
-    for m, c in gi.items():
+    for m, c in ti:
         mm = u + m
         if mm & guard:
             raise _overflow()
         out[mm] = c
-    for m, c in gj.items():
+    for m, c in tj:
         mm = v + m
         if mm & guard:
             raise _overflow()
@@ -234,40 +246,42 @@ def _spoly(gi, li, gj, lj, L, guard):
 
 
 def _minimal_basis(G, lts, lay):
-    """The elements of a monic Groebner basis whose lead no other lead
-    divides, as ``(leads, polys)`` sorted lead-descending.  Ascending,
-    a lead's divisors come before it, so only kept ones are tested."""
+    """The elements of a monic Groebner basis, given by their tails ``G``
+    and leads ``lts``, whose lead no other lead divides, as ``(leads,
+    tails)`` sorted lead-descending.  Ascending, a lead's divisors come
+    before it, so only kept ones are tested."""
     key, guard = lay.key, lay.guard
-    leads, polys = [], []
+    leads, tails = [], []
     for i in sorted(range(len(G)), key=lambda i: key(lts[i])):
         lt = lts[i]
         if all((lt - m) & guard for m in leads):
             leads.append(lt)
-            polys.append(G[i])
-    return leads[::-1], polys[::-1]
+            tails.append(G[i])
+    return leads[::-1], tails[::-1]
 
 
-def _tail_reduced(leads, polys, lay, p):
-    """The reduced basis of the minimal monic Groebner basis
-    ``(leads, polys)``, in its order.  Each tail is reduced against every
-    element, its own included: the tail lies below its lead, so only the
-    other leads can divide it, and one memo serves all the tails.  A
-    normal form modulo a Groebner basis is unique, so the result does not
-    depend on the order of the divisors."""
+def _tail_reduced(leads, tails, lay, p):
+    """The reduced basis of the minimal monic Groebner basis with leads
+    ``leads`` and tails ``tails``, as term dicts in its order.  Each tail
+    is reduced against every element, its own included: the tail lies
+    below its lead, so only the other leads can divide it, and one memo
+    serves all the tails.  A normal form modulo a Groebner basis is
+    unique, so the result does not depend on the order of the
+    divisors."""
     memo = {}
     out = []
-    for lt, g in zip(leads, polys):
-        tail = dict(g)
-        del tail[lt]
+    for lt, tail in zip(leads, tails):
         r = {lt: 1}
-        r.update(_reduce_full(tail, leads, polys, lay, p, memo))
+        r.update(_reduce_full(tail, leads, tails, lay, p, memo))
         out.append(r)
     return out
 
 
 def _buchberger(gens, lay, p):
-    """A monic Groebner basis of packed term dicts, as ``(polys, leads)``
-    in insertion order, neither minimalized nor tail-reduced.
+    """A monic Groebner basis of the packed term dicts ``gens``, as
+    ``(tails, leads)`` in insertion order, neither minimalized nor
+    tail-reduced: each element is its lead and its monic tail, and the
+    S-polynomial of a pair is built from the two tails alone.
 
     Pairs are taken lowest sugar first, then smallest lcm (the sugar
     strategy of Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
@@ -303,7 +317,7 @@ def _buchberger(gens, lay, p):
         nonlocal pairs, active
         lh = next(iter(r))  # remainders come in descending order
         h = len(G)
-        G.append(_monic(r, lh, p))
+        G.append(_monic(r, p))
         lts.append(lh)
         eh = sugar - (lh >> dshift & _FIELD)
         ecarts.append(eh)
@@ -370,11 +384,12 @@ class IdealBasis:
     zero ideal; an empty list raises ``ValueError``.  Only ``buchberger``
     and ``saturate`` return a Groebner basis, and the read-only
     ``groebner`` is true exactly for those.  A computed basis carries its
-    minimal monic basis packed, lead-descending, and its
-    ``leading_terms`` are those leads, none for the zero ideal.  Its
-    ``gens``, the reduced grevlex basis as ``Polynomial`` values in the
-    same order, are built on their first read, by tail-reducing and
-    unpacking the carried elements, and then kept.  ``nvars`` and
+    minimal monic basis packed, lead-descending, each element as its
+    lead and its monic tail, and its ``leading_terms`` are those leads,
+    none for the zero ideal.  Its ``gens``, the reduced grevlex basis as
+    ``Polynomial`` values in the same order, are built on their first
+    read, by tail-reducing the carried tails and unpacking them with
+    their leads, and then kept.  ``nvars`` and
     ``field`` read the ring, so a caller that needs only the leading
     terms, as the Hilbert-function counts do, never pays for the
     reduction.
@@ -389,16 +404,16 @@ class IdealBasis:
         self._gens = self._ring = tuple(gens)
         if not self._ring:
             raise ValueError("an ideal needs a generator to name its ring")
-        self._computed = None  # (leads, polys, layout) when computed
+        self._computed = None  # (leads, tails, layout) when computed
 
     @classmethod
-    def _from_packed(cls, leads, polys, lay, ring) -> IdealBasis:
-        """The computed basis of the minimal monic Groebner basis
-        ``(leads, polys)``, lead-descending, in the ring of the polynomial
-        ``ring``."""
+    def _from_packed(cls, leads, tails, lay, ring) -> IdealBasis:
+        """The computed basis of the minimal monic Groebner basis with
+        leads ``leads`` and tails ``tails``, lead-descending, in the ring
+        of the polynomial ``ring``."""
         basis = cls((ring,))
         basis._gens = None
-        basis._computed = (leads, polys, lay)
+        basis._computed = (leads, tails, lay)
         return basis
 
     @property
@@ -415,11 +430,11 @@ class IdealBasis:
     @property
     def gens(self) -> tuple:
         if self._gens is None:
-            leads, polys, lay = self._computed
+            leads, tails, lay = self._computed
             ring, unpack = self._ring[0], lay.unpack
             self._gens = tuple(
                 ring._wrap({unpack(m): c for m, c in d.items()})
-                for d in _tail_reduced(leads, polys, lay, ring.field.p)
+                for d in _tail_reduced(leads, tails, lay, ring.field.p)
             )
         return self._gens
 
@@ -467,14 +482,14 @@ def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
     ``buchberger`` or ``saturate`` returned; zero iff f lies in the ideal.
     A generating set ``IdealBasis(gens)`` raises ``ValueError``.  The
     remainder modulo a Groebner basis is unique, so the basis divides by
-    its carried monic elements, unreduced."""
+    its carried leads and monic tails, unreduced."""
     if not basis.groebner:
         raise ValueError("normal form requires a Groebner basis")
     field = basis.field
     if f.field != field or f.nvars != basis.nvars:
         raise ValueError("polynomial does not live in the basis ring")
-    leads, polys, lay = basis._computed
-    r = _reduce_full(_packed(f, lay), leads, polys, lay, field.p, {})
+    leads, tails, lay = basis._computed
+    r = _reduce_full(_packed(f, lay), leads, tails, lay, field.p, {})
     unpack = lay.unpack
     return f._wrap({unpack(m): c for m, c in r.items()})
 
@@ -489,8 +504,8 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     auxiliary variable t; only the t-free elements of that basis are
     minimalized, and they are tail-reduced only when the result's ``gens``
     are first read.  I need not be given by a Groebner basis: its
-    generators, or a computed basis's carried elements, go straight into
-    that elimination, and the result is the reduced basis whatever
+    generators, or a computed basis's carried elements, each rebuilt from
+    its lead and tail, go straight into that elimination, and the result is the reduced basis whatever
     generators I has.  Removes from V(I) every component on which g
     vanishes.  For a larger ideal J' containing g, I : J'^infty lies in
     I : g^infty, with equality when g lies in no associated prime of I
@@ -510,7 +525,11 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     p = field.p
     lay = _layout(nvars)
     t = 1 << lay.tshift
-    ext = list(I._computed[1]) if I.groebner else [_packed(g, lay) for g in I.gens]
+    if I.groebner:
+        leads, tails, _ = I._computed
+        ext = [{lt: 1, **dict(tail)} for lt, tail in zip(leads, tails)]
+    else:
+        ext = [_packed(g, lay) for g in I.gens]
     g = J.gens[0]
     if g.is_zero or any(map(any, g.terms)):  # for a unit g, I : g^infty = I
         rel = {lay.pack(m) + t: -c % p for m, c in g.terms.items()}
@@ -523,8 +542,8 @@ def saturate(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     # them alone gives its reduced grevlex basis.
     G, lts = _buchberger(ext, lay, p)
     free = [i for i, m in enumerate(lts) if m < t]
-    leads, polys = _minimal_basis([G[i] for i in free], [lts[i] for i in free], lay)
-    return IdealBasis._from_packed(leads, polys, lay, I._ring[0])
+    leads, tails = _minimal_basis([G[i] for i in free], [lts[i] for i in free], lay)
+    return IdealBasis._from_packed(leads, tails, lay, I._ring[0])
 
 
 # -- Hilbert series of a computed basis ---------------------------------------

@@ -159,8 +159,8 @@ def test_classes_from_segre_gives_the_compact_csm_fulton_and_mu():
 
 
 def test_classes_from_segre_evaluates_the_formulas_once_per_n_and_d(monkeypatch):
-    # The map of (n, d) is built from csm at n + 1 points and then reused,
-    # so a second input with the same (n, d) calls csm no more.
+    # The map of (n, d) is built from csm at s_Y = 0 and h^1 and then
+    # reused, so a second input with the same (n, d) calls csm no more.
     from csmhyp import charclasses
 
     calls = []
@@ -173,12 +173,53 @@ def test_classes_from_segre_evaluates_the_formulas_once_per_n_and_d(monkeypatch)
     charclasses._class_map.cache_clear()
     first = classes_from_segre(3, 4, ChowClass(3, [0, 0, 2, 5]))
     built = len(calls)
-    assert built == 4
+    assert built == 2
     second = classes_from_segre(3, 4, ChowClass(3, [0, 1, -3, 7]))
     assert len(calls) == built
     assert first[0] == csm(HypersurfaceInput(3, 4, ChowClass(3, [0, 0, 2, 5])))
     assert second[0] == csm(HypersurfaceInput(3, 4, ChowClass(3, [0, 1, -3, 7])))
     charclasses._class_map.cache_clear()  # no map built from the counter stays
+
+
+def test_the_class_map_makes_as_many_products_whatever_n_is(monkeypatch):
+    # The formulas are evaluated at s_Y = 0 and h^1 only; the columns at
+    # h^2..h^n follow by shift rules with no class product.
+    from csmhyp import charclasses
+
+    products = []
+    real = ChowClass.__mul__
+
+    def counted(self, other):
+        products.append(self.n)
+        return real(self, other)
+
+    monkeypatch.setattr(ChowClass, "__mul__", counted)
+    counts = set()
+    for n in (1, 2, 5, 20, 60):
+        charclasses._class_map.cache_clear()
+        products.clear()
+        charclasses._class_map(n, 3)
+        counts.add(len(products))
+    charclasses._class_map.cache_clear()  # no map built from the counter stays
+    assert len(counts) == 1 and counts.pop() > 0
+
+
+def test_the_class_map_is_the_formulas_at_every_hyperplane_power():
+    # Column k of each class's rows is the class at h^k less its base,
+    # for every k, against the formulas evaluated there directly.
+    from csmhyp import charclasses
+
+    for n in range(1, 9):
+        for d in range(1, 7):
+            zero = HypersurfaceInput(n, d, ChowClass(n, [0] * (n + 1)))
+            maps = charclasses._class_map(n, d)
+            want = (csm(zero), fulton(zero), mu_class(zero))
+            assert tuple(base for base, _ in maps) == tuple(c.coeffs for c in want)
+            for k in range(1, n + 1):
+                inp = HypersurfaceInput(n, d, hyperplane_power(n, k))
+                for formula, (base, rows) in zip((csm, fulton, mu_class), maps):
+                    got = tuple(z + row[k - 1] for z, row in zip(base, rows))
+                    assert got == formula(inp).coeffs, (n, d, k, formula.__name__)
 
 
 def test_csm_four_routes_on_random_inputs():

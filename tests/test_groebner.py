@@ -485,6 +485,60 @@ def test_the_reducer_reduces_each_coefficient_once_at_pop():
     assert {(True, True), (True, False), (False, True)} <= seen
 
 
+def test_a_computed_basis_carries_leads_and_monic_tails():
+    # Each element is its lead and its tail, the list of its other terms,
+    # which all lie strictly below the lead, with coefficients in [1, p);
+    # the lead's coefficient, 1, is not stored.
+    field = PrimeField(SMALL)
+    rng = random.Random(83)
+    families = ("homogeneous", "inhomogeneous", "rabinowitsch", "binomial")
+    tails_seen = 0
+    for k in range(200):
+        nvars, gens = _random_ideal(rng, families[k % 4])
+        polys = [Polynomial(nvars, g, field) for g in gens]
+        g = Polynomial(nvars, _random_terms(rng, nvars, [1, 2], 0.5), field)
+        for basis in (buchberger(polys), saturate(IdealBasis(tuple(polys)), IdealBasis((g,)))):
+            leads, tails, lay = basis._computed
+            assert len(leads) == len(tails)
+            for lt, tail in zip(leads, tails):
+                assert type(tail) is list
+                assert all(lay.key(m) < lay.key(lt) for m, _ in tail), (nvars, gens)
+                assert all(0 < c < SMALL for _, c in tail), (nvars, gens)
+                assert len({m for m, _ in tail}) == len(tail)
+                tails_seen += bool(tail)
+            assert basis.leading_terms == tuple(lay.unpack(m) for m in leads)
+    assert tails_seen > 100
+
+
+def test_an_s_polynomial_holds_no_entry_at_the_lcm():
+    # The S-polynomial of two carried elements is u*tail_i - v*tail_j:
+    # the textbook S-polynomial of the full monic elements, whose entry
+    # at the lcm is 0, with that entry dropped.
+    field = PrimeField(SMALL)
+    rng = random.Random(89)
+    families = ("homogeneous", "inhomogeneous", "rabinowitsch", "binomial")
+    pairs = 0
+    for k in range(120):
+        nvars, gens = _random_ideal(rng, families[k % 4])
+        basis = buchberger([Polynomial(nvars, g, field) for g in gens])
+        leads, tails, lay = basis._computed
+        full = [
+            Polynomial(nvars, {lay.unpack(m): c for m, c in [(lt, 1), *tail]}, field)
+            for lt, tail in zip(leads, tails)
+        ]
+        for i in range(len(leads)):
+            for j in range(i):
+                L = lay.lcm(leads[i], leads[j])
+                s = groebner._spoly(tails[i], leads[i], tails[j], leads[j], L, lay.guard)
+                assert L not in s
+                got = {lay.unpack(m): c % SMALL for m, c in s.items() if c % SMALL}
+                want = spolynomial(full[i], full[j]).terms
+                assert lay.unpack(L) not in want
+                assert got == want, (nvars, gens, i, j)
+                pairs += 1
+    assert pairs > 100
+
+
 def test_reduced_bases_do_not_depend_on_the_generator_order():
     # The sugar of a pair depends on the degrees of the inputs it comes
     # from, so the pair taken first changes with the generator order;

@@ -42,9 +42,34 @@ def test_the_repo_against_itself_differs_nowhere():
     assert differ == 0 and lines[-1] == "0 of 6 reports differ"
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:3]}
     assert set(rows) == {"smooth_conic", "two_lines"}
-    for base_ms, head_ms, ratio in rows.values():
+    for base_ms, head_ms, ratio, faster in rows.values():
         assert float(base_ms) > 0 and float(head_ms) > 0 and float(ratio) > 0
+        assert faster.endswith("/3") and 0 <= int(faster[:-2]) <= 3
     assert lines[3].startswith("sum of medians")
+    assert lines[4].startswith("geometric mean of ratios")
+
+
+def test_one_heavy_input_does_not_decide_the_geometric_mean():
+    # The heavy input is 2% slower on HEAD in every round and decides the
+    # ratio of summed medians; the light ones are 20% faster in 4 of 5
+    # rounds, which only the geometric mean and the win counts show.
+    pair = _pair()
+    times = {
+        "heavy": ([1.0] * 5, [1.02] * 5),
+        "light_a": ([0.001] * 5, [0.0008] * 4 + [0.0012]),
+        "light_b": ([0.002] * 5, [0.0016] * 4 + [0.0024]),
+    }
+    lines = pair.timing_table(times)
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:4]}
+    assert rows["heavy"] == ["1000.000", "1020.000", "1.020", "0/5"]
+    assert rows["light_a"] == ["1.000", "0.800", "0.800", "4/5"]
+    assert rows["light_b"] == ["2.000", "1.600", "0.800", "4/5"]
+    summed = lines[4].split()
+    assert summed[:3] == ["sum", "of", "medians"] and summed[-1] == "1.019"
+    geometric = lines[5].split()
+    assert geometric[:4] == ["geometric", "mean", "of", "ratios"]
+    assert geometric[-1] == f"{(1.02 * 0.8 * 0.8) ** (1 / 3):.3f}"  # about 0.87
+    assert len(lines) == 6
 
 
 def test_a_differing_answer_is_reported(monkeypatch):

@@ -1,5 +1,6 @@
 """Alternating perfbench pairs by bench/perfpairs.py: the summary on canned
-run outputs, the exit code on unclean runs, and one short real pair."""
+run outputs, the exit code on unclean runs and on bytecode caches, and one
+short real pair."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import textwrap
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -86,10 +88,55 @@ def test_exit_code_is_1_on_an_incorrect_run_or_a_failed_op(tmp_path):
     assert "base run not clean: exit 2" in out.getvalue()
 
 
-def test_a_short_real_pair_of_the_repo_against_itself():
+def test_every_run_writes_no_bytecode_cache(tmp_path):
+    # The fake benchmark reports itself correct only when its environment
+    # asks Python to write no bytecode.
     perfpairs = _perfpairs()
+    root = tmp_path / "checkout"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(textwrap.dedent(f"""\
+        import json, os
+        result = {_run(100, 1.0)!r}
+        result["correct"] = os.environ.get("PYTHONDONTWRITEBYTECODE") == "1"
+        print(json.dumps(result))
+    """))
     out = io.StringIO()
-    code = perfpairs.main([ROOT, ROOT, "--workload", "corpus", "--pairs", "1",
+    argv = [str(root), str(root), "--workload", "corpus", "--pairs", "1", "--seconds", "0"]
+    assert perfpairs.main(argv, out) == 0, out.getvalue()
+    assert "0 of 2 runs not clean" in out.getvalue()
+
+
+def test_a_bytecode_cache_in_either_root_exits_2_before_any_run(tmp_path, capsys):
+    perfpairs = _perfpairs()
+    clean = _fake_checkout(tmp_path / "clean", _run(100, 1.0))
+    for top in ("src/csmhyp", "perfbench"):
+        cached = tmp_path / top.replace("/", "_")
+        _fake_checkout(cached, _run(100, 1.0))
+        # a run would leave this file behind
+        (cached / "perfbench" / "run.py").write_text("open('ran', 'w')\n")
+        (cached / top / "__pycache__").mkdir(parents=True)
+        assert perfpairs.bytecode_caches(str(cached)) == [str(cached / top / "__pycache__")]
+        for argv in ([clean, str(cached)], [str(cached), clean]):
+            out = io.StringIO()
+            assert perfpairs.main([*argv, "--workload", "corpus", "--pairs", "1",
+                                   "--seconds", "0"], out) == 2
+            err = capsys.readouterr().err
+            assert str(cached / top / "__pycache__") in err
+            assert out.getvalue() == "" and not (cached / "ran").exists()
+    assert perfpairs.bytecode_caches(clean) == []
+
+
+def test_a_short_real_pair_of_the_repo_against_itself(tmp_path):
+    # Tests import the package and so leave bytecode caches in the repo;
+    # the pair runs on a copy without them.
+    perfpairs = _perfpairs()
+    root = tmp_path / "checkout"
+    no_cache = shutil.ignore_patterns("__pycache__")
+    for top in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, top), root / top, ignore=no_cache)
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), root)
+    out = io.StringIO()
+    code = perfpairs.main([str(root), str(root), "--workload", "corpus", "--pairs", "1",
                            "--seconds", "0"], out)
     assert code == 0, out.getvalue()
     lines = out.getvalue().splitlines()
